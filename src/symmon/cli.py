@@ -276,8 +276,12 @@ def main(argv=None) -> int:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out!r}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg, root_weight
 from .errors import NotSpecialError, PreconditionError, UnsupportedFamilyError
@@ -55,8 +56,10 @@ class InvolutionSpec:
     def apply_star(self, w: Weight) -> Weight:
         if w.dim != self.ambient_dim:
             raise PreconditionError("ambient dimension mismatch")
-        mat = tuple(tuple(Fraction(e) for e in row) for row in self.theta_star)
-        return Weight(linalg.mat_vec(mat, w.coords))
+        zero = Fraction(0)
+        return Weight(
+            tuple(sum((c * e for e, c in zip(row, w.coords) if e), zero) for row in self.theta_star)
+        )
 
     def to_json(self) -> dict:
         return {
@@ -377,5 +380,8 @@ def check_weight_set_stability(rs: RootSystem, inv: InvolutionSpec, lam: Weight)
         raise PreconditionError("stability check requires a dominant weight")
     if inv.apply_star(lam) != -lam:
         raise NotSpecialError("weight is not special for this involution")
-    pi = set(root_weight.weight_set(rs, lam))
-    return {theta_an_star(inv, mu) for mu in pi} == pi
+    # -theta* is linear, so it may act on the integer vectors D * mu
+    _, points = root_weight.scaled_weight_set(rs, lam)
+    pi = set(points)
+    theta = inv.theta_star
+    return {tuple(-sum(map(mul, row, p)) for row in theta) for p in pi} == pi

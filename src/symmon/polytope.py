@@ -328,8 +328,11 @@ def _cycle_order(points3: list[tuple[float, float, float]], face: list[int]) -> 
 
 
 def to_off(p: RationalPolytope) -> str:
-    """OFF export of the polytope projected to the first three coordinates of
-    its affine span (a fixed deterministic projection)."""
+    """OFF export in coordinates on the polytope's affine span, padded with
+    zeros below dimension 3.  Affine dimension > 3 is rejected: OFF holds three
+    coordinates, and dropping the rest would print a different geometry."""
+    if p.affine_dim > 3:
+        raise PreconditionError(f"OFF export needs affine dimension <= 3, got {p.affine_dim}")
     frame = _AffineFrame([v.coords for v in p.vertices])
     proj = []
     for v in p.vertices:

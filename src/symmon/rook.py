@@ -100,8 +100,14 @@ def rook_count(n: int) -> int:
     return sum(math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1))
 
 
+def _check_size(n: int):
+    if n < 0:
+        raise PreconditionError(f"n must be nonnegative, got {n}")
+
+
 def enumerate_rook(n: int) -> tuple[RookElement, ...]:
     """All partial permutation matrices of [n], in canonical (map-lex) order."""
+    _check_size(n)
     if n > ENUM_GUARD_N:
         raise ResourceLimitError(f"enumerate_rook guard is n <= {ENUM_GUARD_N}")
     out = []
@@ -222,6 +228,7 @@ def bruhat_leq(r: RookElement, s: RookElement) -> bool:
 
 def symmetric_rook_elements(n: int, fpf: bool = False) -> tuple[RookElement, ...]:
     """All r with r equal to its transpose; with fpf also a zero diagonal."""
+    _check_size(n)
     if n > SYMMETRIC_GUARD_N:
         raise ResourceLimitError(f"symmetric_rook_elements guard is n <= {SYMMETRIC_GUARD_N}")
     out = []

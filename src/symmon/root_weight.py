@@ -7,15 +7,22 @@ Classical families A, B, C, D in epsilon-coordinates:
   used by the extended weights chi_i = e_i and chi~_i = chi_i - chi;
 * types B_l, C_l, D_l live in R^l with the standard orthonormal coordinates.
 
-All arithmetic is over Fraction; equality of weights is exact.
+Weights cross the API as `Weight`s with exact `Fraction` coordinates, and
+equality of weights is exact.  The Weyl-orbit and weight-set kernels work on
+Dynkin labels instead: mu is the tuple (<mu, alpha_j^vee>)_j, integers for
+every integral weight.  The simple reflection is s_i(mu) = mu - mu_i * (row i
+of the Cartan matrix), and mu is dominant when every label is >= 0.
+`Fraction`s are built only where labels are converted back to `Weight`s.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 
 from . import linalg
 from .errors import (
@@ -258,22 +265,85 @@ def dominant_representative(rs: RootSystem, mu: Weight) -> tuple[Weight, WeylEle
     return current, weyl_from_word(rs, reversed(word))
 
 
-def weyl_orbit(rs: RootSystem, mu: Weight, guard: int = ORBIT_GUARD) -> tuple[Weight, ...]:
-    """BFS closure of mu under simple reflections, canonically sorted."""
-    seen = {mu}
-    frontier = [mu]
+@functools.lru_cache(maxsize=None)
+def _scaled_fundamental(rs: RootSystem) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, rows): the least d making every d * omega_j integral, and those vectors."""
+    fw = fundamental_weights(rs)
+    d = math.lcm(*(c.denominator for om in fw for c in om.coords))
+    return d, tuple(tuple(int(c * d) for c in om.coords) for om in fw)
+
+
+def _exact(x: Fraction):
+    return x.numerator if x.denominator == 1 else x
+
+
+def _labels_and_frame(rs: RootSystem, mu: Weight):
+    """(labels, denom, scaled): the Dynkin labels of mu, and integer ambient
+    coordinates for the weights that share mu's W-fixed part (the component
+    orthogonal to the root span), such as its W-orbit and mu + root lattice:
+    the weight with labels nu has coordinates scaled(nu) / denom."""
+    labels = tuple(_exact(rs.pairing(mu, alpha)) for alpha in rs.simple_roots)
+    d, rows = _scaled_fundamental(rs)
+    # d * (mu - sum_j labels_j omega_j): the W-fixed part, scaled by d
+    fixed = [d * c - sum(map(mul, labels, col)) for c, col in zip(mu.coords, zip(*rows))]
+    k = math.lcm(*(Fraction(f).denominator for f in fixed))
+    columns = tuple(tuple(k * e for e in col) for col in zip(*rows))
+    offset = tuple(int(k * f) for f in fixed)
+
+    def scaled(nu) -> tuple:
+        return tuple(sum(map(mul, nu, col)) + off for col, off in zip(columns, offset))
+
+    return labels, d * k, scaled
+
+
+def _to_weights(denom: int, scaled) -> tuple[Weight, ...]:
+    """Sorted Weights from integer ambient vectors over a common denominator;
+    the order of the vectors is the order of the weights."""
+    points = sorted(scaled)
+    frac = {x: Fraction(x, denom) for x in set().union(*points)}
+    return tuple(Weight(tuple(map(frac.__getitem__, p))) for p in points)
+
+
+def _dominant_labels(cartan, mu: tuple) -> tuple:
+    """The dominant label vector in the W-orbit of mu."""
+    while True:
+        i = next((i for i, c in enumerate(mu) if c < 0), None)
+        if i is None:
+            return mu
+        c = mu[i]
+        mu = tuple(m - c * r for m, r in zip(mu, cartan[i]))
+
+
+def _extend_by_orbit(cartan, dom: tuple, out: list) -> None:
+    """Append the W-orbit of the dominant label vector dom to out.
+
+    Snow's rule (D. Snow, "Weyl group orbits", ACM TOMS 16, 1990): the parent
+    of a non-dominant nu is s_k nu for the least k with nu_k < 0.  So a child
+    s_i mu of mu (where mu_i > 0) is kept only when its labels before i are all
+    >= 0; every orbit element is then produced exactly once, with no seen-set.
+    """
+    out.append(dom)
+    frontier = [dom]
     while frontier:
         nxt = []
-        for w in frontier:
-            for alpha in rs.simple_roots:
-                img = reflect(rs, alpha, w)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-                    if len(seen) > guard:
-                        raise ResourceLimitError("Weyl orbit exceeds size guard")
+        for mu in frontier:
+            for i, c in enumerate(mu):
+                if c > 0:
+                    nu = tuple(m - c * r for m, r in zip(mu, cartan[i]))
+                    if all(x >= 0 for x in nu[:i]):
+                        nxt.append(nu)
+        out.extend(nxt)
         frontier = nxt
-    return tuple(sorted(seen))
+
+
+def weyl_orbit(rs: RootSystem, mu: Weight, guard: int = ORBIT_GUARD) -> tuple[Weight, ...]:
+    """The W-orbit of mu, canonically sorted."""
+    labels, denom, scaled = _labels_and_frame(rs, mu)
+    points: list = []
+    _extend_by_orbit(rs.cartan, _dominant_labels(rs.cartan, labels), points)
+    if len(points) > guard:
+        raise ResourceLimitError("Weyl orbit exceeds size guard")
+    return _to_weights(denom, map(scaled, points))
 
 
 @functools.lru_cache(maxsize=None)
@@ -322,8 +392,17 @@ def dominance_leq(rs: RootSystem, mu: Weight, lam: Weight) -> bool:
     return all(c >= 0 and c.denominator == 1 for c in coeffs)
 
 
-def dominant_weights_below(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
-    """All dominant weights mu <= lam with mu in lam + root lattice.
+@functools.lru_cache(maxsize=None)
+def _positive_root_labels(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        tuple(int(rs.pairing(beta, alpha)) for alpha in rs.simple_roots)
+        for beta in positive_roots(rs)
+    )
+
+
+def _dominant_labels_below(rs: RootSystem, lam: Weight):
+    """(found, denom, scaled): the label vectors of the dominant weights below
+    lam, and the integer coordinates of _labels_and_frame.
 
     BFS downward by positive roots; any two comparable dominant weights are
     joined by a chain of dominant weights differing by single positive roots,
@@ -331,33 +410,49 @@ def dominant_weights_below(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
     """
     if not rs.is_dominant(lam):
         raise PreconditionError("dominant_weights_below requires a dominant weight")
-    positives = positive_roots(rs)
-    found = {lam}
-    frontier = [lam]
+    top, denom, scaled = _labels_and_frame(rs, lam)
+    positives = _positive_root_labels(rs)
+    found = {top}
+    frontier = [top]
     while frontier:
         nxt = []
         for mu in frontier:
             for beta in positives:
-                nu = mu - beta
-                if nu not in found and rs.is_dominant(nu):
+                nu = tuple(map(sub, mu, beta))
+                if min(nu) >= 0 and nu not in found:
                     found.add(nu)
                     nxt.append(nu)
         frontier = nxt
-    return tuple(sorted(found))
+    return found, denom, scaled
+
+
+def dominant_weights_below(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
+    """All dominant weights mu <= lam with mu in lam + root lattice, sorted."""
+    found, denom, scaled = _dominant_labels_below(rs, lam)
+    return _to_weights(denom, map(scaled, found))
+
+
+def scaled_weight_set(rs: RootSystem, lam: Weight, guard: int = ORBIT_GUARD) -> tuple[int, list[tuple[int, ...]]]:
+    """(D, points): the weight set Pi(lam) as the integer vectors D * mu, unsorted.
+
+    Pi(lam) is the disjoint union of the Weyl orbits of the dominant weights
+    below lam, so no point repeats.
+    """
+    dominants, denom, scaled = _dominant_labels_below(rs, lam)
+    points: list = []
+    for mu in dominants:
+        _extend_by_orbit(rs.cartan, mu, points)
+        if len(points) > guard:
+            raise ResourceLimitError("weight set exceeds size guard")
+    return denom, list(map(scaled, points))
 
 
 def weight_set(rs: RootSystem, lam: Weight, guard: int = ORBIT_GUARD) -> tuple[Weight, ...]:
     """The saturated weight set Pi(lam) of the irreducible with highest weight lam:
-    all mu in lam + root lattice whose dominant representative lies below lam.
-
-    Computed as the union of the Weyl orbits of the dominant weights below lam.
+    all mu in lam + root lattice whose dominant representative lies below lam,
+    canonically sorted.
     """
-    out: set[Weight] = set()
-    for mu in dominant_weights_below(rs, lam):
-        out.update(weyl_orbit(rs, mu, guard))
-        if len(out) > guard:
-            raise ResourceLimitError("weight set exceeds size guard")
-    return tuple(sorted(out))
+    return _to_weights(*scaled_weight_set(rs, lam, guard))
 
 
 def chi(rs: RootSystem) -> Weight:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import symmon
 from symmon.cli import main
 
 
@@ -130,3 +135,47 @@ def test_verify_command(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 10
     assert all(line.startswith("[PASS]") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--form", "sym", "--n", "-1", "--q", "3"),
+        ("renner", "--n", "-2"),
+        ("renner", "--n", "-1", "--fpf"),
+        ("weight-polytope", "--family", "A", "--n", "4", "--lambda", "1,0,0,0", "--format", "off"),
+    ],
+)
+def test_bad_input_exits_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_out_file_unwritable_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "--out", str(target), "renner", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+def _cli_stdout(argv, hashseed):
+    env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=str(Path(symmon.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "symmon.cli", *argv], env=env, capture_output=True, timeout=300, check=True
+    )
+    return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify",),
+        ("weight-polytope", "--family", "B", "--n", "3", "--lambda", "1,0,1", "--format", "json"),
+    ],
+)
+def test_stdout_bytes_independent_of_hash_seed(argv):
+    assert _cli_stdout(argv, "0") == _cli_stdout(argv, "1")

@@ -177,3 +177,11 @@ def test_off_export():
         assert all(0 <= i < nv for i in parts[1:])
     # deterministic output
     assert off == pt.to_off(p)
+
+
+def test_off_export_rejects_affine_dim_above_3():
+    # the 4-simplex: a 3-coordinate OFF would put two vertices at the origin
+    a4 = rw.root_system("A", 4)
+    simplex = pt.weight_polytope(a4, rw.fundamental_weights(a4)[0])
+    with pytest.raises(PreconditionError):
+        pt.to_off(simplex)

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from symmon import linalg
 from symmon import root_weight as rw
@@ -262,3 +264,96 @@ def test_rank_guard():
         rw.root_system("A", 7)
     with pytest.raises(PreconditionError):
         rw.root_system("A", 0)
+
+
+# -- the former Fraction kernels, kept as oracles ----------------------------
+
+
+def _weyl_orbit_oracle(rs, mu):
+    """BFS closure of mu under the simple reflections, in Fraction arithmetic."""
+    seen = {mu}
+    frontier = [mu]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for alpha in rs.simple_roots:
+                img = rw.reflect(rs, alpha, w)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
+def _dominant_weights_below_oracle(rs, lam):
+    """BFS downward from lam by positive roots, keeping the dominant weights."""
+    positives = rw.positive_roots(rs)
+    found = {lam}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for beta in positives:
+                nu = mu - beta
+                if nu not in found and rs.is_dominant(nu):
+                    found.add(nu)
+                    nxt.append(nu)
+        frontier = nxt
+    return tuple(sorted(found))
+
+
+def _weight_set_oracle(rs, lam):
+    out = set()
+    for mu in _dominant_weights_below_oracle(rs, lam):
+        out.update(_weyl_orbit_oracle(rs, mu))
+    return tuple(sorted(out))
+
+
+ROOT_SYSTEMS = [(fam, rank) for fam in "ABCD" for rank in range(1, 5) if (fam, rank) != ("D", 1)]
+# small and reproducible: the oracles cost up to ~0.1 s per example
+PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
+
+
+@st.composite
+def rational_weights(draw):
+    rs = rw.root_system(*draw(st.sampled_from(ROOT_SYSTEMS)))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    coords = draw(st.lists(coord, min_size=rs.ambient_dim, max_size=rs.ambient_dim))
+    return rs, Weight(tuple(coords))
+
+
+@st.composite
+def small_dominant_weights(draw):
+    rs = rw.root_system(*draw(st.sampled_from(ROOT_SYSTEMS)))
+    labels = draw(st.lists(st.integers(0, 2), min_size=rs.rank, max_size=rs.rank))
+    return rs, rw.from_fundamental(rs, labels)
+
+
+_A3 = rw.root_system("A", 3)
+
+
+@PROPERTY_SETTINGS
+@given(rational_weights())
+# type A off the root span: chi + omega_1 + omega_3, and a shifted generic weight
+@example((_A3, rw.chi(_A3) + rw.from_fundamental(_A3, (1, 0, 1))))
+@example((_A3, weight([frac(5, 2), frac(1, 3), -1, 0])))
+def test_weyl_orbit_matches_reflect_oracle(case):
+    rs, mu = case
+    assert rw.weyl_orbit(rs, mu) == _weyl_orbit_oracle(rs, mu)
+
+
+@PROPERTY_SETTINGS
+@given(small_dominant_weights())
+def test_dominant_weights_below_matches_oracle(case):
+    rs, lam = case
+    assert rw.dominant_weights_below(rs, lam) == _dominant_weights_below_oracle(rs, lam)
+
+
+@PROPERTY_SETTINGS
+@given(small_dominant_weights())
+def test_weight_set_matches_oracle(case):
+    rs, lam = case
+    fast = rw.weight_set(rs, lam)
+    # the largest sets (B_4, C_4 at labels 2,2,2,2: ~30,000 points) take the oracle seconds
+    assume(len(fast) <= 500)
+    assert fast == _weight_set_oracle(rs, lam)
