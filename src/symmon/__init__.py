@@ -10,10 +10,10 @@ from .errors import (
     SymmonError,
     UnsupportedFamilyError,
 )
-from .finite_field import Fq, FqMatrix, BorelFactorization, bruhat_factor, orbit_enumerate
+from .finite_field import FqMatrix, BorelFactorization, bruhat_factor, orbit_enumerate
 from .involution import InvolutionSpec, RestrictedRootData, involution_spec
 from .orbits import RankControl, SymOrbitReport, rank_control, twisted_orbit_census
-from .polytope import PolyhedralCone, RationalPolytope, hull, weight_polytope
+from .polytope import RationalPolytope, hull, weight_polytope
 from .rook import CrossSection, RookElement, bruhat_leq, enumerate_rook
 from .root_weight import RootSystem, Weight, WeylElement, root_system, weight
 
@@ -39,7 +39,6 @@ __all__ = [
     "CrossSection",
     "enumerate_rook",
     "bruhat_leq",
-    "Fq",
     "FqMatrix",
     "BorelFactorization",
     "bruhat_factor",
@@ -49,7 +48,6 @@ __all__ = [
     "rank_control",
     "twisted_orbit_census",
     "RationalPolytope",
-    "PolyhedralCone",
     "hull",
     "weight_polytope",
     "__version__",

@@ -109,9 +109,12 @@ def _parse_lambda(rs, text: str):
 def cmd_weight_polytope(args) -> str:
     rs = rw.root_system(args.family, args.n)
     lam = _parse_lambda(rs, getattr(args, "lambda"))
-    poly = pt.weight_polytope(rs, lam)
     if args.format == "off":
-        return pt.to_off(poly)
+        # reject a dimension OFF cannot hold before the facet search
+        points = pt.weight_orbit_points(rs, lam)
+        pt.require_off_dim(pt.affine_dim(points))
+        return pt.to_off(pt.hull(points))
+    poly = pt.weight_polytope(rs, lam)
     if args.format == "json":
         data = poly.to_json()
         if poly.affine_dim <= 4:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import getitem, mul
 
 from .errors import PreconditionError, ResourceLimitError, UnsupportedFamilyError
 from .rook import RookElement
@@ -43,47 +44,6 @@ def primitive_root(q: int) -> int:
 
 
 @dataclass(frozen=True, order=True)
-class Fq:
-    """A residue in the prime field F_q."""
-
-    q: int
-    value: int
-
-    def __post_init__(self):
-        _check_prime(self.q)
-        if not 0 <= self.value < self.q:
-            raise PreconditionError(f"residue {self.value} not reduced mod {self.q}")
-
-    def _same(self, other: "Fq"):
-        if self.q != other.q:
-            raise PreconditionError("mixed moduli")
-
-    def __add__(self, other: "Fq") -> "Fq":
-        self._same(other)
-        return Fq(self.q, (self.value + other.value) % self.q)
-
-    def __sub__(self, other: "Fq") -> "Fq":
-        self._same(other)
-        return Fq(self.q, (self.value - other.value) % self.q)
-
-    def __mul__(self, other: "Fq") -> "Fq":
-        self._same(other)
-        return Fq(self.q, self.value * other.value % self.q)
-
-    def __neg__(self) -> "Fq":
-        return Fq(self.q, -self.value % self.q)
-
-    def inverse(self) -> "Fq":
-        return Fq(self.q, inv_mod(self.value, self.q))
-
-    def __truediv__(self, other: "Fq") -> "Fq":
-        return self * other.inverse()
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.q})"
-
-
-@dataclass(frozen=True, order=True)
 class FqMatrix:
     """A dense square matrix of residues mod q."""
 
@@ -104,14 +64,11 @@ class FqMatrix:
     def __matmul__(self, other: "FqMatrix") -> "FqMatrix":
         if self.q != other.q or self.n != other.n:
             raise PreconditionError("size or modulus mismatch")
-        q, n = self.q, self.n
+        q = self.q
         cols = tuple(zip(*other.rows))
-        return FqMatrix(
-            q,
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) % q for col in cols)
-                for row in self.rows
-            ),
+        # both operands are validated and every entry is reduced mod q
+        return _reduced(
+            q, tuple(tuple(sum(map(mul, row, col)) % q for col in cols) for row in self.rows)
         )
 
     def transpose(self) -> "FqMatrix":
@@ -142,6 +99,10 @@ class FqMatrix:
         return self.rank() == self.n
 
     def inverse(self) -> "FqMatrix":
+        """The inverse, computed once per instance and then cached."""
+        cached = self.__dict__.get("_inverse")
+        if cached is not None:
+            return cached
         q, n = self.q, self.n
         work = [list(self.rows[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
         r = 0
@@ -159,7 +120,10 @@ class FqMatrix:
             r += 1
         if r != n:
             raise PreconditionError("matrix is singular")
-        return FqMatrix(q, tuple(tuple(row[n:]) for row in work))
+        inverse = _reduced(q, tuple(tuple(row[n:]) for row in work))
+        object.__setattr__(self, "_inverse", inverse)
+        object.__setattr__(inverse, "_inverse", self)
+        return inverse
 
     def is_upper_triangular(self) -> bool:
         return all(self.rows[i][j] == 0 for i in range(self.n) for j in range(i))
@@ -182,6 +146,15 @@ class FqMatrix:
     def __repr__(self) -> str:
         body = "; ".join(",".join(str(e) for e in row) for row in self.rows)
         return f"[{body}] (mod {self.q})"
+
+
+def _reduced(q: int, rows: tuple[tuple[int, ...], ...]) -> FqMatrix:
+    """An FqMatrix from rows already known to be square and reduced mod a
+    supported q, built without re-validating them."""
+    m = object.__new__(FqMatrix)
+    object.__setattr__(m, "q", q)
+    object.__setattr__(m, "rows", rows)
+    return m
 
 
 def fq_matrix(q: int, rows) -> FqMatrix:
@@ -407,6 +380,149 @@ def orbit_enumerate(act, space, generators, seeds=None, guard: int = SPACE_GUARD
             seen_orbit[x] = orbit_t[0]
         orbits.append(orbit_t)
     return tuple(sorted(orbits, key=lambda o: o[0]))
+
+
+ORBIT_WORK_GUARD = 10**6
+BOREL_ACTIONS = ("bxb", "sym", "skew")
+
+
+def _simple_borel_generators(n: int, q: int) -> tuple[FqMatrix, ...]:
+    """The diagonal generators and the E_i,i+1(1).  They generate the Borel
+    subgroup too: the torus conjugates E_i,i+1(1) to every E_i,i+1(t), t != 0,
+    and commutators of those give the other E_ij(t)."""
+    return tuple(
+        b for b in borel_generators(n, q) if not any(any(row[i + 2 :]) for i, row in enumerate(b.rows))
+    )
+
+
+def _check_orbit_work(n: int, q: int, action: str):
+    """Bound the estimated work of borel_orbits, |space| x |generators|
+    applications, before any generator or table is built."""
+    dim = {"bxb": n * n, "sym": n * (n + 1) // 2, "skew": n * (n - 1) // 2}[action]
+    gens = (n if q > 2 else 0) + max(n - 1, 0)  # len(_simple_borel_generators(n, q))
+    if action == "bxb":
+        gens *= 2
+    if dim > 64:  # q^dim alone is far beyond the limit; do not build the integer
+        estimate = f"{q}^{dim} points x {gens} generators"
+    else:
+        points = q**dim
+        if points * gens <= ORBIT_WORK_GUARD:
+            return
+        estimate = f"{points} points x {gens} generators = {points * gens}"
+    raise ResourceLimitError(
+        f"Borel orbit work estimate {estimate} applications exceeds the limit {ORBIT_WORK_GUARD}"
+    )
+
+
+def _form_codes(n: int, q: int, action: str) -> list[int]:
+    """The codes of Sym_n(F_q) or Skew_n(F_q) in increasing order.  The entries
+    on and above the diagonal, read row-major, determine the matrix and order
+    it, so their lexicographic product is increasing."""
+    weight = [q ** (n * n - 1 - k) for k in range(n * n)]
+    codes = [0]
+    for i in range(n):
+        for j in range(i if action == "sym" else i + 1, n):
+            up, down = weight[i * n + j], weight[j * n + i]
+            if i == j:
+                slot = [v * up for v in range(q)]
+            elif action == "sym":
+                slot = [v * (up + down) for v in range(q)]
+            else:
+                slot = [v * up + (-v % q) * down for v in range(q)]
+            codes = [c + d for c in codes for d in slot]
+    return codes
+
+
+def borel_orbits(n: int, q: int, action: str) -> tuple[tuple[FqMatrix, ...], ...]:
+    """Orbits of the Borel subgroup B of invertible upper-triangular matrices:
+    B x B on Mat_n(F_q) by m -> b m c^-1 (action "bxb"), or B on Sym_n(F_q) or
+    Skew_n(F_q) by congruence A -> b A b^T ("sym", "skew").  The result is
+    what orbit_enumerate returns for the same action: sorted orbits, ordered
+    by their minimal elements.
+
+    A matrix is coded as the integer whose base-q digits are its entries read
+    row-major, so integer order is FqMatrix order, and each row is a code
+    below Q = q^n.  A generator acts through tables over the Q row vectors:
+    m -> m c maps each row through v -> v c, and the transpose T(m c) is a sum
+    of one lookup per row.  Left multiplication is b m = T(T(m) b^T), and
+    congruence is b A b^T = T(T(A b^T) b^T).  Each point is merged with every
+    image in a union-find whose roots are the orbits' minimal codes.
+    """
+    _check_prime(q)
+    if n < 0:
+        raise PreconditionError(f"n must be nonnegative, got {n}")
+    if action not in BOREL_ACTIONS:
+        raise PreconditionError(f"action must be one of {BOREL_ACTIONS}, got {action!r}")
+    _check_orbit_work(n, q, action)
+    gens = _simple_borel_generators(n, q)
+    size = q**n
+    digit = [q ** (n - 1 - k) for k in range(n)]  # entry k of a row code is code // digit[k] % q
+    place = [size ** (n - 1 - i) for i in range(n)]  # row i of a code is code // place[i] % size
+    vectors = list(itertools.product(range(q), repeat=n))  # indexed by row code
+    spread = [sum(map(mul, v, place)) for v in vectors]  # a row's digits put down column 0
+
+    def times(c: FqMatrix) -> list[int]:
+        """v -> v c on row codes."""
+        cols = list(zip(*c.rows))
+        return [sum(sum(map(mul, v, col)) % q * d for col, d in zip(cols, digit)) for v in vectors]
+
+    def placed(c: FqMatrix) -> list[list[int]]:
+        """Per row position i, the tables whose sum over the rows is m c."""
+        table = times(c)
+        return [[w * p for w in table] for p in place]
+
+    def transposed(c: FqMatrix) -> list[list[int]]:
+        """Per row position i, the tables whose sum over the rows is T(m c)."""
+        table = times(c)
+        return [[spread[w] * d for w in table] for d in digit]
+
+    if action == "bxb":
+        points = range(q ** (n * n))
+        flip = transposed(identity_matrix(n, q))
+        on_rows = [placed(b) for b in gens]  # m -> m b
+        on_cols = [transposed(b.transpose()) for b in gens]  # m -> b m
+
+        def images(x):
+            rows = [x // p % size for p in place]
+            for tables in on_rows:
+                yield sum(map(getitem, tables, rows))
+            t = sum(map(getitem, flip, rows))
+            cols = [t // p % size for p in place]
+            for tables in on_cols:
+                yield sum(map(getitem, tables, cols))
+
+    else:
+        points = _form_codes(n, q, action)
+        moves = [transposed(b.transpose()) for b in gens]  # A -> T(A b^T)
+
+        def images(x):
+            rows = [x // p % size for p in place]
+            for tables in moves:
+                t = sum(map(getitem, tables, rows))
+                yield sum(map(getitem, tables, [t // p % size for p in place]))
+
+    parent = list(points) if action == "bxb" else {x: x for x in points}
+    for x in points:
+        root = x
+        while parent[root] != root:
+            parent[root] = root = parent[parent[root]]
+        for y in images(x):
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if y < root:
+                parent[root] = root = y
+            elif y > root:
+                parent[y] = root
+    orbits: dict[int, list[int]] = {}
+    for x in points:  # increasing, so each orbit starts at its root
+        root = parent[x]
+        while parent[root] != root:
+            root = parent[root]
+        orbits.setdefault(root, []).append(x)
+    return tuple(
+        tuple([_reduced(q, tuple([vectors[x // p % size] for p in place])) for x in orbit])
+        for orbit in orbits.values()
+    )
 
 
 def theta_an(m: FqMatrix, inv) -> FqMatrix:

@@ -121,19 +121,6 @@ def invariant_to_partial_fpf(rc: RankControl) -> RookElement:
     return rook
 
 
-def _congruence_orbits(n: int, q: int, form: str):
-    if q == 2:
-        raise PreconditionError("congruence oracles need odd characteristic")
-    if form == "sym":
-        space = tuple(ff.enumerate_symmetric(n, q))
-    elif form == "skew":
-        space = tuple(ff.enumerate_skew(n, q))
-    else:
-        raise PreconditionError("form must be 'sym' or 'skew'")
-    gens = ff.borel_generators(n, q)
-    return ff.orbit_enumerate(lambda b, a: b @ a @ b.transpose(), space, gens)
-
-
 @dataclass(frozen=True)
 class SymOrbitReport:
     """Census of Borel-congruence orbits against the rook-type parametrizers."""
@@ -182,7 +169,11 @@ class SymOrbitReport:
 
 def twisted_orbit_census(n: int, q: int, form: str) -> SymOrbitReport:
     """Exhaustive Borel-congruence census on Sym_n(F_q) or Skew_n(F_q)."""
-    orbits = _congruence_orbits(n, q, form)
+    if q == 2:
+        raise PreconditionError("congruence oracles need odd characteristic")
+    if form not in ("sym", "skew"):
+        raise PreconditionError("form must be 'sym' or 'skew'")
+    orbits = ff.borel_orbits(n, q, form)
     invariants = {rank_control(o[0]) for o in orbits}
     # the invariant is constant on orbits, so representatives suffice
     parametrizers = symmetric_rook_elements(n, fpf=(form == "skew"))

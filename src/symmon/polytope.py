@@ -61,13 +61,6 @@ class RationalPolytope:
         return json.dumps(self.to_json())
 
 
-@dataclass(frozen=True)
-class PolyhedralCone:
-    """A strongly convex cone given by its generating rays."""
-
-    generators: tuple[Weight, ...]
-
-
 def _int_det(rows: list[tuple[int, ...]]) -> int:
     """Determinant of a small integer matrix by fraction-free elimination."""
     n = len(rows)
@@ -277,21 +270,30 @@ def f_vector(p: RationalPolytope) -> tuple[int, ...]:
     return tuple(len(graded.get(i, ())) for i in range(d))
 
 
-def weight_polytope(rs: RootSystem, lam: Weight) -> RationalPolytope:
-    """Hull of the Weyl orbit of chi + lambda (type A, extended coordinates)
-    or of lambda itself (other families)."""
+def weight_orbit_points(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
+    """The Weyl orbit of chi + lambda (type A, extended coordinates) or of
+    lambda itself (other families): the points weight_polytope takes the hull of."""
     if not rs.is_dominant(lam):
         raise PreconditionError("weight_polytope requires a dominant weight")
     base = root_weight.chi(rs) + lam if rs.family == "A" else lam
-    return hull(root_weight.weyl_orbit(rs, base))
+    return root_weight.weyl_orbit(rs, base)
 
 
-def cone_over(p: RationalPolytope) -> PolyhedralCone:
-    """The cone generated by the polytope's vertices; must be strongly convex."""
-    origin = Weight(linalg.zero_vec(p.vertices[0].dim))
-    if contains(p, origin):
-        raise PreconditionError("origin lies in the polytope: cone contains a line")
-    return PolyhedralCone(p.vertices)
+def weight_polytope(rs: RootSystem, lam: Weight) -> RationalPolytope:
+    """Hull of weight_orbit_points(rs, lam)."""
+    return hull(weight_orbit_points(rs, lam))
+
+
+def affine_dim(points) -> int:
+    """Dimension of the affine span of a nonempty point set, without a hull."""
+    pts = [w.coords for w in points]
+    return linalg.rank(linalg.mat(linalg.vec_sub(p, pts[0]) for p in pts[1:]))
+
+
+def require_off_dim(affine_dim: int):
+    """OFF holds three coordinates; dropping the rest would print a different geometry."""
+    if affine_dim > 3:
+        raise PreconditionError(f"OFF export needs affine dimension <= 3, got {affine_dim}")
 
 
 def _cycle_order(points3: list[tuple[float, float, float]], face: list[int]) -> list[int]:
@@ -329,10 +331,8 @@ def _cycle_order(points3: list[tuple[float, float, float]], face: list[int]) -> 
 
 def to_off(p: RationalPolytope) -> str:
     """OFF export in coordinates on the polytope's affine span, padded with
-    zeros below dimension 3.  Affine dimension > 3 is rejected: OFF holds three
-    coordinates, and dropping the rest would print a different geometry."""
-    if p.affine_dim > 3:
-        raise PreconditionError(f"OFF export needs affine dimension <= 3, got {p.affine_dim}")
+    zeros below dimension 3.  Affine dimension > 3 is rejected (require_off_dim)."""
+    require_off_dim(p.affine_dim)
     frame = _AffineFrame([v.coords for v in p.vertices])
     proj = []
     for v in p.vertices:

@@ -18,24 +18,6 @@ from . import rook as rn
 from . import root_weight as rw
 
 
-def _bxb_orbits(n: int, q: int):
-    gens = [(b, 0) for b in ff.borel_generators(n, q)] + [
-        (b, 1) for b in ff.borel_generators(n, q)
-    ]
-
-    def act(g, m):
-        b, side = g
-        return b @ m if side == 0 else m @ b.inverse()
-
-    return ff.orbit_enumerate(act, tuple(ff.enumerate_matrices(n, q)), gens)
-
-
-def _congruence_orbits(n: int, q: int, form: str):
-    space = tuple(ff.enumerate_symmetric(n, q) if form == "sym" else ff.enumerate_skew(n, q))
-    gens = ff.borel_generators(n, q)
-    return ff.orbit_enumerate(lambda b, a: b @ a @ b.transpose(), space, gens)
-
-
 def _perm_bruhat_leq_oracle(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
     """Dot criterion for the symmetric-group Bruhat order, independent of the
     rook-matrix rank formulation: u <= v iff every northeast prefix count of u
@@ -62,7 +44,7 @@ def criterion_2_bruhat_decomposition() -> tuple[bool, str]:
     details = []
     ok = True
     for n, q in ((2, 2), (2, 3), (3, 2)):
-        orbits = _bxb_orbits(n, q)
+        orbits = ff.borel_orbits(n, q, "bxb")
         expected = rn.rook_count(n)
         count_ok = len(orbits) == expected
         mismatches = 0
@@ -162,7 +144,7 @@ def criterion_7_partial_involutions() -> tuple[bool, str]:
     ok = True
     expected_counts = {1: 2, 2: 5, 3: 14}
     for n in (1, 2, 3):
-        orbits = _congruence_orbits(n, 3, "sym")
+        orbits = ff.borel_orbits(n, 3, "sym")
         constant = all(len({ob.rank_control(m) for m in orbit}) == 1 for orbit in orbits)
         invariants = {ob.rank_control(orbit[0]) for orbit in orbits}
         count_ok = len(invariants) == expected_counts[n] == len(rn.symmetric_rook_elements(n))

@@ -153,6 +153,29 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_off_rejects_dimension_before_hull(capsys, monkeypatch):
+    from symmon import polytope
+
+    def no_hull(points):
+        raise AssertionError("hull must not run")
+
+    monkeypatch.setattr(polytope, "hull", no_hull)
+    code, out, err = run(capsys, "weight-polytope", "--family", "A", "--n", "4", "--lambda", "0,1,1,0", "--format", "off")
+    assert code == 2
+    assert out == ""
+    assert err == "error: OFF export needs affine dimension <= 3, got 4\n"
+
+
+def test_census_work_guard_exits_2(capsys):
+    code, out, err = run(capsys, "census", "--form", "sym", "--n", "5", "--q", "3")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: Borel orbit work estimate 14348907 points x 9 generators = 129140163 "
+        "applications exceeds the limit 1000000\n"
+    )
+
+
 def test_out_file_unwritable_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, "--out", str(target), "renner", "--n", "3")

@@ -5,33 +5,8 @@ import pytest
 from symmon import finite_field as ff
 from symmon import involution as iv
 from symmon.errors import PreconditionError, ResourceLimitError, UnsupportedFamilyError
-from symmon.finite_field import Fq, FqMatrix
+from symmon.finite_field import FqMatrix
 from symmon.rook import RookElement, enumerate_rook
-
-
-def test_fq_field_axioms():
-    for q in (2, 3, 5, 7):
-        els = [Fq(q, v) for v in range(q)]
-        zero, one = els[0], els[1]
-        for a in els:
-            assert a + zero == a and a * one == a
-            assert a + (-a) == zero
-            if a != zero:
-                assert a * a.inverse() == one
-                assert a / a == one
-        for a in els:
-            for b in els:
-                assert a + b == b + a and a * b == b * a
-                for c in els:
-                    assert a * (b + c) == a * b + a * c
-    with pytest.raises(PreconditionError):
-        Fq(4, 1)
-    with pytest.raises(PreconditionError):
-        Fq(3, 3)
-    with pytest.raises(PreconditionError):
-        Fq(3, 1) + Fq(5, 1)
-    with pytest.raises(ZeroDivisionError):
-        Fq(3, 0).inverse()
 
 
 def test_primitive_roots():
@@ -149,7 +124,7 @@ def test_factorization_cells_tile_the_matrix_space(n, q):
     assert total == q ** (n * n)
 
 
-def _bxb_orbits(n, q):
+def _bxb_orbits_oracle(n, q):
     gens = [(b, 0) for b in ff.borel_generators(n, q)] + [
         (b, 1) for b in ff.borel_generators(n, q)
     ]
@@ -161,9 +136,39 @@ def _bxb_orbits(n, q):
     return ff.orbit_enumerate(act, tuple(ff.enumerate_matrices(n, q)), gens)
 
 
+def _congruence_orbits_oracle(n, q, form):
+    space = tuple(ff.enumerate_symmetric(n, q) if form == "sym" else ff.enumerate_skew(n, q))
+    return ff.orbit_enumerate(lambda b, a: b @ a @ b.transpose(), space, ff.borel_generators(n, q))
+
+
+# every (action, n, q) with n <= 3 whose BFS oracle finishes in well under a second
+ORACLE_CASES = (
+    [("bxb", n, q) for n in (1, 2) for q in (2, 3, 5, 7)]
+    + [("bxb", 3, 2)]
+    + [("sym", n, q) for n in (1, 2) for q in (2, 3, 5, 7)]
+    + [("sym", 3, 2), ("sym", 3, 3)]
+    + [("skew", n, q) for n in (1, 2, 3) for q in (2, 3, 5, 7)]
+    + [("skew", 4, 3)]
+)
+
+
+@pytest.mark.parametrize("action,n,q", ORACLE_CASES)
+def test_borel_orbits_match_bfs_oracle(action, n, q):
+    if action == "bxb":
+        oracle = _bxb_orbits_oracle(n, q)
+    else:
+        oracle = _congruence_orbits_oracle(n, q, action)
+    assert ff.borel_orbits(n, q, action) == oracle
+
+
+def test_borel_orbits_empty_matrix():
+    for action in ff.BOREL_ACTIONS:
+        assert ff.borel_orbits(0, 3, action) == ((FqMatrix(3, ()),),)
+
+
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_rook_component_is_complete_orbit_invariant(n, q):
-    orbits = _bxb_orbits(n, q)
+    orbits = ff.borel_orbits(n, q, "bxb")
     assert len(orbits) == len(enumerate_rook(n))
     seen_rooks = set()
     for orbit in orbits:
@@ -172,6 +177,63 @@ def test_rook_component_is_complete_orbit_invariant(n, q):
         r = rooks.pop()
         assert r not in seen_rooks
         seen_rooks.add(r)
+
+
+def test_bxb_orbits_mat4_f2_are_the_rook_monoid():
+    orbits = ff.borel_orbits(4, 2, "bxb")
+    assert len(orbits) == 209 == len(enumerate_rook(4))
+    assert sum(len(o) for o in orbits) == 2**16
+    # the rook component is constant on orbits, so distinct ones on the
+    # representatives make the orbits the Bruhat cells
+    assert {ff.bruhat_factor(o[0]).r for o in orbits} == set(enumerate_rook(4))
+
+
+def test_borel_orbits_bad_input():
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        ff.borel_orbits(-1, 3, "sym")
+    with pytest.raises(PreconditionError, match="action"):
+        ff.borel_orbits(2, 3, "hermitian")
+    with pytest.raises(PreconditionError):
+        ff.borel_orbits(2, 4, "bxb")
+
+
+def test_borel_orbits_work_guard_message():
+    # Mat_3(F_5): 5^9 points, 5 generators on each side
+    with pytest.raises(ResourceLimitError) as exc:
+        ff.borel_orbits(3, 5, "bxb")
+    assert str(exc.value) == (
+        "Borel orbit work estimate 1953125 points x 10 generators = 19531250 "
+        "applications exceeds the limit 1000000"
+    )
+    with pytest.raises(ResourceLimitError, match=r"3\^5050 points x 199 generators"):
+        ff.borel_orbits(100, 3, "sym")
+
+
+def test_borel_orbits_work_guard_admits_every_census_space():
+    # the spaces the census admitted before the work guard: at most SPACE_GUARD points
+    for q in (3, 5, 7):
+        for n in range(8):
+            for form, dim in (("sym", n * (n + 1) // 2), ("skew", n * (n - 1) // 2)):
+                if q**dim <= ff.SPACE_GUARD:
+                    ff._check_orbit_work(n, q, form)
+
+
+def test_products_skip_validation_but_stay_reduced():
+    for q in (2, 3, 5, 7):
+        a = ff.fq_matrix(q, [[1, 2, 3], [4, 5, 6], [0, 1, 6]])
+        b = ff.fq_matrix(q, [[q - 1, 0, 1], [2, 2, 2], [3, 0, 5]])
+        for m in (a @ b, b @ a, a @ a @ b):
+            assert m == FqMatrix(q, m.rows)
+            assert all(0 <= e < q for row in m.rows for e in row)
+        for g in ff.borel_generators(3, q):
+            inv = g.inverse()
+            assert inv == FqMatrix(q, inv.rows)
+            assert g.inverse() is inv and inv.inverse() is g
+            assert g @ inv == ff.identity_matrix(3, q)
+    with pytest.raises(PreconditionError):
+        ff.identity_matrix(2, 3) @ ff.identity_matrix(2, 5)
+    with pytest.raises(PreconditionError):
+        ff.identity_matrix(2, 3) @ ff.identity_matrix(3, 3)
 
 
 def test_orbit_enumerate_trivial_group_and_determinism():

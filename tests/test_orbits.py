@@ -148,6 +148,21 @@ def test_census_sym():
     assert report1.invariant_values == 2
 
 
+def test_census_sym4_f3_frontier():
+    report = ob.twisted_orbit_census(4, 3, "sym")
+    assert report.orbit_count == 138
+    assert report.invariant_values == 43 == report.expected_parametrizer_count
+    assert report.match
+
+
+def test_census_skew5_f3_frontier():
+    report = ob.twisted_orbit_census(5, 3, "skew")
+    assert report.orbit_count == 26 == report.expected_parametrizer_count
+    assert report.match
+    recovered = {ob.invariant_to_partial_fpf(ob.rank_control(w)) for w in report.witnesses}
+    assert recovered == set(rn.symmetric_rook_elements(5, fpf=True))
+
+
 def test_census_rejects_even_characteristic():
     with pytest.raises(PreconditionError):
         ob.twisted_orbit_census(2, 2, "sym")

@@ -134,17 +134,6 @@ def test_extended_weights_inside_orbit_polytope():
                 assert pt.contains(p, w), (spec.family, spec.params, lam)
 
 
-def test_cone_over():
-    a4 = rw.root_system("A", 4)
-    p = pt.weight_polytope(a4, rw.fundamental_weights(a4)[0])
-    cone = pt.cone_over(p)
-    assert len(cone.generators) == 5
-    ray = pt.cone_over(pt.hull([weight([1, 2])]))
-    assert ray.generators == (weight([1, 2]),)
-    with pytest.raises(PreconditionError):
-        pt.cone_over(pt.hull([weight([1, 0]), weight([-1, 0])]))
-
-
 def test_facets_have_integer_normal_form():
     p = pt.hull([weight([0, 0]), weight([Fraction(1, 2), 0]), weight([0, Fraction(1, 3)])])
     for nrm, off in p.facets:
