@@ -111,9 +111,8 @@ def cmd_weight_polytope(args) -> str:
     lam = _parse_lambda(rs, getattr(args, "lambda"))
     if args.format == "off":
         # reject a dimension OFF cannot hold before the facet search
-        points = pt.weight_orbit_points(rs, lam)
-        pt.require_off_dim(pt.affine_dim(points))
-        return pt.to_off(pt.hull(points))
+        pt.require_off_dim(pt.affine_dim(pt.weight_orbit_points(rs, lam)))
+        return pt.to_off(pt.weight_polytope(rs, lam))
     poly = pt.weight_polytope(rs, lam)
     if args.format == "json":
         data = poly.to_json()

@@ -1,9 +1,12 @@
 """Exact convex geometry of Weyl-orbit polytopes in affine dimension <= 4.
 
-Hulls are computed entirely over the rationals: points are mapped to exact
-coordinates on their affine span, facets are found by enumerating supporting
-hyperplanes through affinely independent point subsets, and vertices are the
-points whose tight facet normals span the whole space.
+Everything is computed over the rationals, with points mapped to exact
+coordinates on their affine span.  Weight polytopes conv(W.lambda) take their
+facets in closed form, as the W-orbits of the fundamental weights omega_i
+whose node i the standard H-description keeps; every orbit point is a vertex.
+`hull` is the generic path for arbitrary point sets: it finds facets by
+enumerating supporting hyperplanes through affinely independent point
+subsets, and vertices as the points whose tight facet normals span the space.
 
 The idempotent lattice of the closure of a maximal torus in a reductive
 monoid is anti-isomorphic to the face lattice of a convex polytope of this
@@ -165,15 +168,19 @@ class _AffineFrame:
         return _normalize_halfspace(normal, offset)
 
 
+def _check_hull_guards(pts: list[Vec]):
+    if len(pts) > HULL_POINT_GUARD:
+        raise ResourceLimitError(f"hull guard: at most {HULL_POINT_GUARD} points")
+    if len(pts[0]) > HULL_AMBIENT_GUARD:
+        raise ResourceLimitError(f"hull guard: ambient dimension <= {HULL_AMBIENT_GUARD}")
+
+
 def hull(points) -> RationalPolytope:
     """Irredundant vertex list and complete facet description, exact arithmetic."""
     pts = sorted({w.coords if isinstance(w, Weight) else linalg.vec(w) for w in points})
     if not pts:
         raise PreconditionError("hull of an empty point set")
-    if len(pts) > HULL_POINT_GUARD:
-        raise ResourceLimitError(f"hull guard: at most {HULL_POINT_GUARD} points")
-    if len(pts[0]) > HULL_AMBIENT_GUARD:
-        raise ResourceLimitError(f"hull guard: ambient dimension <= {HULL_AMBIENT_GUARD}")
+    _check_hull_guards(pts)
     frame = _AffineFrame(pts)
     d = frame.dim
     span = frame.span_equalities()
@@ -279,9 +286,74 @@ def weight_orbit_points(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
     return root_weight.weyl_orbit(rs, base)
 
 
+def _dynkin_components(cartan, nodes) -> list[set[int]]:
+    """Connected components of the Dynkin diagram restricted to nodes."""
+    left = set(nodes)
+    out = []
+    while left:
+        comp = set()
+        stack = [min(left)]
+        while stack:
+            i = stack.pop()
+            if i not in comp:
+                comp.add(i)
+                stack.extend(j for j in left if cartan[i][j] and j not in comp)
+        left -= comp
+        out.append(comp)
+    return out
+
+
+def facet_nodes(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
+    """The simple-root indices i whose omega_i-orbit gives facets of conv(W.lam).
+
+    The faces of conv(W.lam) are the W-translates of conv(W_I.lam) for the
+    I in S whose every connected component meets supp(lam) (Putcha-Renner,
+    J. Algebra 1988).  So i gives facets when its Dynkin component meets
+    supp(lam) and every component of that component minus {i} does too.
+    The diagram is read from rs.cartan, so D_2 is A_1 x A_1.
+    """
+    supp = {i for i, alpha in enumerate(rs.simple_roots) if rs.pairing(lam, alpha)}
+    nodes = []
+    for comp in _dynkin_components(rs.cartan, range(rs.rank)):
+        if comp & supp:
+            nodes.extend(
+                i for i in comp
+                if all(c & supp for c in _dynkin_components(rs.cartan, comp - {i}))
+            )
+    return tuple(sorted(nodes))
+
+
+def weight_polytope_facets(rs: RootSystem, lam: Weight, frame: _AffineFrame) -> tuple[tuple[Vec, Fraction], ...]:
+    """The facets of conv(weight_orbit_points(rs, lam)), frame its affine span.
+
+    For each facet node i and each nu in W.omega_i, the facet is
+    nu . x <= (omega_i, lam), projected onto the affine span and normalized
+    as hull normalizes it.  (omega_i, lam) is the maximum of nu over the
+    orbit, since the form is W-invariant and both weights are dominant; the
+    type-A shift chi is orthogonal to omega_i.
+    """
+    omega = root_weight.fundamental_weights(rs)
+    facets = set()
+    for i in facet_nodes(rs, lam):
+        top = rs.form(omega[i], lam)
+        for nu in root_weight.weyl_orbit(rs, omega[i]):
+            beta = top - linalg.dot(nu.coords, frame.origin)
+            a = tuple(linalg.dot(b, nu.coords) for b in frame.basis)
+            facets.add(frame.lift_halfspace(a, beta))
+    return tuple(sorted(facets))
+
+
 def weight_polytope(rs: RootSystem, lam: Weight) -> RationalPolytope:
-    """Hull of weight_orbit_points(rs, lam)."""
-    return hull(weight_orbit_points(rs, lam))
+    """conv(weight_orbit_points(rs, lam)): every orbit point is a vertex, and
+    the facets come from weight_polytope_facets.  Equal to hull of the orbit."""
+    vertices = weight_orbit_points(rs, lam)
+    pts = [v.coords for v in vertices]
+    _check_hull_guards(pts)
+    frame = _AffineFrame(pts)
+    if frame.dim == 0:
+        return RationalPolytope(vertices, (), frame.span_equalities(), 0)
+    facets = weight_polytope_facets(rs, lam, frame)
+    return RationalPolytope(vertices, facets, frame.span_equalities(), frame.dim)
 
 
 def affine_dim(points) -> int:

@@ -13,12 +13,14 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from operator import gt
 
 from .errors import PreconditionError, ResourceLimitError
 
 ENUM_GUARD_N = 6
 WEW_GUARD_N = 5
 SYMMETRIC_GUARD_N = 8
+HASSE_WORK_GUARD = 4 * 10**6
 
 
 @dataclass(frozen=True, order=True)
@@ -198,15 +200,31 @@ def w_e_w_decomposition(n: int) -> tuple[tuple[RookElement, ...], ...]:
     return tuple(tuple(sorted(c)) for c in classes)
 
 
+def _southwest_ranks(r: RookElement) -> tuple[int, ...]:
+    """Flat row-major table t[i*n + j] = rank of the submatrix on rows >= i+1,
+    columns <= j+1, built once per element as cumulative row counts from the
+    bottom row up, and then cached on the instance."""
+    cached = r.__dict__.get("_southwest")
+    if cached is not None:
+        return cached
+    n = r.n
+    row = [0] * n
+    rows = []
+    for j in reversed(r.map):
+        if j:
+            for c in range(j - 1, n):
+                row[c] += 1
+        rows.append(tuple(row))
+    table = tuple(itertools.chain.from_iterable(reversed(rows)))
+    object.__setattr__(r, "_southwest", table)
+    return table
+
+
 def southwest_rank_table(r: RookElement) -> tuple[tuple[int, ...], ...]:
     """Table t[i][j] = rank of the submatrix on rows >= i+1, columns <= j+1."""
     n = r.n
-    return tuple(
-        tuple(
-            sum(1 for t in range(i, n) if 0 < r.map[t] <= j + 1) for j in range(n)
-        )
-        for i in range(n)
-    )
+    flat = _southwest_ranks(r)
+    return tuple(flat[i * n : (i + 1) * n] for i in range(n))
 
 
 def bruhat_leq(r: RookElement, s: RookElement) -> bool:
@@ -216,14 +234,7 @@ def bruhat_leq(r: RookElement, s: RookElement) -> bool:
     """
     if r.n != s.n:
         raise PreconditionError("size mismatch")
-    n = r.n
-    for i in range(n):
-        for j in range(n):
-            if sum(1 for t in range(i, n) if 0 < r.map[t] <= j + 1) > sum(
-                1 for t in range(i, n) if 0 < s.map[t] <= j + 1
-            ):
-                return False
-    return True
+    return not any(map(gt, _southwest_ranks(r), _southwest_ranks(s)))
 
 
 def symmetric_rook_elements(n: int, fpf: bool = False) -> tuple[RookElement, ...]:
@@ -264,17 +275,38 @@ def _partial_involutions(n: int) -> list[RookElement]:
 
 
 def hasse_edges(elements, leq) -> list[tuple]:
-    """Covering pairs (x, y) of a finite poset, by transitive reduction."""
+    """Covering pairs (x, y) of a finite poset, in the order of the elements.
+
+    One leq call per ordered pair builds each element's strict up-set as a
+    bitmask; the covers of x are then up[x] minus everything above a member
+    of up[x].  The work is bounded by HASSE_WORK_GUARD comparisons.
+    """
     elems = list(elements)
+    n = len(elems)
+    if n * n > HASSE_WORK_GUARD:
+        raise ResourceLimitError(
+            f"Hasse diagram work estimate {n}^2 = {n * n} order comparisons "
+            f"exceeds the limit {HASSE_WORK_GUARD}"
+        )
+    up = [
+        sum(1 << j for j, y in enumerate(elems) if j != i and leq(x, y))
+        for i, x in enumerate(elems)
+    ]
     edges = []
-    for x in elems:
-        for y in elems:
-            if x == y or not leq(x, y):
-                continue
-            if any(z != x and z != y and leq(x, z) and leq(z, y) for z in elems):
-                continue
-            edges.append((x, y))
+    for i, x in enumerate(elems):
+        above = 0
+        for j in _bits(up[i]):
+            above |= up[j]
+        edges.extend((x, elems[j]) for j in _bits(up[i] & ~above))
     return edges
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def poset_to_dot(elements, leq, label=lambda x: x.diagram()) -> str:

@@ -8,6 +8,7 @@ symmetric-group Bruhat order, exhaustive finite-field enumeration).  The CLI
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 from . import finite_field as ff
@@ -145,18 +146,20 @@ def criterion_7_partial_involutions() -> tuple[bool, str]:
     expected_counts = {1: 2, 2: 5, 3: 14}
     for n in (1, 2, 3):
         orbits = ff.borel_orbits(n, 3, "sym")
-        constant = all(len({ob.rank_control(m) for m in orbit}) == 1 for orbit in orbits)
-        invariants = {ob.rank_control(orbit[0]) for orbit in orbits}
+        # one reduction per matrix, shared by the three checks below
+        control = functools.cache(ob.rank_control)
+        constant = all(len({control(m) for m in orbit}) == 1 for orbit in orbits)
+        invariants = {control(orbit[0]) for orbit in orbits}
         count_ok = len(invariants) == expected_counts[n] == len(rn.symmetric_rook_elements(n))
         total = True
         for m in ff.enumerate_symmetric(n, 3):
             try:
-                ob.invariant_to_partial_involution(ob.rank_control(m))
+                ob.invariant_to_partial_involution(control(m))
             except Exception:
                 total = False
                 break
         fixes = all(
-            ob.invariant_to_partial_involution(ob.rank_control(ff.from_rook(p, 3))) == p
+            ob.invariant_to_partial_involution(control(ff.from_rook(p, 3))) == p
             for p in rn.symmetric_rook_elements(n)
         )
         ok = ok and constant and count_ok and total and fixes

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -156,10 +157,11 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
 def test_off_rejects_dimension_before_hull(capsys, monkeypatch):
     from symmon import polytope
 
-    def no_hull(points):
-        raise AssertionError("hull must not run")
+    def no_facets(*args):
+        raise AssertionError("no facet search may run")
 
-    monkeypatch.setattr(polytope, "hull", no_hull)
+    monkeypatch.setattr(polytope, "hull", no_facets)
+    monkeypatch.setattr(polytope, "weight_polytope_facets", no_facets)
     code, out, err = run(capsys, "weight-polytope", "--family", "A", "--n", "4", "--lambda", "0,1,1,0", "--format", "off")
     assert code == 2
     assert out == ""
@@ -202,3 +204,52 @@ def _cli_stdout(argv, hashseed):
 )
 def test_stdout_bytes_independent_of_hash_seed(argv):
     assert _cli_stdout(argv, "0") == _cli_stdout(argv, "1")
+
+
+def test_poset_export_work_guard_exits_2(capsys):
+    code, out, err = run(capsys, "renner", "--n", "6", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: Hasse diagram work estimate 13327^2 = 177608929 order comparisons "
+        "exceeds the limit 4000000\n"
+    )
+    code, out, err = run(capsys, "renner", "--n", "8", "--symmetric", "--format", "dot")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "7193^2 = 51739249" in err
+    # listing needs no comparisons and stays admitted
+    code, out, _ = run(capsys, "renner", "--n", "6")
+    assert code == 0 and len(out.splitlines()) == 13327
+
+
+def test_renner_n4_json_frontier(capsys):
+    code, out, _ = run(capsys, "renner", "--n", "4", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert (len(data["nodes"]), len(data["edges"])) == (209, 746)
+
+
+# SHA-256 of stdout, recorded on the brute-force hull and Hasse reduction
+# before both were replaced by structure-aware algorithms
+GOLDEN_STDOUT = {
+    "renner --n 3 --format json": "02650e2f01c9f69a38850bae1ff7397a7e30e2ac895bd05458af90db00b3f140",
+    "renner --n 3 --format dot": "1c9954a3dcc57491479467c6f3d3f46cd93a704a058fbed3087e9296576ae4e0",
+    "renner --n 4 --symmetric --format json": "70cd35d89a6aff4a81503300f2642b5b2b510d2256d7b36079ca2e3cb5c4a27a",
+    "renner --n 4 --format json": "2f285431bb73a6d9dcfb4772fabde4065ab87c5a20804088c873d87c6b1a2205",
+    "weight-polytope --family B --n 4 --lambda 0,1,0,0 --format json": "a49a3f70263b0d4b35fe1a4c9eec9c912aa1eb3900c92c1668bd92477a22d223",
+    "weight-polytope --family A --n 4 --lambda 1,0,0,1 --format json": "f926f5b805eeb19fcf24ee719c4e584d0d51b34835d6c88655c0a4e921cd134b",
+    "weight-polytope --family B --n 3 --lambda 1,0,1 --format json": "51b9af5de67f3d641358ca9e1e5278520fcab2294ed24f742cc01713f89121b8",
+    "weight-polytope --family A --n 3 --lambda 1,0,1 --format off": "380ecc5d248bc0dec1dfb8116c9c18de881bb48eb209fefdf5e660288d82a6b2",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT))
+def test_golden_stdout_bytes(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+def test_golden_hull_guard_error(capsys):
+    code, out, err = run(capsys, "weight-polytope", "--family", "B", "--n", "4", "--lambda", "1,1,1,1", "--format", "json")
+    assert (code, out, err) == (2, "", "error: hull guard: at most 200 points\n")

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -174,3 +175,48 @@ def test_off_export_rejects_affine_dim_above_3():
     simplex = pt.weight_polytope(a4, rw.fundamental_weights(a4)[0])
     with pytest.raises(PreconditionError):
         pt.to_off(simplex)
+
+
+@pytest.mark.parametrize(
+    "family, rank", [("A", r) for r in range(1, 5)] + [(f, r) for f in "BCD" for r in range(2, 5)]
+)
+def test_weight_polytope_matches_hull(family, rank):
+    # the closed-form facets against the generic facet search, on every
+    # dominant lambda with labels in {0, 1, 2} and at most 16 orbit points
+    rs = rw.root_system(family, rank)
+    for labels in itertools.product((0, 1, 2), repeat=rank):
+        lam = rw.from_fundamental(rs, labels)
+        points = pt.weight_orbit_points(rs, lam)
+        if len(points) <= 16:
+            assert pt.weight_polytope(rs, lam) == pt.hull(points), labels
+
+
+@pytest.mark.parametrize("family, labels", [("B", (0, 1, 0, 0)), ("B", (1, 0, 1))])
+def test_weight_polytope_matches_hull_large(family, labels):
+    # the 24-cell and the rhombicuboctahedron
+    rs = rw.root_system(family, len(labels))
+    lam = rw.from_fundamental(rs, labels)
+    assert pt.weight_polytope(rs, lam) == pt.hull(pt.weight_orbit_points(rs, lam))
+
+
+def test_facet_nodes():
+    a4 = rw.root_system("A", 4)
+    # the 4-simplex: its five facets are the orbit of omega_4
+    assert pt.facet_nodes(a4, rw.from_fundamental(a4, (1, 0, 0, 0))) == (3,)
+    assert pt.facet_nodes(a4, rw.from_fundamental(a4, (1, 1, 1, 1))) == (0, 1, 2, 3)
+    assert pt.facet_nodes(a4, rw.from_fundamental(a4, (0, 0, 0, 0))) == ()
+    b4 = rw.root_system("B", 4)
+    assert pt.facet_nodes(b4, rw.from_fundamental(b4, (0, 1, 0, 0))) == (0, 3)
+    # D_2 is A_1 x A_1: a component missing supp(lambda) gives no facets
+    d2 = rw.root_system("D", 2)
+    assert d2.cartan == ((2, 0), (0, 2))
+    assert pt.facet_nodes(d2, rw.from_fundamental(d2, (1, 0))) == (0,)
+    assert pt.facet_nodes(d2, rw.from_fundamental(d2, (1, 1))) == (0, 1)
+
+
+def test_a4_permutohedron_frontier():
+    # conv(S_5 . (5, 4, 3, 2, 1)): one facet per proper nonempty subset of [5]
+    a4 = rw.root_system("A", 4)
+    p = pt.weight_polytope(a4, rw.from_fundamental(a4, (1, 1, 1, 1)))
+    assert pt.f_vector(p) == (120, 240, 150, 2**5 - 2)
+    assert p.affine_dim == 4

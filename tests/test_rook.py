@@ -237,3 +237,69 @@ def test_diagram_and_exports():
     for r in elems:
         for s in elems:
             assert (s in reach[r]) == rn.bruhat_leq(r, s)
+
+
+def _hasse_edges_oracle(elements, leq):
+    """Covering pairs by the cubic transitive reduction: x < y with no z between."""
+    elems = list(elements)
+    edges = []
+    for x in elems:
+        for y in elems:
+            if x == y or not leq(x, y):
+                continue
+            if any(z != x and z != y and leq(x, z) and leq(z, y) for z in elems):
+                continue
+            edges.append((x, y))
+    return edges
+
+
+def _divides(a, b):
+    return b % a == 0
+
+
+@pytest.mark.parametrize(
+    "elements, leq",
+    [
+        (rn.enumerate_rook(3), rn.bruhat_leq),
+        (rn.symmetric_rook_elements(4), rn.bruhat_leq),
+        (rn.symmetric_rook_elements(5, fpf=True), rn.bruhat_leq),
+        # a poset that is not a rook monoid keeps the generic leq contract tested
+        ([d for d in range(1, 361) if 360 % d == 0], _divides),
+    ],
+    ids=["R3", "involutions-R4", "fpf-R5", "divisors-360"],
+)
+def test_hasse_edges_match_cubic_oracle(elements, leq):
+    assert rn.hasse_edges(elements, leq) == _hasse_edges_oracle(elements, leq)
+
+
+def test_hasse_edges_counts_one_comparison_per_ordered_pair():
+    calls = []
+
+    def leq(a, b):
+        calls.append((a, b))
+        return _divides(a, b)
+
+    edges = rn.hasse_edges([1, 2, 3, 4, 6, 12], leq)
+    assert len(calls) == 6 * 5
+    assert edges == [(1, 2), (1, 3), (2, 4), (2, 6), (3, 6), (4, 12), (6, 12)]
+
+
+def test_hasse_edges_work_guard():
+    with pytest.raises(ResourceLimitError, match="2001\\^2 = 4004001 order comparisons exceeds the limit 4000000"):
+        rn.hasse_edges(range(2001), lambda a, b: a <= b)
+
+
+def test_southwest_rank_table_matches_definition():
+    for r in rn.enumerate_rook(3):
+        n = r.n
+        direct = tuple(
+            tuple(sum(1 for t in range(i, n) if 0 < r.map[t] <= j + 1) for j in range(n))
+            for i in range(n)
+        )
+        assert rn.southwest_rank_table(r) == direct
+    assert rn.southwest_rank_table(rn.zero_rook(0)) == ()
+    # the cached table leaves equality, hashing and order alone
+    r = RookElement((2, 0, 1))
+    rn.bruhat_leq(r, r)
+    assert r == RookElement((2, 0, 1)) and hash(r) == hash(RookElement((2, 0, 1)))
+    assert repr(r) == "RookElement(map=(2, 0, 1))"
