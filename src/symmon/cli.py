@@ -153,7 +153,7 @@ def _parse_matrix(text: str, q: int) -> ff.FqMatrix:
 
 
 def cmd_factor(args) -> str:
-    q = args.q or args.field
+    q = args.q
     if q is None:
         raise PreconditionError("factor needs --q (prime modulus)")
     m = _parse_matrix(args.matrix, q)
@@ -184,7 +184,7 @@ def cmd_factor(args) -> str:
 
 
 def cmd_census(args) -> str:
-    q = args.q or args.field
+    q = args.q
     if q is None:
         raise PreconditionError("census needs --q (odd prime modulus)")
     report = ob.twisted_orbit_census(args.n, q, args.form)
@@ -243,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factor", help="Bruhat normal form m = u (t r) v over F_q")
     p.add_argument("--n", type=int, help="size (inferred from --matrix)")
-    p.add_argument("--q", type=int, help="prime modulus")
-    p.add_argument("--field", type=int, help="alias for --q")
+    modulus = p.add_mutually_exclusive_group()
+    modulus.add_argument("--q", type=int, help="prime modulus")
+    modulus.add_argument("--field", type=int, dest="q", help="alias for --q")
     p.add_argument("--matrix", required=True, help='rows separated by ";", entries by ","')
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_factor)
@@ -252,8 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="Borel congruence orbit census on Sym_n or Skew_n")
     p.add_argument("--form", required=True, choices=("sym", "skew"))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, help="odd prime modulus")
-    p.add_argument("--field", type=int, help="alias for --q")
+    modulus = p.add_mutually_exclusive_group()
+    modulus.add_argument("--q", type=int, help="odd prime modulus")
+    modulus.add_argument("--field", type=int, dest="q", help="alias for --q")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(fn=cmd_census)
 

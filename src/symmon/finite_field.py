@@ -30,6 +30,30 @@ def inv_mod(a: int, q: int) -> int:
     return pow(a, q - 2, q)
 
 
+def row_reduce(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
+    """In-place reduced row echelon form mod q; returns (rows, pivot column indices)."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = inv_mod(rows[r][c], q)
+        rows[r] = [e * inv % q for e in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(e - f * p) % q for e, p in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
 def primitive_root(q: int) -> int:
     """A generator of the cyclic group F_q^*."""
     _check_prime(q)
@@ -78,22 +102,7 @@ class FqMatrix:
         return FqMatrix(self.q, tuple(tuple(-e % self.q for e in row) for row in self.rows))
 
     def rank(self) -> int:
-        work = [list(r) for r in self.rows]
-        q, n = self.q, self.n
-        rank = 0
-        for c in range(n):
-            pivot = next((r for r in range(rank, n) if work[r][c]), None)
-            if pivot is None:
-                continue
-            work[rank], work[pivot] = work[pivot], work[rank]
-            inv = inv_mod(work[rank][c], q)
-            work[rank] = [e * inv % q for e in work[rank]]
-            for r in range(n):
-                if r != rank and work[r][c]:
-                    f = work[r][c]
-                    work[r] = [(e - f * p) % q for e, p in zip(work[r], work[rank])]
-            rank += 1
-        return rank
+        return len(row_reduce([list(r) for r in self.rows], self.q)[1])
 
     def is_invertible(self) -> bool:
         return self.rank() == self.n
@@ -104,23 +113,11 @@ class FqMatrix:
         if cached is not None:
             return cached
         q, n = self.q, self.n
-        work = [list(self.rows[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-        r = 0
-        for c in range(n):
-            pivot = next((i for i in range(r, n) if work[i][c]), None)
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            inv = inv_mod(work[r][c], q)
-            work[r] = [e * inv % q for e in work[r]]
-            for i in range(n):
-                if i != r and work[i][c]:
-                    f = work[i][c]
-                    work[i] = [(e - f * p) % q for e, p in zip(work[i], work[r])]
-            r += 1
-        if r != n:
+        aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(self.rows)]
+        reduced, pivots = row_reduce(aug, q)
+        if pivots != list(range(n)):
             raise PreconditionError("matrix is singular")
-        inverse = _reduced(q, tuple(tuple(row[n:]) for row in work))
+        inverse = _reduced(q, tuple(tuple(row[n:]) for row in reduced))
         object.__setattr__(self, "_inverse", inverse)
         object.__setattr__(inverse, "_inverse", self)
         return inverse
@@ -187,8 +184,7 @@ def enumerate_matrices(n: int, q: int):
     _check_prime(q)
     if q ** (n * n) > SPACE_GUARD:
         raise ResourceLimitError("matrix space exceeds guard")
-    for flat in itertools.product(range(q), repeat=n * n):
-        yield FqMatrix(q, tuple(flat[i * n : (i + 1) * n] for i in range(n)))
+    return map(_decoder(n, q), range(q ** (n * n)))
 
 
 def borel_size(n: int, q: int) -> int:
@@ -231,30 +227,19 @@ def borel_generators(n: int, q: int) -> tuple[FqMatrix, ...]:
 
 
 def enumerate_symmetric(n: int, q: int):
-    """All symmetric n x n matrices over F_q."""
+    """All symmetric n x n matrices over F_q, in increasing order."""
     _check_prime(q)
-    slots = [(i, j) for i in range(n) for j in range(i, n)]
-    if q ** len(slots) > SPACE_GUARD:
+    if q ** (n * (n + 1) // 2) > SPACE_GUARD:
         raise ResourceLimitError("symmetric space exceeds guard")
-    for vals in itertools.product(range(q), repeat=len(slots)):
-        rows = [[0] * n for _ in range(n)]
-        for (i, j), v in zip(slots, vals):
-            rows[i][j] = rows[j][i] = v
-        yield FqMatrix(q, tuple(tuple(r) for r in rows))
+    return map(_decoder(n, q), _form_codes(n, q, "sym"))
 
 
 def enumerate_skew(n: int, q: int):
-    """All skew-symmetric n x n matrices (zero diagonal) over F_q."""
+    """All skew-symmetric n x n matrices (zero diagonal) over F_q, in increasing order."""
     _check_prime(q)
-    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if q ** len(slots) > SPACE_GUARD:
+    if q ** (n * (n - 1) // 2) > SPACE_GUARD:
         raise ResourceLimitError("skew space exceeds guard")
-    for vals in itertools.product(range(q), repeat=len(slots)):
-        rows = [[0] * n for _ in range(n)]
-        for (i, j), v in zip(slots, vals):
-            rows[i][j] = v
-            rows[j][i] = -v % q
-        yield FqMatrix(q, tuple(tuple(r) for r in rows))
+    return map(_decoder(n, q), _form_codes(n, q, "skew"))
 
 
 @dataclass(frozen=True)
@@ -414,6 +399,15 @@ def _check_orbit_work(n: int, q: int, action: str):
     )
 
 
+def _decoder(n: int, q: int):
+    """code -> FqMatrix, where a matrix's code is the integer whose base-q
+    digits are its entries read row-major (so integer order is FqMatrix order)."""
+    size = q**n
+    vectors = list(itertools.product(range(q), repeat=n))  # indexed by row code
+    place = [size ** (n - 1 - i) for i in range(n)]  # row i of a code is code // place[i] % size
+    return lambda x: _reduced(q, tuple([vectors[x // p % size] for p in place]))
+
+
 def _form_codes(n: int, q: int, action: str) -> list[int]:
     """The codes of Sym_n(F_q) or Skew_n(F_q) in increasing order.  The entries
     on and above the diagonal, read row-major, determine the matrix and order
@@ -519,10 +513,8 @@ def borel_orbits(n: int, q: int, action: str) -> tuple[tuple[FqMatrix, ...], ...
         while parent[root] != root:
             root = parent[root]
         orbits.setdefault(root, []).append(x)
-    return tuple(
-        tuple([_reduced(q, tuple([vectors[x // p % size] for p in place])) for x in orbit])
-        for orbit in orbits.values()
-    )
+    decode = _decoder(n, q)
+    return tuple(tuple(map(decode, orbit)) for orbit in orbits.values())
 
 
 def theta_an(m: FqMatrix, inv) -> FqMatrix:

@@ -140,14 +140,9 @@ def nullspace(m: Mat) -> tuple[Vec, ...]:
 
 
 def independent_rows(rows: Sequence[Vec]) -> list[int]:
-    """Indices of a maximal linearly independent subset, greedily from the front."""
-    chosen: list[int] = []
-    staged: list[Vec] = []
-    for i, row in enumerate(rows):
-        if rank(tuple(staged + [row])) > len(staged):
-            staged.append(row)
-            chosen.append(i)
-    return chosen
+    """Indices of a maximal linearly independent subset, greedily from the front:
+    the pivot columns of the matrix whose columns are the rows."""
+    return _row_reduce([list(col) for col in zip(*rows)])[1]
 
 
 def frac_str(x: Fraction) -> str:

@@ -47,36 +47,17 @@ class RankControl:
 
 
 def rank_control(a: FqMatrix) -> RankControl:
+    """The ranks of all trailing submatrices, read off pivot columns: one
+    reduction per starting row i, of the rows of A[i.., :] with their columns
+    reversed.  Columns are eliminated right to left, so rank A[i.., j..] is the
+    number of pivots below n - j."""
     n = a.n
     rho = [[0] * (n + 1) for _ in range(n + 1)]
     for i in range(n):
+        _, pivots = ff.row_reduce([row[::-1] for row in a.rows[i:]], a.q)
         for j in range(n):
-            rho[i][j] = _rect_rank([row[j:] for row in a.rows[i:]], a.q)
+            rho[i][j] = sum(p < n - j for p in pivots)
     return RankControl(tuple(tuple(r) for r in rho))
-
-
-def _rect_rank(rows: list, q: int) -> int:
-    """Rank of a rectangular residue matrix."""
-    work = [list(r) for r in rows]
-    if not work or not work[0]:
-        return 0
-    nrows, ncols = len(work), len(work[0])
-    rank = 0
-    for c in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if work[r][c]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = ff.inv_mod(work[rank][c], q)
-        work[rank] = [e * inv % q for e in work[rank]]
-        for r in range(nrows):
-            if r != rank and work[r][c]:
-                f = work[r][c]
-                work[r] = [(e - f * p) % q for e, p in zip(work[r], work[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
 
 
 def _inclusion_exclusion(rc: RankControl) -> list[list[int]]:

@@ -309,13 +309,13 @@ def _bits(mask: int):
         mask ^= low
 
 
-def poset_to_dot(elements, leq, label=lambda x: x.diagram()) -> str:
+def poset_to_dot(elements, leq) -> str:
     """Hasse diagram of a poset over rook elements as DOT source."""
     elems = sorted(elements)
     lines = ["digraph poset {", "  rankdir=BT;"]
     index = {x: i for i, x in enumerate(elems)}
     for x in elems:
-        lines.append(f'  n{index[x]} [label="{label(x)}"];')
+        lines.append(f'  n{index[x]} [label="{x.diagram()}"];')
     for x, y in sorted(hasse_edges(elems, leq), key=lambda e: (e[0], e[1])):
         lines.append(f"  n{index[x]} -> n{index[y]};")
     lines.append("}")

@@ -432,7 +432,7 @@ def dominant_weights_below(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
     return _to_weights(denom, map(scaled, found))
 
 
-def scaled_weight_set(rs: RootSystem, lam: Weight, guard: int = ORBIT_GUARD) -> tuple[int, list[tuple[int, ...]]]:
+def scaled_weight_set(rs: RootSystem, lam: Weight) -> tuple[int, list[tuple[int, ...]]]:
     """(D, points): the weight set Pi(lam) as the integer vectors D * mu, unsorted.
 
     Pi(lam) is the disjoint union of the Weyl orbits of the dominant weights
@@ -442,17 +442,17 @@ def scaled_weight_set(rs: RootSystem, lam: Weight, guard: int = ORBIT_GUARD) -> 
     points: list = []
     for mu in dominants:
         _extend_by_orbit(rs.cartan, mu, points)
-        if len(points) > guard:
+        if len(points) > ORBIT_GUARD:
             raise ResourceLimitError("weight set exceeds size guard")
     return denom, list(map(scaled, points))
 
 
-def weight_set(rs: RootSystem, lam: Weight, guard: int = ORBIT_GUARD) -> tuple[Weight, ...]:
+def weight_set(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
     """The saturated weight set Pi(lam) of the irreducible with highest weight lam:
     all mu in lam + root lattice whose dominant representative lies below lam,
     canonically sorted.
     """
-    return _to_weights(*scaled_weight_set(rs, lam, guard))
+    return _to_weights(*scaled_weight_set(rs, lam))
 
 
 def chi(rs: RootSystem) -> Weight:

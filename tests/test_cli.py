@@ -72,6 +72,16 @@ def test_census_rejects_even_q(capsys):
     assert "error" in err
 
 
+def test_field_is_an_alias_of_q(capsys):
+    for cmd in (("census", "--form", "sym", "--n", "2"), ("factor", "--matrix", "1,2;3,4")):
+        via_field = run(capsys, *cmd, "--field", "3")
+        assert via_field[0] == 0 and via_field == run(capsys, *cmd, "--q", "3")
+        with pytest.raises(SystemExit) as exc:
+            main([*cmd, "--field", "3", "--q", "5"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_census_determinism(capsys):
     _, out1, _ = run(capsys, "census", "--form", "skew", "--n", "3", "--q", "3", "--format", "json")
     _, out2, _ = run(capsys, "census", "--form", "skew", "--n", "3", "--q", "3", "--format", "json")
@@ -230,8 +240,17 @@ def test_renner_n4_json_frontier(capsys):
 
 
 # SHA-256 of stdout, recorded on the brute-force hull and Hasse reduction
-# before both were replaced by structure-aware algorithms
+# before both were replaced by structure-aware algorithms, and on the
+# per-matrix mod-q eliminations and slot-loop enumerators before those were
+# replaced by one row_reduce and one matrix decoder
 GOLDEN_STDOUT = {
+    "verify": "6d4246b5d637953b99d54a81e29fa6c4da7db6117a1c31dea3da537fa15c5116",
+    "census --form skew --n 4 --q 3": "4d2a1cc2954cbcba1ec38583e2a9188dbe543dcda9cb2a8666d0931d191fbed5",
+    "census --form sym --n 3 --q 3": "97b1c74364e2a1f593fa08cc29f2b82cff85b9b18911cd45b1aa045ea70aff22",
+    "census --form sym --n 2 --q 7": "c799dfaece2f6e69a9fd48845c8e24d2926aabe0e1ed0ddcdc588f53f73b53cd",
+    "census --form skew --n 3 --q 5": "76dbeb51139432cdc71581d3bf3e36f26e6bca1980206e8634eb5789a768873a",
+    "census --form sym --n 3 --q 5 --format json": "43cbca510fc23bbb4d1de94407fb818b48ae7b67fec15154723f960770850d41",
+    "factor --q 5 --matrix 1,2,0;3,4,1;0,1,1 --format json": "2840f01ff65acc79056c6a9092558e9ee06c817ad38d7c5cdc0861c9ec94b990",
     "renner --n 3 --format json": "02650e2f01c9f69a38850bae1ff7397a7e30e2ac895bd05458af90db00b3f140",
     "renner --n 3 --format dot": "1c9954a3dcc57491479467c6f3d3f46cd93a704a058fbed3087e9296576ae4e0",
     "renner --n 4 --symmetric --format json": "70cd35d89a6aff4a81503300f2642b5b2b510d2256d7b36079ca2e3cb5c4a27a",

@@ -39,6 +39,45 @@ def test_matrix_basics():
         m.inverse()
 
 
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2)])
+def test_rank_and_inverse_exhaustive(n, q):
+    # independent oracle: the row space {x m : x in F_q^n} has q^rank points
+    vectors = list(itertools.product(range(q), repeat=n))
+    ident = ff.identity_matrix(n, q)
+    for m in ff.enumerate_matrices(n, q):
+        cols = list(zip(*m.rows))
+        row_space = {tuple(sum(a * b for a, b in zip(x, col)) % q for col in cols) for x in vectors}
+        assert len(row_space) == q ** m.rank()
+        if len(row_space) == q**n:
+            assert m.inverse() @ m == ident == m @ m.inverse()
+        else:
+            with pytest.raises(PreconditionError, match="singular"):
+                m.inverse()
+
+
+def test_enumerators_match_the_filtered_matrix_space():
+    for q in ff.SUPPORTED_PRIMES:
+        for n in range(4):
+            if q ** (n * n) > ff.SPACE_GUARD:
+                continue
+            space = [
+                FqMatrix(q, tuple(flat[i * n : (i + 1) * n] for i in range(n)))
+                for flat in itertools.product(range(q), repeat=n * n)
+            ]
+            assert list(ff.enumerate_matrices(n, q)) == space
+            assert list(ff.enumerate_symmetric(n, q)) == [m for m in space if m.is_symmetric()]
+            assert list(ff.enumerate_skew(n, q)) == [m for m in space if m.is_skew()]
+    for enumerate_space, n, message in (
+        (ff.enumerate_matrices, 3, "matrix space exceeds guard"),
+        (ff.enumerate_symmetric, 4, "symmetric space exceeds guard"),
+        (ff.enumerate_skew, 5, "skew space exceeds guard"),
+    ):
+        with pytest.raises(ResourceLimitError, match=message):
+            list(enumerate_space(n, 7))
+        with pytest.raises(PreconditionError, match="modulus 4 not supported"):
+            list(enumerate_space(1, 4))
+
+
 def test_enumerate_borel_counts():
     assert len(list(ff.enumerate_borel(2, 3))) == 12
     assert len(list(ff.enumerate_borel(1, 2))) == 1

@@ -34,6 +34,10 @@ def test_rank_and_nullspace():
 def test_independent_rows():
     rows = [linalg.vec([1, 0]), linalg.vec([2, 0]), linalg.vec([0, 1])]
     assert linalg.independent_rows(rows) == [0, 2]
+    # zero and dependent leading rows are skipped, greedily from the front
+    rows = [linalg.vec(r) for r in ([0, 0], [1, 0], [2, 0], [0, 1])]
+    assert linalg.independent_rows(rows) == [1, 3]
+    assert linalg.independent_rows([]) == []
 
 
 def test_frac_str():

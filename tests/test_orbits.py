@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symmon import finite_field as ff
 from symmon import involution as iv
@@ -65,6 +67,75 @@ def test_rank_control_examples():
                 assert rho[i][j] >= rho[i][j + 1] >= 0
                 assert rho[i][j] - rho[i + 1][j] <= 1
                 assert rho[i][j] - rho[i][j + 1] <= 1
+
+
+def _rank_control_oracle(a):
+    """rank_control by its definition: one reduction per trailing submatrix."""
+    n = a.n
+    rho = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(n):
+        for j in range(n):
+            rho[i][j] = len(ff.row_reduce([list(row[j:]) for row in a.rows[i:]], a.q)[1])
+    return ob.RankControl(tuple(tuple(r) for r in rho))
+
+
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+MODULI = st.sampled_from((5, 7))
+SIZES = st.integers(0, 6)
+
+
+@st.composite
+def fq_matrices(draw):
+    """Dense, sparse (at most n nonzero entries) or singular (last row a
+    combination of the others) n x n matrices, n <= 6, over F_5 or F_7."""
+    q, n = draw(MODULI), draw(SIZES)
+    cells = st.integers(0, q - 1)
+    rows = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(("dense", "sparse", "singular"))) if n else "dense"
+    if kind == "sparse":
+        keep = draw(st.sets(st.integers(0, n * n - 1), max_size=n))
+        rows = [[e if i * n + j in keep else 0 for j, e in enumerate(row)] for i, row in enumerate(rows)]
+    elif kind == "singular":
+        coeffs = draw(st.lists(cells, min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows)) % q for j in range(n)]
+    return ff.fq_matrix(q, rows)
+
+
+@st.composite
+def borel_and_symmetric(draw):
+    """A random invertible upper-triangular b and a random symmetric A."""
+    q, n = draw(MODULI), draw(SIZES)
+    b = [[0] * n for _ in range(n)]
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        b[i][i] = draw(st.integers(1, q - 1))
+        for j in range(i, n):
+            if j > i:
+                b[i][j] = draw(st.integers(0, q - 1))
+            a[i][j] = a[j][i] = draw(st.integers(0, q - 1))
+    return ff.fq_matrix(q, b), ff.fq_matrix(q, a)
+
+
+@PROPERTY_SETTINGS
+@given(fq_matrices())
+def test_rank_control_matches_oracle(m):
+    assert ob.rank_control(m) == _rank_control_oracle(m)
+
+
+@PROPERTY_SETTINGS
+@given(borel_and_symmetric())
+def test_rank_control_invariant_under_random_borel_congruence(ba):
+    b, a = ba
+    assert ob.rank_control(b @ a @ b.transpose()) == ob.rank_control(a)
+
+
+@PROPERTY_SETTINGS
+@given(fq_matrices())
+def test_bruhat_factor_recomposes_on_random_matrices(m):
+    fac = ff.bruhat_factor(m)
+    assert fac.product() == m
+    assert fac.pattern_ok()
+    assert fac.r.rank == m.rank()
 
 
 def test_rank_control_invariant_under_borel_congruence():
