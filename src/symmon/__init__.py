@@ -15,7 +15,7 @@ from .involution import InvolutionSpec, RestrictedRootData, involution_spec
 from .orbits import RankControl, SymOrbitReport, rank_control, twisted_orbit_census
 from .polytope import RationalPolytope, hull, weight_polytope
 from .rook import CrossSection, RookElement, bruhat_leq, enumerate_rook
-from .root_weight import RootSystem, Weight, WeylElement, root_system, weight
+from .root_weight import RootSystem, Weight, root_system, weight
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,6 @@ __all__ = [
     "InvariantViolationError",
     "Weight",
     "RootSystem",
-    "WeylElement",
     "weight",
     "root_system",
     "InvolutionSpec",

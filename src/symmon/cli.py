@@ -110,8 +110,8 @@ def cmd_weight_polytope(args) -> str:
     rs = rw.root_system(args.family, args.n)
     lam = _parse_lambda(rs, getattr(args, "lambda"))
     if args.format == "off":
-        # reject a dimension OFF cannot hold before the facet search
-        pt.require_off_dim(pt.affine_dim(pt.weight_orbit_points(rs, lam)))
+        # reject a dimension OFF cannot hold before the orbit is built
+        pt.require_off_dim(pt.weight_polytope_dim(rs, lam))
         return pt.to_off(pt.weight_polytope(rs, lam))
     poly = pt.weight_polytope(rs, lam)
     if args.format == "json":
@@ -146,7 +146,7 @@ def cmd_rook_monoid(args) -> str:
 
 def _parse_matrix(text: str, q: int) -> ff.FqMatrix:
     try:
-        rows = [[int(e) % q for e in row.split(",")] for row in text.split(";")]
+        rows = [[int(e) for e in row.split(",")] for row in text.split(";")]
     except ValueError as exc:
         raise PreconditionError(f"bad --matrix {text!r}: {exc}") from exc
     return ff.fq_matrix(q, rows)
@@ -242,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_rook_monoid)
 
     p = sub.add_parser("factor", help="Bruhat normal form m = u (t r) v over F_q")
-    p.add_argument("--n", type=int, help="size (inferred from --matrix)")
     modulus = p.add_mutually_exclusive_group()
     modulus.add_argument("--q", type=int, help="prime modulus")
     modulus.add_argument("--field", type=int, dest="q", help="alias for --q")

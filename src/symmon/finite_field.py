@@ -155,6 +155,7 @@ def _reduced(q: int, rows: tuple[tuple[int, ...], ...]) -> FqMatrix:
 
 
 def fq_matrix(q: int, rows) -> FqMatrix:
+    _check_prime(q)  # before any entry is reduced mod q
     return FqMatrix(q, tuple(tuple(e % q for e in row) for row in rows))
 
 
@@ -189,22 +190,6 @@ def enumerate_matrices(n: int, q: int):
 
 def borel_size(n: int, q: int) -> int:
     return (q - 1) ** n * q ** (n * (n - 1) // 2)
-
-
-def enumerate_borel(n: int, q: int):
-    """All invertible upper-triangular matrices, each exactly once."""
-    _check_prime(q)
-    if borel_size(n, q) > SPACE_GUARD:
-        raise ResourceLimitError("Borel group exceeds size guard")
-    above = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for diag in itertools.product(range(1, q), repeat=n):
-        for vals in itertools.product(range(q), repeat=len(above)):
-            rows = [[0] * n for _ in range(n)]
-            for i in range(n):
-                rows[i][i] = diag[i]
-            for (i, j), v in zip(above, vals):
-                rows[i][j] = v
-            yield FqMatrix(q, tuple(tuple(r) for r in rows))
 
 
 def borel_generators(n: int, q: int) -> tuple[FqMatrix, ...]:
@@ -253,7 +238,7 @@ class BorelFactorization:
     v: FqMatrix
 
     def product(self) -> FqMatrix:
-        tr = self.t @ from_rook(self.r, self.t.q)
+        tr = self.t @ _reduced(self.t.q, self.r.zero_one_rows())
         return self.u @ tr @ self.v
 
     def pattern_ok(self) -> bool:
@@ -324,27 +309,26 @@ def bruhat_factor(m: FqMatrix) -> BorelFactorization:
         rook_map[i0] = j + 1
         tdiag[i0] = a[i0][j]
     r = RookElement(tuple(rook_map))
-    t = fq_matrix(q, [[tdiag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    # every entry is already reduced mod q
+    t = _reduced(q, tuple(tuple(tdiag[i] if i == j else 0 for j in range(n)) for i in range(n)))
     return BorelFactorization(
-        u=fq_matrix(q, big_u), t=t, r=r, v=fq_matrix(q, big_v)
+        u=_reduced(q, tuple(map(tuple, big_u))), t=t, r=r, v=_reduced(q, tuple(map(tuple, big_v)))
     )
 
 
-def orbit_enumerate(act, space, generators, seeds=None, guard: int = SPACE_GUARD):
+def orbit_enumerate(act, space, generators, guard: int = SPACE_GUARD):
     """Partition a finite space into orbits of the group generated by generators.
 
-    act(g, x) -> x applies one generator.  When seeds is given, only the orbits
-    of the seed points are returned (they must be closed within the space hash
-    universe).  Orbits are sorted tuples; the partition is sorted by the orbit
-    representatives (minimal elements), so output is deterministic.
+    act(g, x) -> x applies one generator.  Orbits are sorted tuples; the
+    partition is sorted by the orbit representatives (minimal elements), so
+    output is deterministic.
     """
-    points = list(space) if space is not None else None
-    if points is not None and len(points) > guard:
+    points = list(space)
+    if len(points) > guard:
         raise ResourceLimitError("orbit space exceeds guard")
-    todo = points if seeds is None else list(seeds)
     seen_orbit: dict = {}
     orbits = []
-    for start in todo:
+    for start in points:
         if start in seen_orbit:
             continue
         orbit = {start}

@@ -1,11 +1,13 @@
 """Exact convex geometry of Weyl-orbit polytopes in affine dimension <= 4.
 
-Everything is computed over the rationals, with points mapped to exact
-coordinates on their affine span.  Weight polytopes conv(W.lambda) take their
-facets in closed form, as the W-orbits of the fundamental weights omega_i
-whose node i the standard H-description keeps; every orbit point is a vertex.
-`hull` is the generic path for arbitrary point sets: it finds facets by
-enumerating supporting hyperplanes through affinely independent point
+Everything is computed over the rationals.  Weight polytopes conv(W.lambda)
+are read off the root datum: every orbit point is a vertex, the affine span is
+spanned by the simple roots of the Dynkin components that meet supp(lambda),
+and the facets are, in closed form, the W-orbits of the fundamental weights
+omega_i whose node i the standard H-description keeps.  `hull` is the generic
+path for arbitrary point sets: it maps the points to exact coordinates on
+their affine span (`_AffineFrame`, shared with the OFF export), finds facets
+by enumerating supporting hyperplanes through affinely independent point
 subsets, and vertices as the points whose tight facet normals span the space.
 
 The idempotent lattice of the closure of a maximal torus in a reductive
@@ -127,6 +129,14 @@ def _normalize_halfspace(normal: Vec, offset: Fraction) -> tuple[Vec, Fraction]:
     return tuple(Fraction(e) for e in ints[:-1]), Fraction(ints[-1])
 
 
+def _span_equalities(directions: Mat, origin: Vec) -> tuple[tuple[Vec, Fraction], ...]:
+    """The normalized equalities nu . x = nu . origin of origin + span(directions).
+    The nullspace comes from a reduced row echelon form, which depends only on
+    the row space, so any spanning set of directions gives the same bytes."""
+    normals = linalg.nullspace(directions) if directions else linalg.identity_mat(len(origin))
+    return tuple(_normalize_halfspace(nu, linalg.dot(nu, origin)) for nu in normals)
+
+
 class _AffineFrame:
     """Exact coordinates on the affine span of a point set."""
 
@@ -148,15 +158,6 @@ class _AffineFrame:
 
     def coords(self, p: Vec) -> Vec:
         return linalg.mat_vec(self.h, linalg.vec_sub(p, self.origin)) if self.dim else ()
-
-    def span_equalities(self) -> tuple[tuple[Vec, Fraction], ...]:
-        if self.dim:
-            normals = linalg.nullspace(self.basis)
-        else:
-            normals = tuple(linalg.identity_mat(len(self.origin)))
-        return tuple(
-            _normalize_halfspace(nu, linalg.dot(nu, self.origin)) for nu in normals
-        )
 
     def lift_halfspace(self, a: Vec, beta: Fraction) -> tuple[Vec, Fraction]:
         """Translate a . c(x) <= beta into an ambient inequality."""
@@ -183,7 +184,7 @@ def hull(points) -> RationalPolytope:
     _check_hull_guards(pts)
     frame = _AffineFrame(pts)
     d = frame.dim
-    span = frame.span_equalities()
+    span = _span_equalities(frame.basis, frame.origin)
     if d == 0:
         return RationalPolytope((Weight(pts[0]),), (), span, 0)
     coords = {p: frame.coords(p) for p in pts}
@@ -277,11 +278,15 @@ def f_vector(p: RationalPolytope) -> tuple[int, ...]:
     return tuple(len(graded.get(i, ())) for i in range(d))
 
 
+def _require_dominant(rs: RootSystem, lam: Weight):
+    if not rs.is_dominant(lam):
+        raise PreconditionError("weight_polytope requires a dominant weight")
+
+
 def weight_orbit_points(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
     """The Weyl orbit of chi + lambda (type A, extended coordinates) or of
     lambda itself (other families): the points weight_polytope takes the hull of."""
-    if not rs.is_dominant(lam):
-        raise PreconditionError("weight_polytope requires a dominant weight")
+    _require_dominant(rs, lam)
     base = root_weight.chi(rs) + lam if rs.family == "A" else lam
     return root_weight.weyl_orbit(rs, base)
 
@@ -303,6 +308,12 @@ def _dynkin_components(cartan, nodes) -> list[set[int]]:
     return out
 
 
+def _support_components(rs: RootSystem, lam: Weight) -> tuple[set[int], list[set[int]]]:
+    """supp(lam), and the connected components of the Dynkin diagram that meet it."""
+    supp = {i for i, alpha in enumerate(rs.simple_roots) if rs.pairing(lam, alpha)}
+    return supp, [c for c in _dynkin_components(rs.cartan, range(rs.rank)) if c & supp]
+
+
 def facet_nodes(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
     """The simple-root indices i whose omega_i-orbit gives facets of conv(W.lam).
 
@@ -312,54 +323,55 @@ def facet_nodes(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
     supp(lam) and every component of that component minus {i} does too.
     The diagram is read from rs.cartan, so D_2 is A_1 x A_1.
     """
-    supp = {i for i, alpha in enumerate(rs.simple_roots) if rs.pairing(lam, alpha)}
-    nodes = []
-    for comp in _dynkin_components(rs.cartan, range(rs.rank)):
-        if comp & supp:
-            nodes.extend(
-                i for i in comp
-                if all(c & supp for c in _dynkin_components(rs.cartan, comp - {i}))
-            )
-    return tuple(sorted(nodes))
+    supp, components = _support_components(rs, lam)
+    return tuple(sorted(
+        i for comp in components for i in comp
+        if all(c & supp for c in _dynkin_components(rs.cartan, comp - {i}))
+    ))
 
 
-def weight_polytope_facets(rs: RootSystem, lam: Weight, frame: _AffineFrame) -> tuple[tuple[Vec, Fraction], ...]:
-    """The facets of conv(weight_orbit_points(rs, lam)), frame its affine span.
+def _span_roots(rs: RootSystem, lam: Weight) -> Mat:
+    """The simple roots of the Dynkin components that meet supp(lam): they span
+    the directions of the affine hull of W.lam, since the other components fix
+    lam (and the type-A shift chi)."""
+    components = _support_components(rs, lam)[1]
+    return tuple(rs.simple_roots[i].coords for comp in components for i in sorted(comp))
+
+
+def weight_polytope_dim(rs: RootSystem, lam: Weight) -> int:
+    """The affine dimension of conv(weight_orbit_points(rs, lam)), read off the
+    root datum without building the orbit."""
+    _require_dominant(rs, lam)
+    return len(_span_roots(rs, lam))
+
+
+def weight_polytope_facets(rs: RootSystem, lam: Weight) -> tuple[tuple[Vec, Fraction], ...]:
+    """The facets of conv(weight_orbit_points(rs, lam)).
 
     For each facet node i and each nu in W.omega_i, the facet is
-    nu . x <= (omega_i, lam), projected onto the affine span and normalized
-    as hull normalizes it.  (omega_i, lam) is the maximum of nu over the
-    orbit, since the form is W-invariant and both weights are dominant; the
-    type-A shift chi is orthogonal to omega_i.
+    nu . x <= (omega_i, lam), normalized as hull normalizes it.  (omega_i, lam)
+    is the maximum of nu over the orbit, since the form is W-invariant and
+    both weights are dominant; the type-A shift chi is orthogonal to omega_i.
+    nu already lies in the span of the simple roots of i's component, which
+    the affine hull contains, so no projection is needed.
     """
     omega = root_weight.fundamental_weights(rs)
     facets = set()
     for i in facet_nodes(rs, lam):
         top = rs.form(omega[i], lam)
-        for nu in root_weight.weyl_orbit(rs, omega[i]):
-            beta = top - linalg.dot(nu.coords, frame.origin)
-            a = tuple(linalg.dot(b, nu.coords) for b in frame.basis)
-            facets.add(frame.lift_halfspace(a, beta))
+        facets.update(_normalize_halfspace(nu.coords, top) for nu in root_weight.weyl_orbit(rs, omega[i]))
     return tuple(sorted(facets))
 
 
 def weight_polytope(rs: RootSystem, lam: Weight) -> RationalPolytope:
-    """conv(weight_orbit_points(rs, lam)): every orbit point is a vertex, and
-    the facets come from weight_polytope_facets.  Equal to hull of the orbit."""
+    """conv(weight_orbit_points(rs, lam)): every orbit point is a vertex, the
+    affine hull is the first vertex plus the span of _span_roots, and the
+    facets come from weight_polytope_facets.  Equal to hull of the orbit."""
     vertices = weight_orbit_points(rs, lam)
-    pts = [v.coords for v in vertices]
-    _check_hull_guards(pts)
-    frame = _AffineFrame(pts)
-    if frame.dim == 0:
-        return RationalPolytope(vertices, (), frame.span_equalities(), 0)
-    facets = weight_polytope_facets(rs, lam, frame)
-    return RationalPolytope(vertices, facets, frame.span_equalities(), frame.dim)
-
-
-def affine_dim(points) -> int:
-    """Dimension of the affine span of a nonempty point set, without a hull."""
-    pts = [w.coords for w in points]
-    return linalg.rank(linalg.mat(linalg.vec_sub(p, pts[0]) for p in pts[1:]))
+    _check_hull_guards([v.coords for v in vertices])
+    roots = _span_roots(rs, lam)
+    span = _span_equalities(roots, vertices[0].coords)
+    return RationalPolytope(vertices, weight_polytope_facets(rs, lam), span, len(roots))
 
 
 def require_off_dim(affine_dim: int):

@@ -173,53 +173,6 @@ def reflect(rs: RootSystem, alpha: Weight, mu: Weight) -> Weight:
     return mu - alpha.scale(c)
 
 
-def _reflection_matrix(rs: RootSystem, alpha: Weight) -> linalg.Mat:
-    nn = rs.form(alpha, alpha)
-    if nn == 0:
-        raise DegenerateRootError("cannot reflect at a zero-norm vector")
-    n = rs.ambient_dim
-    a = alpha.coords
-    return tuple(
-        tuple(
-            (Fraction(1) if i == j else Fraction(0)) - 2 * a[i] * a[j] / nn
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
-@dataclass(frozen=True)
-class WeylElement:
-    """A Weyl group element as a word in simple reflections plus its exact matrix."""
-
-    word: tuple[int, ...]
-    matrix: linalg.Mat
-
-    def apply(self, mu: Weight) -> Weight:
-        return Weight(linalg.mat_vec(self.matrix, mu.coords))
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(self.word + other.word, linalg.mat_mul(self.matrix, other.matrix))
-
-
-def weyl_identity(rs: RootSystem) -> WeylElement:
-    return WeylElement((), linalg.identity_mat(rs.ambient_dim))
-
-
-def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    """The reflection at the i-th simple root (0-based index)."""
-    if not 0 <= i < rs.rank:
-        raise PreconditionError(f"simple root index {i} out of range")
-    return WeylElement((i,), _reflection_matrix(rs, rs.simple_roots[i]))
-
-
-def weyl_from_word(rs: RootSystem, word) -> WeylElement:
-    w = weyl_identity(rs)
-    for i in word:
-        w = w * simple_reflection(rs, i)
-    return w
-
-
 @functools.lru_cache(maxsize=None)
 def fundamental_weights(rs: RootSystem) -> tuple[Weight, ...]:
     """omega_1..omega_l with <omega_i, alpha_j> = delta_ij, inside the simple-root span."""
@@ -245,8 +198,9 @@ def from_fundamental(rs: RootSystem, coeffs) -> Weight:
     return w
 
 
-def dominant_representative(rs: RootSystem, mu: Weight) -> tuple[Weight, WeylElement]:
-    """The unique dominant weight in the W-orbit of mu, and a w with w(mu) dominant.
+def dominant_representative(rs: RootSystem, mu: Weight) -> tuple[Weight, tuple[int, ...]]:
+    """The unique dominant weight in the W-orbit of mu, and the simple-reflection
+    indices applied to mu to reach it, in order.
 
     Repeatedly reflects at any simple root pairing negatively; terminates by
     length descent.
@@ -260,9 +214,7 @@ def dominant_representative(rs: RootSystem, mu: Weight) -> tuple[Weight, WeylEle
                 word.append(i)
                 break
         else:
-            break
-    # the recorded word maps mu to the dominant element when applied right-to-left
-    return current, weyl_from_word(rs, reversed(word))
+            return current, tuple(word)
 
 
 @functools.lru_cache(maxsize=None)
@@ -336,12 +288,12 @@ def _extend_by_orbit(cartan, dom: tuple, out: list) -> None:
         frontier = nxt
 
 
-def weyl_orbit(rs: RootSystem, mu: Weight, guard: int = ORBIT_GUARD) -> tuple[Weight, ...]:
+def weyl_orbit(rs: RootSystem, mu: Weight) -> tuple[Weight, ...]:
     """The W-orbit of mu, canonically sorted."""
     labels, denom, scaled = _labels_and_frame(rs, mu)
     points: list = []
     _extend_by_orbit(rs.cartan, _dominant_labels(rs.cartan, labels), points)
-    if len(points) > guard:
+    if len(points) > ORBIT_GUARD:
         raise ResourceLimitError("Weyl orbit exceeds size guard")
     return _to_weights(denom, map(scaled, points))
 

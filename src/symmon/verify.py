@@ -152,9 +152,10 @@ def criterion_7_partial_involutions() -> tuple[bool, str]:
         invariants = {control(orbit[0]) for orbit in orbits}
         count_ok = len(invariants) == expected_counts[n] == len(rn.symmetric_rook_elements(n))
         total = True
-        for m in ff.enumerate_symmetric(n, 3):
+        # one call per distinct rank control of Sym_n(F_3)
+        for rc in {control(m) for m in ff.enumerate_symmetric(n, 3)}:
             try:
-                ob.invariant_to_partial_involution(control(m))
+                ob.invariant_to_partial_involution(rc)
             except Exception:
                 total = False
                 break

@@ -130,6 +130,11 @@ def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["renner", "--n", "2", "--bogus"])
     assert exc.value.code == 2
+    # factor takes its size from --matrix and has no --n
+    with pytest.raises(SystemExit) as exc:
+        main(["factor", "--n", "3", "--q", "3", "--matrix", "1,2;3,4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n 3" in capsys.readouterr().err
 
 
 def test_out_file(tmp_path, capsys):
@@ -155,6 +160,7 @@ def test_verify_command(capsys):
         ("renner", "--n", "-2"),
         ("renner", "--n", "-1", "--fpf"),
         ("weight-polytope", "--family", "A", "--n", "4", "--lambda", "1,0,0,0", "--format", "off"),
+        ("factor", "--q", "0", "--matrix", "1"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv):
@@ -242,7 +248,8 @@ def test_renner_n4_json_frontier(capsys):
 # SHA-256 of stdout, recorded on the brute-force hull and Hasse reduction
 # before both were replaced by structure-aware algorithms, and on the
 # per-matrix mod-q eliminations and slot-loop enumerators before those were
-# replaced by one row_reduce and one matrix decoder
+# replaced by one row_reduce and one matrix decoder, and on the affine-frame
+# weight polytopes before their span and facets were read off the root datum
 GOLDEN_STDOUT = {
     "verify": "6d4246b5d637953b99d54a81e29fa6c4da7db6117a1c31dea3da537fa15c5116",
     "census --form skew --n 4 --q 3": "4d2a1cc2954cbcba1ec38583e2a9188dbe543dcda9cb2a8666d0931d191fbed5",
@@ -259,6 +266,11 @@ GOLDEN_STDOUT = {
     "weight-polytope --family A --n 4 --lambda 1,0,0,1 --format json": "f926f5b805eeb19fcf24ee719c4e584d0d51b34835d6c88655c0a4e921cd134b",
     "weight-polytope --family B --n 3 --lambda 1,0,1 --format json": "51b9af5de67f3d641358ca9e1e5278520fcab2294ed24f742cc01713f89121b8",
     "weight-polytope --family A --n 3 --lambda 1,0,1 --format off": "380ecc5d248bc0dec1dfb8116c9c18de881bb48eb209fefdf5e660288d82a6b2",
+    "weight-polytope --family A --n 4 --lambda 0,1,1,0 --format json": "46ec3e54b8296b3bee8e4ad3f34ee40f17761e4613fb2a6caecaae28dbf7d133",
+    "weight-polytope --family B --n 3 --lambda 1,1,1 --format json": "be9983dd6dac8e65eba3edc8aec1a2d32bd4af8cfeea9374e55383850b4e053c",
+    "weight-polytope --family A --n 4 --lambda 1,1,1,1 --format json": "24ee6326d4f211c24a684e590625a057bb48847187bd7b8f61d605fc44e23cb0",
+    "weight-polytope --family D --n 2 --lambda 1,0 --format json": "442ac6ededb602a524325dbaaf8d8fc7f007e4582941e1a9dccd851ea056e601",
+    "weight-polytope --family A --n 3 --lambda 0,0,0 --format json": "5b86656a8a9f6362560726e2d790e87f95eacd342419bdac4ef77322b8cb8313",
 }
 
 

@@ -260,7 +260,9 @@ def test_borel_meets_monomial_closure():
 
 
 def test_twisted_equivariance_of_tau_at_invariant_level():
-    for b in ff.enumerate_borel(2, 3):
+    borel = [b for b in ff.enumerate_matrices(2, 3) if b.is_upper_triangular() and b.is_invertible()]
+    assert len(borel) == ff.borel_size(2, 3)
+    for b in borel:
         for a in ff.enumerate_matrices(2, 3):
             lhs = ob.rank_control(ob.tau(b @ a, AI2))
             rhs = ob.rank_control(ff.twisted_action(b, ob.tau(a, AI2), AI2))

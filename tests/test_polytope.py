@@ -199,6 +199,22 @@ def test_weight_polytope_matches_hull_large(family, labels):
     assert pt.weight_polytope(rs, lam) == pt.hull(pt.weight_orbit_points(rs, lam))
 
 
+@pytest.mark.parametrize(
+    "family, rank", [("A", r) for r in range(1, 5)] + [(f, r) for f in "BCD" for r in range(2, 5)]
+)
+def test_weight_polytope_dim_is_rank_of_orbit_span(family, rank):
+    # the dimension read off the Dynkin components against the rank of the
+    # differences of the orbit points
+    rs = rw.root_system(family, rank)
+    for labels in itertools.product((0, 1), repeat=rank):
+        lam = rw.from_fundamental(rs, labels)
+        pts = [p.coords for p in pt.weight_orbit_points(rs, lam)]
+        span_rank = linalg.rank(tuple(linalg.vec_sub(p, pts[0]) for p in pts[1:]))
+        assert pt.weight_polytope_dim(rs, lam) == span_rank, labels
+    with pytest.raises(PreconditionError, match="requires a dominant weight"):
+        pt.weight_polytope_dim(rs, rw.from_fundamental(rs, (-1,) + (0,) * (rank - 1)))
+
+
 def test_facet_nodes():
     a4 = rw.root_system("A", 4)
     # the 4-simplex: its five facets are the orbit of omega_4

@@ -91,36 +91,40 @@ def test_fundamental_weight_examples():
         assert rw.fundamental_weights(rs)[0] == chi1 - rw.chi(rs)
 
 
+def _replay(rs, word, mu):
+    """Apply the simple reflections of word to mu, first index first."""
+    for i in word:
+        mu = rw.reflect(rs, rs.simple_roots[i], mu)
+    return mu
+
+
 def test_dominant_representative():
     a2 = rw.root_system("A", 2)
     fw = rw.fundamental_weights(a2)
-    dom, w = rw.dominant_representative(a2, fw[0])
-    assert dom == fw[0] and w.word == ()
-    dom, w = rw.dominant_representative(a2, -fw[0])
-    assert dom == fw[1]
-    assert w.apply(-fw[0]) == fw[1]
+    assert rw.dominant_representative(a2, fw[0]) == (fw[0], ())
+    dom, word = rw.dominant_representative(a2, -fw[0])
+    assert dom == fw[1] and len(word) == 2
+    assert _replay(a2, word, -fw[0]) == fw[1]
     # lowest weight of the defining representation of A_3
     a3 = rw.root_system("A", 3)
     lowest = weight([0, 0, 0, 1]) - rw.chi(a3)
-    dom, w = rw.dominant_representative(a3, lowest)
+    dom, word = rw.dominant_representative(a3, lowest)
     assert dom == rw.fundamental_weights(a3)[0]
-    assert w.apply(lowest) == dom
+    assert len(word) == 3 and all(0 <= i < 3 for i in word)
+    assert _replay(a3, word, lowest) == dom
 
 
-def test_weyl_element_preserves_form():
+def test_reflection_words_preserve_form():
     for fam, rank in (("A", 3), ("B", 2), ("D", 4)):
         rs = rw.root_system(fam, rank)
         fw = rw.fundamental_weights(rs)
-        w = rw.weyl_from_word(rs, [0, rank - 1, 0, 1])
+        word = [0, rank - 1, 0, 1]
         sample = list(fw) + list(rs.simple_roots)
         for mu in sample:
             for nu in sample:
-                assert rs.form(w.apply(mu), w.apply(nu)) == rs.form(mu, nu)
-        # matrix equals the product of the word's reflections
-        prod = rw.weyl_identity(rs)
-        for i in w.word:
-            prod = prod * rw.simple_reflection(rs, i)
-        assert prod.matrix == w.matrix
+                assert rs.form(_replay(rs, word, mu), _replay(rs, word, nu)) == rs.form(mu, nu)
+            # each simple reflection is an involution, so the reversed word undoes the word
+            assert _replay(rs, word[::-1], _replay(rs, word, mu)) == mu
 
 
 def test_weyl_orbit_counts():
@@ -136,11 +140,14 @@ def test_weyl_orbit_counts():
         assert len(rw.weyl_orbit(rs, rw.fundamental_weights(rs)[0])) == n
 
 
-def test_weyl_orbit_guard():
+def test_weyl_orbit_guard(monkeypatch):
     a3 = rw.root_system("A", 3)
     fw = rw.fundamental_weights(a3)
-    with pytest.raises(ResourceLimitError):
-        rw.weyl_orbit(a3, fw[0] + fw[2], guard=5)
+    monkeypatch.setattr(rw, "ORBIT_GUARD", 12)
+    assert len(rw.weyl_orbit(a3, fw[0] + fw[2])) == 12
+    monkeypatch.setattr(rw, "ORBIT_GUARD", 11)
+    with pytest.raises(ResourceLimitError, match="Weyl orbit exceeds size guard"):
+        rw.weyl_orbit(a3, fw[0] + fw[2])
 
 
 def test_orbit_contains_unique_dominant():
@@ -152,8 +159,8 @@ def test_orbit_contains_unique_dominant():
             dominants = [mu for mu in orbit if rs.is_dominant(mu)]
             assert dominants == [lam]
             for mu in orbit:
-                dom, w = rw.dominant_representative(rs, mu)
-                assert dom == lam and w.apply(mu) == lam
+                dom, word = rw.dominant_representative(rs, mu)
+                assert dom == lam and _replay(rs, word, mu) == lam
 
 
 def test_dominance_leq():
