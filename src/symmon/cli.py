@@ -116,7 +116,7 @@ def cmd_weight_polytope(args) -> str:
     poly = pt.weight_polytope(rs, lam)
     if args.format == "json":
         data = poly.to_json()
-        if poly.affine_dim <= 4:
+        if poly.affine_dim <= pt.FVECTOR_DIM_GUARD:
             data["f_vector"] = list(pt.f_vector(poly))
         return json.dumps(data, indent=2) + "\n"
     lines = [
@@ -125,7 +125,7 @@ def cmd_weight_polytope(args) -> str:
         f"vertices ({len(poly.vertices)}):",
     ]
     lines.extend(f"  {v}" for v in poly.vertices)
-    if poly.affine_dim <= 4:
+    if poly.affine_dim <= pt.FVECTOR_DIM_GUARD:
         lines.append(f"f-vector: {pt.f_vector(poly)}")
     lines.append(f"facets: {len(poly.facets)}")
     return "\n".join(lines) + "\n"

@@ -10,10 +10,13 @@ their affine span (`_AffineFrame`, shared with the OFF export), finds facets
 by enumerating supporting hyperplanes through affinely independent point
 subsets, and vertices as the points whose tight facet normals span the space.
 
-The idempotent lattice of the closure of a maximal torus in a reductive
-monoid is anti-isomorphic to the face lattice of a convex polytope of this
-kind; that correspondence is background for the f_vector/face machinery here
-but is not materialized as a map.
+The face lattice behind f_vector and the OFF export (`_face_lattice`) is
+built in integers: facets are vertex-incidence bitmasks, faces are their
+intersections, and each face's dimension follows from the grading of the
+lattice, with no rank computation.  The idempotent lattice of the closure of
+a maximal torus in a reductive monoid is anti-isomorphic to the face lattice
+of a polytope of this kind; that correspondence is background here and is
+not materialized as a map.
 """
 
 from __future__ import annotations
@@ -238,32 +241,55 @@ def contains(p: RationalPolytope, x: Weight) -> bool:
 
 
 def _face_lattice(p: RationalPolytope) -> dict[int, set[frozenset[int]]]:
-    """Proper faces as vertex-index sets, graded by dimension."""
-    verts = p.vertices
-    n = len(verts)
-    facet_sets = []
+    """Proper faces as vertex-index sets, graded by dimension.
+
+    A face is an int bitmask over vertex indices.  With L the lcm of every
+    denominator in the vertex coordinates and the facet data, vertex x lies
+    on the facet normal . x <= offset iff (L normal) . (L x) == L^2 offset,
+    an integer test.  Every face is an intersection of facets, so the faces
+    are the closure of the facet masks under &.
+
+    The dimension needs no rank.  The face lattice is graded, and every facet
+    of a face F is F & g for some facet g of the polytope, while every other
+    nonempty F & g != F is a smaller face of F.  So dim F = 1 + max dim(F & g)
+    over the facets g with F & g not in {0, F}, and F is a vertex when there
+    is no such g.  Faces are visited by increasing vertex count, so every
+    F & g is graded before F.
+    """
+    scale = 1
+    for v in p.vertices:
+        for c in v.coords:
+            scale = math.lcm(scale, c.denominator)
     for nrm, off in p.facets:
-        facet_sets.append(
-            frozenset(i for i in range(n) if linalg.dot(nrm, verts[i].coords) == off)
-        )
-    faces: set[frozenset[int]] = set(facet_sets)
-    frontier = set(facet_sets)
+        for c in nrm + (off,):
+            scale = math.lcm(scale, c.denominator)
+    verts = [tuple(int(c * scale) for c in v.coords) for v in p.vertices]
+    facets = []
+    for nrm, off in p.facets:
+        a = tuple(int(c * scale) for c in nrm)
+        top = int(off * scale) * scale
+        mask = 0
+        for i, x in enumerate(verts):
+            if sum(ai * xi for ai, xi in zip(a, x)) == top:
+                mask |= 1 << i
+        facets.append(mask)
+    faces = set(facets)
+    frontier = set(facets)
     while frontier:
         new = set()
         for f in frontier:
-            for g in facet_sets:
+            for g in facets:
                 h = f & g
                 if h and h not in faces:
                     faces.add(h)
                     new.add(h)
         frontier = new
+    dims: dict[int, int] = {}
+    for f in sorted(faces, key=int.bit_count):
+        dims[f] = 1 + max((dims[h] for g in facets if (h := f & g) and h != f), default=-1)
     graded: dict[int, set[frozenset[int]]] = {}
-    for f in faces:
-        pts = [verts[i].coords for i in f]
-        dim = 0 if len(pts) == 1 else linalg.rank(
-            linalg.mat([linalg.vec_sub(q, pts[0]) for q in pts[1:]])
-        )
-        graded.setdefault(dim, set()).add(f)
+    for f, dim in dims.items():
+        graded.setdefault(dim, set()).add(frozenset(i for i in range(f.bit_length()) if f >> i & 1))
     return graded
 
 
@@ -415,7 +441,8 @@ def _cycle_order(points3: list[tuple[float, float, float]], face: list[int]) -> 
 
 def to_off(p: RationalPolytope) -> str:
     """OFF export in coordinates on the polytope's affine span, padded with
-    zeros below dimension 3.  Affine dimension > 3 is rejected (require_off_dim)."""
+    zeros below dimension 3.  Affine dimension > 3 is rejected (require_off_dim).
+    A polygon lists itself as its one face and a segment counts as one edge."""
     require_off_dim(p.affine_dim)
     frame = _AffineFrame([v.coords for v in p.vertices])
     proj = []
@@ -423,7 +450,9 @@ def to_off(p: RationalPolytope) -> str:
         c = frame.coords(v.coords)
         c3 = tuple(float(c[i]) if i < len(c) else 0.0 for i in range(3))
         proj.append(c3)
-    graded = _face_lattice(p) if p.affine_dim >= 2 else {}
+    graded = _face_lattice(p)
+    # the polytope is a face of itself: the polygon at dimension 2, the edge at 1
+    graded[p.affine_dim] = {frozenset(range(len(proj)))}
     faces2 = sorted(sorted(f) for f in graded.get(2, ()))
     edges = graded.get(1, ())
     lines = ["OFF", f"{len(proj)} {len(faces2)} {len(edges)}"]

@@ -216,6 +216,7 @@ def _cli_stdout(argv, hashseed):
     [
         ("verify",),
         ("weight-polytope", "--family", "B", "--n", "3", "--lambda", "1,0,1", "--format", "json"),
+        ("weight-polytope", "--family", "B", "--n", "3", "--lambda", "1,1,1", "--format", "off"),
     ],
 )
 def test_stdout_bytes_independent_of_hash_seed(argv):
@@ -248,8 +249,9 @@ def test_renner_n4_json_frontier(capsys):
 # SHA-256 of stdout, recorded on the brute-force hull and Hasse reduction
 # before both were replaced by structure-aware algorithms, and on the
 # per-matrix mod-q eliminations and slot-loop enumerators before those were
-# replaced by one row_reduce and one matrix decoder, and on the affine-frame
-# weight polytopes before their span and facets were read off the root datum
+# replaced by one row_reduce and one matrix decoder, on the affine-frame
+# weight polytopes before their span and facets were read off the root datum,
+# and on the Fraction face lattice before it became integer bitmasks
 GOLDEN_STDOUT = {
     "verify": "6d4246b5d637953b99d54a81e29fa6c4da7db6117a1c31dea3da537fa15c5116",
     "census --form skew --n 4 --q 3": "4d2a1cc2954cbcba1ec38583e2a9188dbe543dcda9cb2a8666d0931d191fbed5",
@@ -271,6 +273,11 @@ GOLDEN_STDOUT = {
     "weight-polytope --family A --n 4 --lambda 1,1,1,1 --format json": "24ee6326d4f211c24a684e590625a057bb48847187bd7b8f61d605fc44e23cb0",
     "weight-polytope --family D --n 2 --lambda 1,0 --format json": "442ac6ededb602a524325dbaaf8d8fc7f007e4582941e1a9dccd851ea056e601",
     "weight-polytope --family A --n 3 --lambda 0,0,0 --format json": "5b86656a8a9f6362560726e2d790e87f95eacd342419bdac4ef77322b8cb8313",
+    "weight-polytope --family A --n 3 --lambda 1,1,1 --format off": "5075f715d300437b4ec95fa93cc8c4c7f121858075a963c56e47ca75e12a3951",
+    "weight-polytope --family B --n 3 --lambda 1,1,1 --format off": "8dc62c1ceadbfd32c48f9746bb1eb93c2b978968cf3b03bf8df875ec90f64764",
+    "weight-polytope --family B --n 3 --lambda 0,0,1 --format off": "473b75e5998bd3ebeb1c90b3f4fe7e5f83c86f9d6ae3b0ca83c255f1e92dac57",
+    "weight-polytope --family C --n 3 --lambda 1,0,0 --format off": "ae830c515bbb2251393f97b8e52e98bc7f4a6041abc76564d19bcc3e038d71eb",
+    "weight-polytope --family D --n 4 --lambda 1,1,1,1 --format json": "2291003f41f34d283aa8581ecff2d93ad762e26170d90665cb5626f02c3cc89b",
 }
 
 

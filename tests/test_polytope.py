@@ -3,6 +3,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symmon import involution as iv
 from symmon import linalg
@@ -10,6 +12,40 @@ from symmon import polytope as pt
 from symmon import root_weight as rw
 from symmon.errors import PreconditionError, ResourceLimitError
 from symmon.root_weight import weight
+
+ROOT_SYSTEMS = [("A", r) for r in range(1, 5)] + [(f, r) for f in "BCD" for r in range(2, 5)]
+
+
+def _face_lattice_oracle(p):
+    """The Fraction face lattice that _face_lattice replaced: vertex-facet
+    incidence by Fraction dot products, faces as frozensets, and each face's
+    dimension as the rank of its vertex differences."""
+    verts = p.vertices
+    n = len(verts)
+    facet_sets = []
+    for nrm, off in p.facets:
+        facet_sets.append(
+            frozenset(i for i in range(n) if linalg.dot(nrm, verts[i].coords) == off)
+        )
+    faces = set(facet_sets)
+    frontier = set(facet_sets)
+    while frontier:
+        new = set()
+        for f in frontier:
+            for g in facet_sets:
+                h = f & g
+                if h and h not in faces:
+                    faces.add(h)
+                    new.add(h)
+        frontier = new
+    graded = {}
+    for f in faces:
+        pts = [verts[i].coords for i in f]
+        dim = 0 if len(pts) == 1 else linalg.rank(
+            linalg.mat([linalg.vec_sub(q, pts[0]) for q in pts[1:]])
+        )
+        graded.setdefault(dim, set()).add(f)
+    return graded
 
 
 def test_hull_single_point():
@@ -109,17 +145,36 @@ def test_weight_polytope_vertices_are_one_orbit():
         assert set(p.vertices) == set(rw.weyl_orbit(rs, base))
 
 
+def _euler_holds(p):
+    f = pt.f_vector(p)
+    return sum((-1) ** i * fi for i, fi in enumerate(f)) == 1 - (-1) ** p.affine_dim
+
+
 def test_euler_relation():
     cases = [
         pt.hull([weight([0, 0]), weight([1, 0]), weight([0, 1])]),
         pt.hull([weight([0, 0, 0]), weight([1, 0, 0]), weight([0, 1, 0]), weight([0, 0, 1])]),
-        pt.weight_polytope(rw.root_system("A", 3), rw.from_fundamental(rw.root_system("A", 3), (1, 0, 1))),
-        pt.weight_polytope(rw.root_system("A", 4), rw.from_fundamental(rw.root_system("A", 4), (1, 0, 0, 0))),
         pt.weight_polytope(rw.root_system("B", 2), rw.from_fundamental(rw.root_system("B", 2), (2, 0))),
     ]
     for p in cases:
-        f = pt.f_vector(p)
-        assert sum((-1) ** i * fi for i, fi in enumerate(f)) == 1 - (-1) ** p.affine_dim
+        assert _euler_holds(p)
+
+
+def _admitted_01_labels():
+    """(family, rank, labels) of every weight polytope with labels in {0, 1}
+    whose orbit the hull point guard admits."""
+    for family, rank in ROOT_SYSTEMS:
+        rs = rw.root_system(family, rank)
+        for labels in itertools.product((0, 1), repeat=rank):
+            points = pt.weight_orbit_points(rs, rw.from_fundamental(rs, labels))
+            if len(points) <= pt.HULL_POINT_GUARD:
+                yield family, rank, labels
+
+
+@pytest.mark.parametrize("family, rank, labels", list(_admitted_01_labels()))
+def test_euler_relation_weight_polytopes(family, rank, labels):
+    rs = rw.root_system(family, rank)
+    assert _euler_holds(pt.weight_polytope(rs, rw.from_fundamental(rs, labels)))
 
 
 def test_extended_weights_inside_orbit_polytope():
@@ -169,6 +224,30 @@ def test_off_export():
     assert off == pt.to_off(p)
 
 
+@pytest.mark.parametrize(
+    "family, labels, header",
+    [
+        ("A", (0, 0), "1 0 0"),
+        ("A", (1,), "2 0 1"),
+        ("A", (1, 0), "3 1 3"),
+        ("A", (1, 1), "6 1 6"),
+        ("D", (1, 1), "4 1 4"),
+    ],
+)
+def test_off_export_counts_the_polytope_as_a_face(family, labels, header):
+    # below dimension 3 the polytope itself is the one 2-face (a polygon,
+    # listed in cyclic order) or the one edge (a segment)
+    rs = rw.root_system(family, len(labels))
+    p = pt.weight_polytope(rs, rw.from_fundamental(rs, labels))
+    lines = pt.to_off(p).splitlines()
+    assert lines[1] == header
+    if p.affine_dim == 2:
+        cycle = [int(x) for x in lines[-1].split()[1:]]
+        assert sorted(cycle) == list(range(len(p.vertices)))
+        sides = {frozenset(pair) for pair in zip(cycle, cycle[1:] + cycle[:1])}
+        assert sides == pt._face_lattice(p)[1]
+
+
 def test_off_export_rejects_affine_dim_above_3():
     # the 4-simplex: a 3-coordinate OFF would put two vertices at the origin
     a4 = rw.root_system("A", 4)
@@ -177,18 +256,19 @@ def test_off_export_rejects_affine_dim_above_3():
         pt.to_off(simplex)
 
 
-@pytest.mark.parametrize(
-    "family, rank", [("A", r) for r in range(1, 5)] + [(f, r) for f in "BCD" for r in range(2, 5)]
-)
+@pytest.mark.parametrize("family, rank", ROOT_SYSTEMS)
 def test_weight_polytope_matches_hull(family, rank):
-    # the closed-form facets against the generic facet search, on every
-    # dominant lambda with labels in {0, 1, 2} and at most 16 orbit points
+    # the closed-form facets against the generic facet search, and the integer
+    # face lattice against the Fraction oracle, on every dominant lambda with
+    # labels in {0, 1, 2} and at most 16 orbit points
     rs = rw.root_system(family, rank)
     for labels in itertools.product((0, 1, 2), repeat=rank):
         lam = rw.from_fundamental(rs, labels)
         points = pt.weight_orbit_points(rs, lam)
         if len(points) <= 16:
-            assert pt.weight_polytope(rs, lam) == pt.hull(points), labels
+            p, h = pt.weight_polytope(rs, lam), pt.hull(points)
+            assert p == h, labels
+            assert pt._face_lattice(p) == _face_lattice_oracle(h), labels
 
 
 @pytest.mark.parametrize("family, labels", [("B", (0, 1, 0, 0)), ("B", (1, 0, 1))])
@@ -196,12 +276,29 @@ def test_weight_polytope_matches_hull_large(family, labels):
     # the 24-cell and the rhombicuboctahedron
     rs = rw.root_system(family, len(labels))
     lam = rw.from_fundamental(rs, labels)
-    assert pt.weight_polytope(rs, lam) == pt.hull(pt.weight_orbit_points(rs, lam))
+    p, h = pt.weight_polytope(rs, lam), pt.hull(pt.weight_orbit_points(rs, lam))
+    assert p == h
+    assert pt._face_lattice(p) == _face_lattice_oracle(h)
 
 
-@pytest.mark.parametrize(
-    "family, rank", [("A", r) for r in range(1, 5)] + [(f, r) for f in "BCD" for r in range(2, 5)]
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda d: st.tuples(
+            st.integers(1, 3),
+            st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=1, max_size=10),
+        )
+    )
 )
+def test_face_lattice_matches_oracle_on_random_hulls(case):
+    # a shared denominator puts fractions in the vertices, so the incidence
+    # scale is exercised, not only integer coordinates
+    denom, points = case
+    p = pt.hull([weight([Fraction(c, denom) for c in x]) for x in points])
+    assert pt._face_lattice(p) == _face_lattice_oracle(p)
+
+
+@pytest.mark.parametrize("family, rank", ROOT_SYSTEMS)
 def test_weight_polytope_dim_is_rank_of_orbit_span(family, rank):
     # the dimension read off the Dynkin components against the rank of the
     # differences of the orbit points
@@ -236,3 +333,10 @@ def test_a4_permutohedron_frontier():
     p = pt.weight_polytope(a4, rw.from_fundamental(a4, (1, 1, 1, 1)))
     assert pt.f_vector(p) == (120, 240, 150, 2**5 - 2)
     assert p.affine_dim == 4
+    # the largest polytope the hull point guard admits, conv(W(D_4) . rho):
+    # f_k is the sum of |W| / |W_J| over the k-subsets J of the Dynkin nodes,
+    # |W| = 192: 4 * 96, then 3 * 32 + 3 * 48 (A_2 and A_1 x A_1), then
+    # 3 * 8 + 24 (A_3 and A_1^3)
+    d4 = rw.root_system("D", 4)
+    p = pt.weight_polytope(d4, rw.from_fundamental(d4, (1, 1, 1, 1)))
+    assert pt.f_vector(p) == (192, 384, 240, 48)
