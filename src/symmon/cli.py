@@ -149,6 +149,12 @@ def _parse_matrix(text: str, q: int) -> ff.FqMatrix:
         rows = [[int(e) for e in row.split(",")] for row in text.split(";")]
     except ValueError as exc:
         raise PreconditionError(f"bad --matrix {text!r}: {exc}") from exc
+    short = next((i for i, row in enumerate(rows, 1) if len(row) != len(rows)), None)
+    if short is not None:
+        raise PreconditionError(
+            f"bad --matrix {text!r}: not square: {len(rows)} rows, "
+            f"but row {short} has length {len(rows[short - 1])}"
+        )
     return ff.fq_matrix(q, rows)
 
 

@@ -96,10 +96,10 @@ class FqMatrix:
         )
 
     def transpose(self) -> "FqMatrix":
-        return FqMatrix(self.q, tuple(zip(*self.rows)))
+        return _reduced(self.q, tuple(zip(*self.rows)))
 
     def __neg__(self) -> "FqMatrix":
-        return FqMatrix(self.q, tuple(tuple(-e % self.q for e in row) for row in self.rows))
+        return _reduced(self.q, tuple(tuple(-e % self.q for e in row) for row in self.rows))
 
     def rank(self) -> int:
         return len(row_reduce([list(r) for r in self.rows], self.q)[1])
@@ -238,8 +238,10 @@ class BorelFactorization:
     v: FqMatrix
 
     def product(self) -> FqMatrix:
-        tr = self.t @ _reduced(self.t.q, self.r.zero_one_rows())
-        return self.u @ tr @ self.v
+        t, cols = self.t.rows, range(1, self.t.n + 1)
+        # row i of t . r holds t_ii at column r(i), and is zero when r(i) = 0
+        tr = tuple(tuple(t[i][i] if j == c else 0 for j in cols) for i, c in enumerate(self.r.map))
+        return self.u @ _reduced(self.t.q, tr) @ self.v
 
     def pattern_ok(self) -> bool:
         """Check the uniqueness pattern: u is supported on (a, b) with b a pivot

@@ -47,17 +47,33 @@ class RankControl:
 
 
 def rank_control(a: FqMatrix) -> RankControl:
-    """The ranks of all trailing submatrices, read off pivot columns: one
-    reduction per starting row i, of the rows of A[i.., :] with their columns
-    reversed.  Columns are eliminated right to left, so rank A[i.., j..] is the
-    number of pivots below n - j."""
-    n = a.n
-    rho = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(n):
-        _, pivots = ff.row_reduce([row[::-1] for row in a.rows[i:]], a.q)
-        for j in range(n):
-            rho[i][j] = sum(p < n - j for p in pivots)
-    return RankControl(tuple(tuple(r) for r in rho))
+    """The ranks of all trailing submatrices, from one bottom-up pass.
+
+    The rows of A, columns reversed, enter an echelon basis keyed by leading
+    position, from the last row up.  On the first k reversed columns, the
+    rank of an echelon basis is the number of its leading positions below k.
+    So a row that survives reduction with leading position c makes rho[i][j]
+    one more than rho[i + 1][j] for every j < n - c, and equal to it for
+    the other j."""
+    n, q = a.n, a.q
+    basis: dict[int, list[int]] = {}  # leading position -> row with leading entry 1
+    rho = [(0,) * (n + 1)]
+    for row in reversed(a.rows):
+        v = row[::-1]
+        c = 0  # ends at the leading position of the reduced row, or n if it is zero
+        while c < n:
+            if v[c]:
+                b = basis.get(c)
+                if b is None:
+                    inv = ff.inv_mod(v[c], q)
+                    basis[c] = [e * inv % q for e in v]
+                    break
+                f = v[c]
+                v = [(e - f * p) % q for e, p in zip(v, b)]
+            c += 1
+        below = rho[-1]
+        rho.append(tuple([r + 1 for r in below[: n - c]]) + below[n - c :])
+    return RankControl(tuple(reversed(rho)))
 
 
 def _inclusion_exclusion(rc: RankControl) -> list[list[int]]:

@@ -10,7 +10,7 @@ their affine span (`_AffineFrame`, shared with the OFF export), finds facets
 by enumerating supporting hyperplanes through affinely independent point
 subsets, and vertices as the points whose tight facet normals span the space.
 
-The face lattice behind f_vector and the OFF export (`_face_lattice`) is
+The face lattice behind f_vector and the OFF export (`_face_dims`) is
 built in integers: facets are vertex-incidence bitmasks, faces are their
 intersections, and each face's dimension follows from the grading of the
 lattice, with no rank computation.  The idempotent lattice of the closure of
@@ -240,14 +240,15 @@ def contains(p: RationalPolytope, x: Weight) -> bool:
     return all(linalg.dot(nrm, x.coords) <= off for nrm, off in p.facets)
 
 
-def _face_lattice(p: RationalPolytope) -> dict[int, set[frozenset[int]]]:
-    """Proper faces as vertex-index sets, graded by dimension.
+def _face_dims(p: RationalPolytope) -> dict[int, int]:
+    """The proper faces, each an int bitmask over vertex indices, mapped to
+    their dimensions.
 
-    A face is an int bitmask over vertex indices.  With L the lcm of every
-    denominator in the vertex coordinates and the facet data, vertex x lies
-    on the facet normal . x <= offset iff (L normal) . (L x) == L^2 offset,
-    an integer test.  Every face is an intersection of facets, so the faces
-    are the closure of the facet masks under &.
+    With L the lcm of every denominator in the vertex coordinates and the
+    facet data, vertex x lies on the facet normal . x <= offset iff
+    (L normal) . (L x) == L^2 offset, an integer test.  Every face is an
+    intersection of facets, so the faces are the closure of the facet masks
+    under &.
 
     The dimension needs no rank.  The face lattice is graded, and every facet
     of a face F is F & g for some facet g of the polytope, while every other
@@ -287,8 +288,13 @@ def _face_lattice(p: RationalPolytope) -> dict[int, set[frozenset[int]]]:
     dims: dict[int, int] = {}
     for f in sorted(faces, key=int.bit_count):
         dims[f] = 1 + max((dims[h] for g in facets if (h := f & g) and h != f), default=-1)
+    return dims
+
+
+def _face_lattice(p: RationalPolytope) -> dict[int, set[frozenset[int]]]:
+    """Proper faces as vertex-index sets, graded by dimension."""
     graded: dict[int, set[frozenset[int]]] = {}
-    for f, dim in dims.items():
+    for f, dim in _face_dims(p).items():
         graded.setdefault(dim, set()).add(frozenset(i for i in range(f.bit_length()) if f >> i & 1))
     return graded
 
@@ -300,8 +306,8 @@ def f_vector(p: RationalPolytope) -> tuple[int, ...]:
         raise ResourceLimitError(f"f_vector guard: affine dimension <= {FVECTOR_DIM_GUARD}")
     if d == 0:
         return ()
-    graded = _face_lattice(p)
-    return tuple(len(graded.get(i, ())) for i in range(d))
+    dims = list(_face_dims(p).values())
+    return tuple(dims.count(i) for i in range(d))
 
 
 def _require_dominant(rs: RootSystem, lam: Weight):

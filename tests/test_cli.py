@@ -103,6 +103,17 @@ def test_factor_roundtrip(capsys):
     assert u @ t @ r @ v == ff.fq_matrix(3, [[1, 1], [1, 1]])
 
 
+@pytest.mark.parametrize(
+    "matrix,shape",
+    [("1,2;3", "2 rows, but row 2 has length 1"), ("1,2,3;4,5", "2 rows, but row 1 has length 3")],
+)
+def test_factor_rejects_non_square_matrix(capsys, matrix, shape):
+    code, out, err = run(capsys, "factor", "--q", "5", "--matrix", matrix)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad --matrix {matrix!r}: not square: {shape}\n"
+
+
 def test_weight_polytope_text_and_off(capsys):
     code, out, _ = run(capsys, "weight-polytope", "--family", "A", "--n", "3", "--lambda", "1,0,1")
     assert code == 0

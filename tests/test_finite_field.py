@@ -124,6 +124,14 @@ def test_bruhat_factor_hand_example():
     assert fac.pattern_ok()
 
 
+@pytest.mark.parametrize("n,q", [(2, 5), (3, 2)])
+def test_product_matches_three_matmuls(n, q):
+    """product() builds t . r directly; it equals u . (t . r) . v multiplied out."""
+    for m in ff.enumerate_matrices(n, q):
+        fac = ff.bruhat_factor(m)
+        assert fac.product() == fac.u @ (fac.t @ ff.from_rook(fac.r, q)) @ fac.v
+
+
 @pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
 def test_bruhat_factor_exhaustive(n, q):
     rooks = set()
@@ -258,7 +266,7 @@ def test_products_skip_validation_but_stay_reduced():
     for q in (2, 3, 5, 7):
         a = ff.fq_matrix(q, [[1, 2, 3], [4, 5, 6], [0, 1, 6]])
         b = ff.fq_matrix(q, [[q - 1, 0, 1], [2, 2, 2], [3, 0, 5]])
-        for m in (a @ b, b @ a, a @ a @ b):
+        for m in (a @ b, b @ a, a @ a @ b, a.transpose(), -a, -b.transpose()):
             assert m == FqMatrix(q, m.rows)
             assert all(0 <= e < q for row in m.rows for e in row)
         for g in ff.borel_generators(3, q):

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -69,14 +70,35 @@ def test_rank_control_examples():
                 assert rho[i][j] - rho[i][j + 1] <= 1
 
 
+@functools.cache
+def _rank(rows, q):
+    return len(ff.row_reduce([list(row) for row in rows], q)[1])
+
+
 def _rank_control_oracle(a):
-    """rank_control by its definition: one reduction per trailing submatrix."""
+    """rank_control by its definition: one reduction per trailing submatrix,
+    cached by the submatrix, which exhaustive spaces share between matrices."""
     n = a.n
     rho = [[0] * (n + 1) for _ in range(n + 1)]
     for i in range(n):
+        rows = a.rows[i:]
         for j in range(n):
-            rho[i][j] = len(ff.row_reduce([list(row[j:]) for row in a.rows[i:]], a.q)[1])
+            rho[i][j] = _rank(tuple([row[j:] for row in rows]), a.q)
     return ob.RankControl(tuple(tuple(r) for r in rho))
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        lambda: ff.enumerate_matrices(3, 2),
+        lambda: ff.enumerate_symmetric(3, 5),
+        lambda: ff.enumerate_skew(4, 3),
+    ],
+    ids=["Mat_3(F_2)", "Sym_3(F_5)", "Skew_4(F_3)"],
+)
+def test_rank_control_matches_oracle_exhaustive(space):
+    for m in space():
+        assert ob.rank_control(m) == _rank_control_oracle(m)
 
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -85,10 +107,11 @@ SIZES = st.integers(0, 6)
 
 
 @st.composite
-def fq_matrices(draw):
+def fq_matrices(draw, moduli=MODULI, sizes=SIZES):
     """Dense, sparse (at most n nonzero entries) or singular (last row a
-    combination of the others) n x n matrices, n <= 6, over F_5 or F_7."""
-    q, n = draw(MODULI), draw(SIZES)
+    combination of the others) n x n matrices, by default n <= 6 over F_5
+    or F_7."""
+    q, n = draw(moduli), draw(sizes)
     cells = st.integers(0, q - 1)
     rows = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=n, max_size=n))
     kind = draw(st.sampled_from(("dense", "sparse", "singular"))) if n else "dense"
@@ -117,7 +140,7 @@ def borel_and_symmetric(draw):
 
 
 @PROPERTY_SETTINGS
-@given(fq_matrices())
+@given(fq_matrices(st.sampled_from((2, 3, 5, 7)), st.integers(0, 8)))
 def test_rank_control_matches_oracle(m):
     assert ob.rank_control(m) == _rank_control_oracle(m)
 
