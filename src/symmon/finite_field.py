@@ -23,6 +23,18 @@ def _check_prime(q: int):
         raise PreconditionError(f"modulus {q} not supported (use one of {SUPPORTED_PRIMES})")
 
 
+def _check_space(what: str, q: int, dim: int):
+    """Bound an enumeration of q^dim matrices by SPACE_GUARD."""
+    _check_prime(q)
+    if dim > 64:  # q^dim alone is far beyond the limit; do not build the integer
+        size = f"{q}^{dim}"
+    elif q**dim <= SPACE_GUARD:
+        return
+    else:
+        size = f"{q}^{dim} = {q**dim}"
+    raise ResourceLimitError(f"{what} space: {size} matrices exceed the limit {SPACE_GUARD}")
+
+
 def inv_mod(a: int, q: int) -> int:
     a %= q
     if a == 0:
@@ -67,9 +79,22 @@ def primitive_root(q: int) -> int:
     return 1  # q == 2
 
 
-@dataclass(frozen=True, order=True)
+# kernel: row i of a b is the sum over k of a[i][k] times row k of b packed one
+# byte per entry (int.from_bytes(bytes(row), "little")), so byte j of that sum
+# is the unreduced dot product (a b)[i][j], as long as no byte reaches 256 and
+# carries into the next.  A term adds at most (q - 1)^2 to a byte, so a sum
+# takes at most _CHUNK[q] = 255 // (q - 1)^2 terms: n <= 255, 63, 15, 7 for
+# q = 2, 3, 5, 7 is one sum per row.  Past that, the first _CHUNK[q] terms are
+# summed, reduced, and carried as one more term (the reduced row times a
+# packed 1), until one sum is left.  bytes.translate(_MOD_TABLE[q]) reduces
+# every byte of a row mod q in one C call.
+_MOD_TABLE = {q: bytes(b % q for b in range(256)) for q in SUPPORTED_PRIMES}
+_CHUNK = {q: 255 // (q - 1) ** 2 for q in SUPPORTED_PRIMES}
+
+
+@dataclass(frozen=True, eq=False)
 class FqMatrix:
-    """A dense square matrix of residues mod q."""
+    """A dense square matrix of residues mod q, ordered by (q, rows)."""
 
     q: int
     rows: tuple[tuple[int, ...], ...]
@@ -81,18 +106,60 @@ class FqMatrix:
             if len(row) != n or any(not 0 <= e < self.q for e in row):
                 raise PreconditionError("rows must be reduced residues of a square matrix")
 
+    # the (q, rows) order of a dataclass with order=True, without building the tuples
+    def __eq__(self, other):
+        if other.__class__ is not FqMatrix:
+            return NotImplemented
+        return self.q == other.q and self.rows == other.rows
+
+    def __hash__(self):
+        return hash(self.rows)
+
+    def __lt__(self, other):
+        if other.__class__ is not FqMatrix:
+            return NotImplemented
+        return self.q < other.q or (self.q == other.q and self.rows < other.rows)
+
+    def __le__(self, other):
+        if other.__class__ is not FqMatrix:
+            return NotImplemented
+        return self.q < other.q or (self.q == other.q and self.rows <= other.rows)
+
+    def __gt__(self, other):
+        if other.__class__ is not FqMatrix:
+            return NotImplemented
+        return self.q > other.q or (self.q == other.q and self.rows > other.rows)
+
+    def __ge__(self, other):
+        if other.__class__ is not FqMatrix:
+            return NotImplemented
+        return self.q > other.q or (self.q == other.q and self.rows >= other.rows)
+
     @property
     def n(self) -> int:
         return len(self.rows)
 
     def __matmul__(self, other: "FqMatrix") -> "FqMatrix":
-        if self.q != other.q or self.n != other.n:
+        if other.__class__ is not FqMatrix:
+            return NotImplemented
+        q, rows = self.q, self.rows
+        n = len(rows)
+        if q != other.q or n != len(other.rows):
             raise PreconditionError("size or modulus mismatch")
-        q = self.q
-        cols = tuple(zip(*other.rows))
-        # both operands are validated and every entry is reduced mod q
+        # both operands are validated, so every entry is a residue below 256
+        table, step = _MOD_TABLE[q], _CHUNK[q]
+        packed = [int.from_bytes(bytes(row), "little") for row in other.rows]
+        while len(packed) > step:
+            part = packed[:step]  # map(mul, row, part) stops after step terms
+            carry = [
+                int.from_bytes(sum(map(mul, row, part)).to_bytes(n, "little").translate(table), "little")
+                for row in rows
+            ]
+            rows = [row[step:] + (c,) for row, c in zip(rows, carry)]
+            packed = packed[step:] + [1]
         return _reduced(
-            q, tuple(tuple(sum(map(mul, row, col)) % q for col in cols) for row in self.rows)
+            q,
+            tuple([tuple(sum(map(mul, row, packed)).to_bytes(n, "little").translate(table)) for row in rows]),
         )
 
     def transpose(self) -> "FqMatrix":
@@ -149,8 +216,9 @@ def _reduced(q: int, rows: tuple[tuple[int, ...], ...]) -> FqMatrix:
     """An FqMatrix from rows already known to be square and reduced mod a
     supported q, built without re-validating them."""
     m = object.__new__(FqMatrix)
-    object.__setattr__(m, "q", q)
-    object.__setattr__(m, "rows", rows)
+    fields = m.__dict__  # past the frozen __setattr__
+    fields["q"] = q
+    fields["rows"] = rows
     return m
 
 
@@ -182,9 +250,7 @@ def from_rook(r: RookElement, q: int, diag=None) -> FqMatrix:
 
 def enumerate_matrices(n: int, q: int):
     """All of Mat_n(F_q), row-major lexicographic order."""
-    _check_prime(q)
-    if q ** (n * n) > SPACE_GUARD:
-        raise ResourceLimitError("matrix space exceeds guard")
+    _check_space("matrix", q, n * n)
     return map(_decoder(n, q), range(q ** (n * n)))
 
 
@@ -213,17 +279,13 @@ def borel_generators(n: int, q: int) -> tuple[FqMatrix, ...]:
 
 def enumerate_symmetric(n: int, q: int):
     """All symmetric n x n matrices over F_q, in increasing order."""
-    _check_prime(q)
-    if q ** (n * (n + 1) // 2) > SPACE_GUARD:
-        raise ResourceLimitError("symmetric space exceeds guard")
+    _check_space("symmetric", q, n * (n + 1) // 2)
     return map(_decoder(n, q), _form_codes(n, q, "sym"))
 
 
 def enumerate_skew(n: int, q: int):
     """All skew-symmetric n x n matrices (zero diagonal) over F_q, in increasing order."""
-    _check_prime(q)
-    if q ** (n * (n - 1) // 2) > SPACE_GUARD:
-        raise ResourceLimitError("skew space exceeds guard")
+    _check_space("skew", q, n * (n - 1) // 2)
     return map(_decoder(n, q), _form_codes(n, q, "skew"))
 
 
@@ -327,7 +389,7 @@ def orbit_enumerate(act, space, generators, guard: int = SPACE_GUARD):
     """
     points = list(space)
     if len(points) > guard:
-        raise ResourceLimitError("orbit space exceeds guard")
+        raise ResourceLimitError(f"orbit space: {len(points)} points exceed the limit {guard}")
     seen_orbit: dict = {}
     orbits = []
     for start in points:
@@ -344,7 +406,10 @@ def orbit_enumerate(act, space, generators, guard: int = SPACE_GUARD):
                         orbit.add(y)
                         nxt.append(y)
                         if len(seen_orbit) + len(orbit) > guard:
-                            raise ResourceLimitError("orbit enumeration exceeds guard")
+                            raise ResourceLimitError(
+                                f"orbit enumeration: {len(seen_orbit) + len(orbit)} points "
+                                f"exceed the limit {guard}"
+                            )
             frontier = nxt
         orbit_t = tuple(sorted(orbit))
         for x in orbit_t:

@@ -174,9 +174,11 @@ class _AffineFrame:
 
 def _check_hull_guards(pts: list[Vec]):
     if len(pts) > HULL_POINT_GUARD:
-        raise ResourceLimitError(f"hull guard: at most {HULL_POINT_GUARD} points")
+        raise ResourceLimitError(f"hull guard: {len(pts)} points exceed the limit {HULL_POINT_GUARD}")
     if len(pts[0]) > HULL_AMBIENT_GUARD:
-        raise ResourceLimitError(f"hull guard: ambient dimension <= {HULL_AMBIENT_GUARD}")
+        raise ResourceLimitError(
+            f"hull guard: ambient dimension {len(pts[0])} exceeds the limit {HULL_AMBIENT_GUARD}"
+        )
 
 
 def hull(points) -> RationalPolytope:

@@ -301,4 +301,4 @@ def test_golden_stdout_bytes(capsys, argv):
 
 def test_golden_hull_guard_error(capsys):
     code, out, err = run(capsys, "weight-polytope", "--family", "B", "--n", "4", "--lambda", "1,1,1,1", "--format", "json")
-    assert (code, out, err) == (2, "", "error: hull guard: at most 200 points\n")
+    assert (code, out, err) == (2, "", "error: hull guard: 384 points exceed the limit 200\n")

@@ -1,6 +1,10 @@
 import itertools
+import random
+from operator import mul
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symmon import finite_field as ff
 from symmon import involution as iv
@@ -68,12 +72,14 @@ def test_enumerators_match_the_filtered_matrix_space():
             assert list(ff.enumerate_symmetric(n, q)) == [m for m in space if m.is_symmetric()]
             assert list(ff.enumerate_skew(n, q)) == [m for m in space if m.is_skew()]
     for enumerate_space, n, message in (
-        (ff.enumerate_matrices, 3, "matrix space exceeds guard"),
-        (ff.enumerate_symmetric, 4, "symmetric space exceeds guard"),
-        (ff.enumerate_skew, 5, "skew space exceeds guard"),
+        (ff.enumerate_matrices, 3, "matrix space: 7^9 = 40353607 matrices exceed the limit 1000000"),
+        (ff.enumerate_symmetric, 4, "symmetric space: 7^10 = 282475249 matrices exceed the limit 1000000"),
+        (ff.enumerate_skew, 5, "skew space: 7^10 = 282475249 matrices exceed the limit 1000000"),
+        (ff.enumerate_skew, 13, "skew space: 7^78 matrices exceed the limit 1000000"),
     ):
-        with pytest.raises(ResourceLimitError, match=message):
+        with pytest.raises(ResourceLimitError) as exc:
             list(enumerate_space(n, 7))
+        assert str(exc.value) == message
         with pytest.raises(PreconditionError, match="modulus 4 not supported"):
             list(enumerate_space(1, 4))
 
@@ -274,10 +280,6 @@ def test_products_skip_validation_but_stay_reduced():
             assert inv == FqMatrix(q, inv.rows)
             assert g.inverse() is inv and inv.inverse() is g
             assert g @ inv == ff.identity_matrix(3, q)
-    with pytest.raises(PreconditionError):
-        ff.identity_matrix(2, 3) @ ff.identity_matrix(2, 5)
-    with pytest.raises(PreconditionError):
-        ff.identity_matrix(2, 3) @ ff.identity_matrix(3, 3)
 
 
 def test_orbit_enumerate_trivial_group_and_determinism():
@@ -295,8 +297,12 @@ def test_orbit_enumerate_trivial_group_and_determinism():
         tuple(reversed(ff.borel_generators(2, 3))),
     )
     assert a == b
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError) as exc:
         ff.orbit_enumerate(lambda g, x: x, space, [None], guard=1)
+    assert str(exc.value) == "orbit space: 3 points exceed the limit 1"
+    with pytest.raises(ResourceLimitError) as exc:
+        ff.orbit_enumerate(lambda g, x: x + 1, [0], [None], guard=5)
+    assert str(exc.value) == "orbit enumeration: 6 points exceed the limit 5"
 
 
 def test_twisted_action_examples():
@@ -373,3 +379,95 @@ def test_from_rook_scaled():
     r = RookElement((2, 0, 1))
     m = ff.from_rook(r, 5, diag=(2, 3, 4))
     assert m.rows == ((0, 2, 0), (0, 0, 0), (4, 0, 0))
+
+
+def test_comparisons_order_by_modulus_then_rows():
+    ms = [
+        ff.fq_matrix(q, [[(i * 7 + j * 3 + s) % q for j in range(n)] for i in range(n)])
+        for q in (7, 2, 5, 3)
+        for n in (2, 0, 1, 3)
+        for s in (1, 0, 4)
+    ]
+    ms += [FqMatrix(m.q, m.rows) for m in ms[::5]]  # equal, distinct objects
+    key = lambda m: (m.q, m.rows)  # noqa: E731
+    assert sorted(ms) == sorted(ms, key=key)
+    for a in ms:
+        for b in ms:
+            assert (a == b) == (key(a) == key(b))
+            assert (a != b) == (key(a) != key(b))
+            assert (a < b) == (key(a) < key(b))
+            assert (a <= b) == (key(a) <= key(b))
+            assert (a > b) == (key(a) > key(b))
+            assert (a >= b) == (key(a) >= key(b))
+            if a == b:
+                assert hash(a) == hash(b)
+    m = ms[0]
+    assert (m == "x") is False and (m != "x") is True
+    for compare in (lambda: m < "x", lambda: m <= "x", lambda: m > "x", lambda: m >= "x"):
+        with pytest.raises(TypeError):
+            compare()
+
+
+def _matmul_oracle(a, b):
+    """The product as n^2 dot products reduced mod q, one per entry."""
+    q, cols = a.q, tuple(zip(*b.rows))
+    return FqMatrix(q, tuple(tuple(sum(map(mul, row, col)) % q for col in cols) for row in a.rows))
+
+
+@st.composite
+def _same_shape(draw, count=3):
+    """Matrices of one size n = 0..17 and one modulus, each dense, sparse or
+    all q - 1 (the largest byte sums the product kernel can meet)."""
+    q = draw(st.sampled_from(ff.SUPPORTED_PRIMES))
+    n = draw(st.integers(0, 17))
+    out = []
+    for _ in range(count):
+        kind = draw(st.sampled_from(("dense", "sparse", "top")))
+        entry = {
+            "dense": st.integers(0, q - 1),
+            "sparse": st.sampled_from((0,) * 3 * q + tuple(range(q))),
+            "top": st.just(q - 1),
+        }[kind]
+        out.append(FqMatrix(q, tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))))
+    return out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_same_shape())
+@example([FqMatrix(7, ((6,) * 17,) * 17)] * 3)
+@example([FqMatrix(5, ((4,) * 16,) * 16)] * 3)
+def test_product_matches_oracle(mats):
+    a, b, c = mats
+    ident = ff.identity_matrix(a.n, a.q)
+    assert a @ b == _matmul_oracle(a, b)
+    assert a @ ident == a == ident @ a
+    assert (a @ b) @ c == a @ (b @ c)
+
+
+@pytest.mark.parametrize(
+    "q,n", [(7, 7), (7, 8), (7, 14), (7, 15), (5, 15), (5, 16), (5, 31), (3, 63), (3, 64)]
+)
+def test_product_chunk_boundaries_match_oracle(q, n):
+    """Sizes on both sides of the product kernel's chunk boundaries (a sum
+    takes 7, 15, 63 terms for q = 7, 5, 3), against q - 1 everywhere, where
+    every full chunk meets the byte bound."""
+    rng = random.Random(100 * q + n)
+    top = FqMatrix(q, ((q - 1,) * n,) * n)
+    ramp = FqMatrix(q, tuple(tuple((i * n + j) % q for j in range(n)) for i in range(n)))
+    dense = FqMatrix(q, tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n)))
+    for a in (top, ramp, dense):
+        for b in (top, ramp, dense, dense.transpose()):
+            assert a @ b == _matmul_oracle(a, b)
+
+
+def test_product_operand_errors():
+    m = ff.identity_matrix(2, 3)
+    with pytest.raises(TypeError):
+        m @ 2
+    with pytest.raises(TypeError):
+        2 @ m
+    assert m.__matmul__(2) is NotImplemented
+    with pytest.raises(PreconditionError, match="size or modulus mismatch"):
+        m @ ff.identity_matrix(2, 5)
+    with pytest.raises(PreconditionError, match="size or modulus mismatch"):
+        m @ ff.identity_matrix(3, 3)

@@ -87,9 +87,9 @@ def test_hull_discards_interior_points():
 
 
 def test_hull_guards():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="^hull guard: 201 points exceed the limit 200$"):
         pt.hull([weight([i, 0]) for i in range(201)])
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="^hull guard: ambient dimension 7 exceeds the limit 6$"):
         pt.hull([weight([0] * 7), weight([1] * 7)])
     with pytest.raises(PreconditionError):
         pt.hull([])
