@@ -228,6 +228,8 @@ def _cli_stdout(argv, hashseed):
         ("verify",),
         ("weight-polytope", "--family", "B", "--n", "3", "--lambda", "1,0,1", "--format", "json"),
         ("weight-polytope", "--family", "B", "--n", "3", "--lambda", "1,1,1", "--format", "off"),
+        ("roots", "--family", "B", "--n", "4", "--format", "json"),
+        ("special-weights", "--family", "DIII", "--n", "5"),
     ],
 )
 def test_stdout_bytes_independent_of_hash_seed(argv):
@@ -262,7 +264,8 @@ def test_renner_n4_json_frontier(capsys):
 # per-matrix mod-q eliminations and slot-loop enumerators before those were
 # replaced by one row_reduce and one matrix decoder, on the affine-frame
 # weight polytopes before their span and facets were read off the root datum,
-# and on the Fraction face lattice before it became integer bitmasks
+# on the Fraction face lattice before it became integer bitmasks, and on the
+# per-root Fraction pairings before the Dynkin labels came from integer coroots
 GOLDEN_STDOUT = {
     "verify": "6d4246b5d637953b99d54a81e29fa6c4da7db6117a1c31dea3da537fa15c5116",
     "census --form skew --n 4 --q 3": "4d2a1cc2954cbcba1ec38583e2a9188dbe543dcda9cb2a8666d0931d191fbed5",
@@ -289,6 +292,16 @@ GOLDEN_STDOUT = {
     "weight-polytope --family B --n 3 --lambda 0,0,1 --format off": "473b75e5998bd3ebeb1c90b3f4fe7e5f83c86f9d6ae3b0ca83c255f1e92dac57",
     "weight-polytope --family C --n 3 --lambda 1,0,0 --format off": "ae830c515bbb2251393f97b8e52e98bc7f4a6041abc76564d19bcc3e038d71eb",
     "weight-polytope --family D --n 4 --lambda 1,1,1,1 --format json": "2291003f41f34d283aa8581ecff2d93ad762e26170d90665cb5626f02c3cc89b",
+    "roots --family B --n 4 --format json": "4cccbcfb512e3329d6cc970991cff845c1667f2ef3103ad1597f3f291d7a5950",
+    "roots --family A --n 3 --format json": "447f5243f3b0447a37c582cc4cfae597c20f839c28c4f94263ec09ea158cc5c2",
+    "roots --family C --n 3": "8ccb09e41d39f9a427a1c966507cc792be3366e7e8c5b5b4654bb470bf9c4158",
+    "roots --family D --n 2": "c397317160f7431aff80b2819f8ec6b6867024a5f0c4a8b6e0aa3fb4dfd28fee",
+    "special-weights --family AII --n 3": "75305054125aca28dd13a965c2e540581d71624e15d741df146c0c31b65a31fc",
+    "special-weights --family AIII --p 2 --q 3": "112a844754e613fe7b4eab7d1d890327d8a7027652acece8b83cf44da5a9c991",
+    "special-weights --family DIII --n 5": "41f068ff56889dbb5c997d59a0503ab4bd488e8270633401b03f18e67929b296",
+    "special-weights --family BDI --p 2 --q 5": "46ff163ba227e1197e4db1665584d908458c140f9091c8fbec967756b840e524",
+    "special-weights --family BDI --p 3 --q 3": "4752583746afe79fe2a52a56366e93ca4f2befaee26adf556d412966d75e5b25",
+    "special-weights --family CII --p 1 --q 3": "87af09e14088c6460c07e2ae5e0041dcaea5bc0434db12f922fb26b2c7200b0e",
 }
 
 
