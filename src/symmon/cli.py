@@ -35,9 +35,8 @@ def _family_spec(args) -> iv.InvolutionSpec:
 
 
 def _fundamental_label(rs, lam) -> str:
-    coeffs = [rs.pairing(lam, a) for a in rs.simple_roots]
     parts = []
-    for i, c in enumerate(coeffs, start=1):
+    for i, c in enumerate(rs.labels(lam), start=1):
         if c == 0:
             continue
         parts.append(f"w{i}" if c == 1 else f"{c}*w{i}")

@@ -23,9 +23,11 @@ def _check_prime(q: int):
         raise PreconditionError(f"modulus {q} not supported (use one of {SUPPORTED_PRIMES})")
 
 
-def _check_space(what: str, q: int, dim: int):
-    """Bound an enumeration of q^dim matrices by SPACE_GUARD."""
+def _check_space(what: str, n: int, q: int, dim: int):
+    """Bound an enumeration of q^dim n x n matrices by SPACE_GUARD."""
     _check_prime(q)
+    if n < 0:
+        raise PreconditionError(f"n must be nonnegative, got {n}")
     if dim > 64:  # q^dim alone is far beyond the limit; do not build the integer
         size = f"{q}^{dim}"
     elif q**dim <= SPACE_GUARD:
@@ -250,7 +252,7 @@ def from_rook(r: RookElement, q: int, diag=None) -> FqMatrix:
 
 def enumerate_matrices(n: int, q: int):
     """All of Mat_n(F_q), row-major lexicographic order."""
-    _check_space("matrix", q, n * n)
+    _check_space("matrix", n, q, n * n)
     return map(_decoder(n, q), range(q ** (n * n)))
 
 
@@ -279,13 +281,13 @@ def borel_generators(n: int, q: int) -> tuple[FqMatrix, ...]:
 
 def enumerate_symmetric(n: int, q: int):
     """All symmetric n x n matrices over F_q, in increasing order."""
-    _check_space("symmetric", q, n * (n + 1) // 2)
+    _check_space("symmetric", n, q, n * (n + 1) // 2)
     return map(_decoder(n, q), _form_codes(n, q, "sym"))
 
 
 def enumerate_skew(n: int, q: int):
     """All skew-symmetric n x n matrices (zero diagonal) over F_q, in increasing order."""
-    _check_space("skew", q, n * (n - 1) // 2)
+    _check_space("skew", n, q, n * (n - 1) // 2)
     return map(_decoder(n, q), _form_codes(n, q, "skew"))
 
 

@@ -344,7 +344,7 @@ def _dynkin_components(cartan, nodes) -> list[set[int]]:
 
 def _support_components(rs: RootSystem, lam: Weight) -> tuple[set[int], list[set[int]]]:
     """supp(lam), and the connected components of the Dynkin diagram that meet it."""
-    supp = {i for i, alpha in enumerate(rs.simple_roots) if rs.pairing(lam, alpha)}
+    supp = {i for i, x in enumerate(rs.labels(lam)) if x}
     return supp, [c for c in _dynkin_components(rs.cartan, range(rs.rank)) if c & supp]
 
 

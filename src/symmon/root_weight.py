@@ -10,9 +10,10 @@ Classical families A, B, C, D in epsilon-coordinates:
 Weights cross the API as `Weight`s with exact `Fraction` coordinates, and
 equality of weights is exact.  The Weyl-orbit and weight-set kernels work on
 Dynkin labels instead: mu is the tuple (<mu, alpha_j^vee>)_j, integers for
-every integral weight.  The simple reflection is s_i(mu) = mu - mu_i * (row i
-of the Cartan matrix), and mu is dominant when every label is >= 0.
-`Fraction`s are built only where labels are converted back to `Weight`s.
+every integral weight, read by `RootSystem.labels` off the integer coroots.
+The simple reflection is s_i(mu) = mu - mu_i * (row i of the Cartan matrix),
+and mu is dominant when every label is a nonnegative integer.  `Fraction`s
+are built only where labels are converted back to `Weight`s.
 """
 
 from __future__ import annotations
@@ -81,13 +82,15 @@ def weight(entries) -> Weight:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Simple-root data for one classical family at a fixed rank."""
+    """Simple-root data for one classical family at a fixed rank: the integer
+    coroots 2 alpha_j / (alpha_j, alpha_j) and cartan[i][j] = <alpha_i, alpha_j^vee>."""
 
     family: str
     rank: int
     ambient_dim: int
     simple_roots: tuple[Weight, ...]
     cartan: tuple[tuple[int, ...], ...]
+    coroots: tuple[tuple[int, ...], ...]
 
     def form(self, mu: Weight, nu: Weight) -> Fraction:
         """The W-invariant bilinear form (standard dot product in our coordinates)."""
@@ -100,13 +103,17 @@ class RootSystem:
             raise DegenerateRootError("zero-norm root in pairing")
         return 2 * self.form(mu, alpha) / nn
 
+    def labels(self, mu: Weight) -> tuple:
+        """The Dynkin labels (<mu, alpha_j^vee>)_j: exact, and int where integral."""
+        out = []
+        for coroot in self.coroots:
+            x = sum(c * m for c, m in zip(coroot, mu.coords, strict=True) if c)
+            out.append(x.numerator if x.denominator == 1 else x)
+        return tuple(out)
+
     def is_dominant(self, mu: Weight) -> bool:
-        """Dominant abstract weight: all simple pairings are nonnegative integers."""
-        for alpha in self.simple_roots:
-            p = self.pairing(mu, alpha)
-            if p < 0 or p.denominator != 1:
-                return False
-        return True
+        """Dominant abstract weight: all Dynkin labels are nonnegative integers."""
+        return all(type(x) is int and x >= 0 for x in self.labels(mu))
 
     def to_json(self) -> dict:
         return {"family": self.family, "rank": self.rank}
@@ -150,14 +157,12 @@ def root_system(family: str, rank: int) -> RootSystem:
     if rank < 1:
         raise PreconditionError("rank must be positive")
     if rank > RANK_GUARD:
-        raise ResourceLimitError(f"rank {rank} exceeds desk-scale guard {RANK_GUARD}")
-    simples = tuple(weight(r) for r in _simple_roots(family, rank))
-    ambient = simples[0].dim
-    rs = RootSystem(family, rank, ambient, simples, cartan=())
-    cartan = tuple(
-        tuple(int(rs.pairing(ai, aj)) for aj in simples) for ai in simples
-    )
-    return RootSystem(family, rank, ambient, simples, cartan)
+        raise ResourceLimitError(f"root system rank {rank} exceeds the limit {RANK_GUARD}")
+    simples = _simple_roots(family, rank)
+    # 2 alpha / (alpha, alpha) is integral for every root of A-D in epsilon-coordinates
+    coroots = tuple(tuple(2 * c // sum(map(mul, a, a)) for c in a) for a in simples)
+    cartan = tuple(tuple(sum(map(mul, a, v)) for v in coroots) for a in simples)
+    return RootSystem(family, rank, len(simples[0]), tuple(map(weight, simples)), cartan, coroots)
 
 
 def rootsystem_from_json(data: dict) -> RootSystem:
@@ -173,48 +178,30 @@ def reflect(rs: RootSystem, alpha: Weight, mu: Weight) -> Weight:
     return mu - alpha.scale(c)
 
 
+def _combination(rs: RootSystem, coeffs, vectors) -> Weight:
+    """sum_k coeffs[k] * vectors[k]."""
+    w = Weight(linalg.zero_vec(rs.ambient_dim))
+    for c, v in zip(coeffs, vectors):
+        w = w + v.scale(c)
+    return w
+
+
+@functools.lru_cache(maxsize=None)
+def _cartan_inverse(rs: RootSystem) -> linalg.Mat:
+    return linalg.mat_inv(linalg.mat(rs.cartan))
+
+
 @functools.lru_cache(maxsize=None)
 def fundamental_weights(rs: RootSystem) -> tuple[Weight, ...]:
     """omega_1..omega_l with <omega_i, alpha_j> = delta_ij, inside the simple-root span."""
-    cartan_q = linalg.mat([[Fraction(e) for e in row] for row in rs.cartan])
-    cinv = linalg.mat_inv(cartan_q)
-    out = []
-    for i in range(rs.rank):
-        w = Weight(linalg.zero_vec(rs.ambient_dim))
-        for k in range(rs.rank):
-            w = w + rs.simple_roots[k].scale(cinv[i][k])
-        out.append(w)
-    return tuple(out)
+    return tuple(_combination(rs, row, rs.simple_roots) for row in _cartan_inverse(rs))
 
 
 def from_fundamental(rs: RootSystem, coeffs) -> Weight:
     """The weight sum_i coeffs[i] * omega_i."""
-    fw = fundamental_weights(rs)
     if len(coeffs) != rs.rank:
         raise PreconditionError("need one coefficient per fundamental weight")
-    w = Weight(linalg.zero_vec(rs.ambient_dim))
-    for c, om in zip(coeffs, fw):
-        w = w + om.scale(c)
-    return w
-
-
-def dominant_representative(rs: RootSystem, mu: Weight) -> tuple[Weight, tuple[int, ...]]:
-    """The unique dominant weight in the W-orbit of mu, and the simple-reflection
-    indices applied to mu to reach it, in order.
-
-    Repeatedly reflects at any simple root pairing negatively; terminates by
-    length descent.
-    """
-    current = mu
-    word: list[int] = []
-    while True:
-        for i, alpha in enumerate(rs.simple_roots):
-            if rs.form(current, alpha) < 0:
-                current = reflect(rs, alpha, current)
-                word.append(i)
-                break
-        else:
-            return current, tuple(word)
+    return _combination(rs, coeffs, fundamental_weights(rs))
 
 
 @functools.lru_cache(maxsize=None)
@@ -225,16 +212,12 @@ def _scaled_fundamental(rs: RootSystem) -> tuple[int, tuple[tuple[int, ...], ...
     return d, tuple(tuple(int(c * d) for c in om.coords) for om in fw)
 
 
-def _exact(x: Fraction):
-    return x.numerator if x.denominator == 1 else x
-
-
 def _labels_and_frame(rs: RootSystem, mu: Weight):
     """(labels, denom, scaled): the Dynkin labels of mu, and integer ambient
     coordinates for the weights that share mu's W-fixed part (the component
     orthogonal to the root span), such as its W-orbit and mu + root lattice:
     the weight with labels nu has coordinates scaled(nu) / denom."""
-    labels = tuple(_exact(rs.pairing(mu, alpha)) for alpha in rs.simple_roots)
+    labels = rs.labels(mu)
     d, rows = _scaled_fundamental(rs)
     # d * (mu - sum_j labels_j omega_j): the W-fixed part, scaled by d
     fixed = [d * c - sum(map(mul, labels, col)) for c, col in zip(mu.coords, zip(*rows))]
@@ -294,7 +277,7 @@ def weyl_orbit(rs: RootSystem, mu: Weight) -> tuple[Weight, ...]:
     points: list = []
     _extend_by_orbit(rs.cartan, _dominant_labels(rs.cartan, labels), points)
     if len(points) > ORBIT_GUARD:
-        raise ResourceLimitError("Weyl orbit exceeds size guard")
+        raise ResourceLimitError(f"Weyl orbit: {len(points)} points exceed the limit {ORBIT_GUARD}")
     return _to_weights(denom, map(scaled, points))
 
 
@@ -307,23 +290,14 @@ def all_roots(rs: RootSystem) -> tuple[Weight, ...]:
     return tuple(sorted(roots))
 
 
-@functools.lru_cache(maxsize=None)
-def _coefficient_extractor(rs: RootSystem) -> tuple[linalg.Mat, tuple[linalg.Vec, ...]]:
-    """Matrix mapping ambient coordinates to simple-root coefficients, plus
-    normals of the simple-root span (for membership checks)."""
-    basis = linalg.mat([a.coords for a in rs.simple_roots])
-    gram = linalg.mat([[linalg.dot(a, b) for b in basis] for a in basis])
-    extractor = linalg.mat_mul(linalg.mat_inv(gram), basis)
-    return extractor, linalg.nullspace(basis)
-
-
 def simple_root_coefficients(rs: RootSystem, mu: Weight) -> tuple[Fraction, ...] | None:
-    """Coefficients of mu in the simple-root basis, or None if outside the span."""
-    extractor, span_normals = _coefficient_extractor(rs)
-    for nu in span_normals:
-        if linalg.dot(nu, mu.coords) != 0:
-            return None
-    return linalg.mat_vec(extractor, mu.coords)
+    """Coefficients of mu in the simple-root basis, or None if outside the span.
+
+    The labels of mu = sum_k c_k alpha_k are c * cartan, so c = labels * cartan^-1;
+    the labels see only mu's projection onto the span, hence the reconstruction.
+    """
+    coeffs = linalg.mat_vec(linalg.transpose(_cartan_inverse(rs)), rs.labels(mu))
+    return coeffs if _combination(rs, coeffs, rs.simple_roots) == mu else None
 
 
 @functools.lru_cache(maxsize=None)
@@ -346,10 +320,7 @@ def dominance_leq(rs: RootSystem, mu: Weight, lam: Weight) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def _positive_root_labels(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(int(rs.pairing(beta, alpha)) for alpha in rs.simple_roots)
-        for beta in positive_roots(rs)
-    )
+    return tuple(map(rs.labels, positive_roots(rs)))
 
 
 def _dominant_labels_below(rs: RootSystem, lam: Weight):
@@ -395,7 +366,7 @@ def scaled_weight_set(rs: RootSystem, lam: Weight) -> tuple[int, list[tuple[int,
     for mu in dominants:
         _extend_by_orbit(rs.cartan, mu, points)
         if len(points) > ORBIT_GUARD:
-            raise ResourceLimitError("weight set exceeds size guard")
+            raise ResourceLimitError(f"weight set: {len(points)} points exceed the limit {ORBIT_GUARD}")
     return denom, list(map(scaled, points))
 
 

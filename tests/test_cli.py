@@ -205,6 +205,11 @@ def test_census_work_guard_exits_2(capsys):
     )
 
 
+def test_rank_guard_exits_2(capsys):
+    code, out, err = run(capsys, "roots", "--family", "A", "--n", "7")
+    assert (code, out, err) == (2, "", "error: root system rank 7 exceeds the limit 6\n")
+
+
 def test_out_file_unwritable_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, "--out", str(target), "renner", "--n", "3")

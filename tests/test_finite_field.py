@@ -84,6 +84,13 @@ def test_enumerators_match_the_filtered_matrix_space():
             list(enumerate_space(1, 4))
 
 
+@pytest.mark.parametrize("enumerate_space", [ff.enumerate_matrices, ff.enumerate_symmetric, ff.enumerate_skew])
+def test_enumerators_reject_negative_n(enumerate_space):
+    with pytest.raises(PreconditionError) as exc:
+        list(enumerate_space(-1, 3))
+    assert str(exc.value) == "n must be nonnegative, got -1"
+
+
 def borel(n, q):
     """The Borel subgroup: the invertible upper-triangular matrices of Mat_n(F_q)."""
     return tuple(b for b in ff.enumerate_matrices(n, q) if b.is_upper_triangular() and b.is_invertible())

@@ -91,6 +91,22 @@ def test_fundamental_weight_examples():
         assert rw.fundamental_weights(rs)[0] == chi1 - rw.chi(rs)
 
 
+def _dominant_representative(rs, mu):
+    """The unique dominant weight in the W-orbit of mu, and the simple-reflection
+    indices applied to mu to reach it, in order: reflect at any simple root
+    pairing negatively until none does (terminates by length descent)."""
+    current = mu
+    word = []
+    while True:
+        for i, alpha in enumerate(rs.simple_roots):
+            if rs.form(current, alpha) < 0:
+                current = rw.reflect(rs, alpha, current)
+                word.append(i)
+                break
+        else:
+            return current, tuple(word)
+
+
 def _replay(rs, word, mu):
     """Apply the simple reflections of word to mu, first index first."""
     for i in word:
@@ -101,14 +117,14 @@ def _replay(rs, word, mu):
 def test_dominant_representative():
     a2 = rw.root_system("A", 2)
     fw = rw.fundamental_weights(a2)
-    assert rw.dominant_representative(a2, fw[0]) == (fw[0], ())
-    dom, word = rw.dominant_representative(a2, -fw[0])
+    assert _dominant_representative(a2, fw[0]) == (fw[0], ())
+    dom, word = _dominant_representative(a2, -fw[0])
     assert dom == fw[1] and len(word) == 2
     assert _replay(a2, word, -fw[0]) == fw[1]
     # lowest weight of the defining representation of A_3
     a3 = rw.root_system("A", 3)
     lowest = weight([0, 0, 0, 1]) - rw.chi(a3)
-    dom, word = rw.dominant_representative(a3, lowest)
+    dom, word = _dominant_representative(a3, lowest)
     assert dom == rw.fundamental_weights(a3)[0]
     assert len(word) == 3 and all(0 <= i < 3 for i in word)
     assert _replay(a3, word, lowest) == dom
@@ -146,8 +162,21 @@ def test_weyl_orbit_guard(monkeypatch):
     monkeypatch.setattr(rw, "ORBIT_GUARD", 12)
     assert len(rw.weyl_orbit(a3, fw[0] + fw[2])) == 12
     monkeypatch.setattr(rw, "ORBIT_GUARD", 11)
-    with pytest.raises(ResourceLimitError, match="Weyl orbit exceeds size guard"):
+    with pytest.raises(ResourceLimitError) as exc:
         rw.weyl_orbit(a3, fw[0] + fw[2])
+    assert str(exc.value) == "Weyl orbit: 12 points exceed the limit 11"
+
+
+def test_weight_set_guard(monkeypatch):
+    a3 = rw.root_system("A", 3)
+    fw = rw.fundamental_weights(a3)
+    # the adjoint weight set: the 12 roots and 0
+    monkeypatch.setattr(rw, "ORBIT_GUARD", 13)
+    assert len(rw.weight_set(a3, fw[0] + fw[2])) == 13
+    monkeypatch.setattr(rw, "ORBIT_GUARD", 12)
+    with pytest.raises(ResourceLimitError) as exc:
+        rw.weight_set(a3, fw[0] + fw[2])
+    assert str(exc.value) == "weight set: 13 points exceed the limit 12"
 
 
 def test_orbit_contains_unique_dominant():
@@ -159,7 +188,7 @@ def test_orbit_contains_unique_dominant():
             dominants = [mu for mu in orbit if rs.is_dominant(mu)]
             assert dominants == [lam]
             for mu in orbit:
-                dom, word = rw.dominant_representative(rs, mu)
+                dom, word = _dominant_representative(rs, mu)
                 assert dom == lam and _replay(rs, word, mu) == lam
 
 
@@ -176,20 +205,36 @@ def test_dominance_leq():
     assert coeffs == (1, 1)
 
 
+def _coefficients_oracle(rs, mu):
+    """Coefficients of mu in the simple-root basis through the Gram inverse, or
+    None when a normal of the simple-root span pairs nonzero with mu."""
+    basis = linalg.mat([a.coords for a in rs.simple_roots])
+    if any(linalg.dot(nu, mu.coords) != 0 for nu in linalg.nullspace(basis)):
+        return None
+    gram = linalg.mat([[linalg.dot(a, b) for b in basis] for a in basis])
+    return linalg.mat_vec(linalg.mat_mul(linalg.mat_inv(gram), basis), mu.coords)
+
+
+def _below_oracle(rs, mu, lam):
+    """Dominance order through _coefficients_oracle."""
+    coeffs = _coefficients_oracle(rs, lam - mu)
+    return coeffs is not None and all(c >= 0 and c.denominator == 1 for c in coeffs)
+
+
 def _weight_set_box_oracle(rs, lam):
     """Independent saturation oracle: enumerate the full coefficient box
     lam - sum c_i alpha_i and keep points whose dominant representative sits
     below lam in dominance order."""
-    lowest, _ = rw.dominant_representative(rs, -lam)
-    bounds = [int(c) for c in rw.simple_root_coefficients(rs, lam + lowest)]
+    lowest, _ = _dominant_representative(rs, -lam)
+    bounds = [int(c) for c in _coefficients_oracle(rs, lam + lowest)]
     out = set()
     for combo in itertools.product(*(range(b + 1) for b in bounds)):
         mu = lam
         for c, alpha in zip(combo, rs.simple_roots):
             if c:
                 mu = mu - alpha.scale(c)
-        plus, _ = rw.dominant_representative(rs, mu)
-        if rw.dominance_leq(rs, plus, lam):
+        plus, _ = _dominant_representative(rs, mu)
+        if _below_oracle(rs, plus, lam):
             out.add(mu)
     return tuple(sorted(out))
 
@@ -235,7 +280,7 @@ def test_weight_set_invariants():
             assert {rw.reflect(rs, alpha, mu) for mu in pi} == pi
         # every member's dominant representative is below lam
         for mu in pi:
-            plus, _ = rw.dominant_representative(rs, mu)
+            plus, _ = _dominant_representative(rs, mu)
             assert rw.dominance_leq(rs, plus, lam)
 
 
@@ -267,8 +312,9 @@ def test_weight_arithmetic_and_json():
 
 
 def test_rank_guard():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError) as exc:
         rw.root_system("A", 7)
+    assert str(exc.value) == "root system rank 7 exceeds the limit 6"
     with pytest.raises(PreconditionError):
         rw.root_system("A", 0)
 
@@ -364,3 +410,66 @@ def test_weight_set_matches_oracle(case):
     # the largest sets (B_4, C_4 at labels 2,2,2,2: ~30,000 points) take the oracle seconds
     assume(len(fast) <= 500)
     assert fast == _weight_set_oracle(rs, lam)
+
+
+# -- the integer root datum against the Fraction pairing ----------------------
+
+ALL_ROOT_SYSTEMS = [
+    (fam, rank) for fam in "ABCD" for rank in range(2 if fam == "D" else 1, rw.RANK_GUARD + 1)
+]
+
+
+def _labels_oracle(rs, mu):
+    return tuple(rs.pairing(mu, alpha) for alpha in rs.simple_roots)
+
+
+def _is_dominant_oracle(rs, mu):
+    return all(p >= 0 and p.denominator == 1 for p in _labels_oracle(rs, mu))
+
+
+def _check_labels(rs, mu):
+    labels = rs.labels(mu)
+    assert labels == _labels_oracle(rs, mu)
+    # exact, and int exactly where integral
+    assert all((type(x) is int) == (Fraction(x).denominator == 1) for x in labels)
+    assert rs.is_dominant(mu) == _is_dominant_oracle(rs, mu)
+
+
+@pytest.mark.parametrize("fam,rank", ALL_ROOT_SYSTEMS)
+def test_integer_datum_matches_pairings(fam, rank):
+    rs = rw.root_system(fam, rank)
+    for i, a in enumerate(rs.simple_roots):
+        for j, b in enumerate(rs.simple_roots):
+            assert rs.cartan[i][j] == int(rs.pairing(a, b))
+    fw = rw.fundamental_weights(rs)
+    sample = list(rs.simple_roots) + list(rw.all_roots(rs)) + list(fw)
+    sample += [sum(fw, Weight(linalg.zero_vec(rs.ambient_dim))), fw[0].scale(frac(1, 2)), fw[-1] - rs.simple_roots[0]]
+    if fam == "A":
+        sample += [rw.chi(rs), rw.chi(rs) + fw[0]]
+    for mu in sample:
+        _check_labels(rs, mu)
+        assert rw.simple_root_coefficients(rs, mu) == _coefficients_oracle(rs, mu)
+    assert all(rs.is_dominant(om) for om in fw)
+
+
+@st.composite
+def half_integer_weights(draw):
+    rs = rw.root_system(*draw(st.sampled_from(ALL_ROOT_SYSTEMS)))
+    coord = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2)))
+    return rs, Weight(tuple(draw(st.lists(coord, min_size=rs.ambient_dim, max_size=rs.ambient_dim))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(half_integer_weights())
+def test_labels_and_coefficients_match_oracles(case):
+    rs, mu = case
+    _check_labels(rs, mu)
+    assert rw.simple_root_coefficients(rs, mu) == _coefficients_oracle(rs, mu)
+
+
+def test_simple_root_coefficients_outside_span():
+    a3 = rw.root_system("A", 3)
+    assert rw.simple_root_coefficients(a3, rw.chi(a3)) is None
+    assert _coefficients_oracle(a3, rw.chi(a3)) is None
+    assert rw.simple_root_coefficients(a3, weight([1, 0, 0, 0])) is None
+    assert not rw.dominance_leq(a3, weight([0, 0, 0, 0]), weight([1, 0, 0, 0]))
