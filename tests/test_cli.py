@@ -235,6 +235,8 @@ def _cli_stdout(argv, hashseed):
         ("weight-polytope", "--family", "B", "--n", "3", "--lambda", "1,1,1", "--format", "off"),
         ("roots", "--family", "B", "--n", "4", "--format", "json"),
         ("special-weights", "--family", "DIII", "--n", "5"),
+        ("renner", "--n", "4", "--symmetric", "--format", "dot"),
+        ("weight-polytope", "--family", "A", "--n", "4", "--lambda", "1,0,0,1"),
     ],
 )
 def test_stdout_bytes_independent_of_hash_seed(argv):
@@ -270,7 +272,9 @@ def test_renner_n4_json_frontier(capsys):
 # replaced by one row_reduce and one matrix decoder, on the affine-frame
 # weight polytopes before their span and facets were read off the root datum,
 # on the Fraction face lattice before it became integer bitmasks, and on the
-# per-root Fraction pairings before the Dynkin labels came from integer coroots
+# per-root Fraction pairings before the Dynkin labels came from integer coroots,
+# and on the pairwise Bruhat comparisons and face-lattice f-vectors before the
+# up-sets came from threshold bitmasks and the f-vectors from parabolic counts
 GOLDEN_STDOUT = {
     "verify": "6d4246b5d637953b99d54a81e29fa6c4da7db6117a1c31dea3da537fa15c5116",
     "census --form skew --n 4 --q 3": "4d2a1cc2954cbcba1ec38583e2a9188dbe543dcda9cb2a8666d0931d191fbed5",
@@ -283,6 +287,10 @@ GOLDEN_STDOUT = {
     "renner --n 3 --format dot": "1c9954a3dcc57491479467c6f3d3f46cd93a704a058fbed3087e9296576ae4e0",
     "renner --n 4 --symmetric --format json": "70cd35d89a6aff4a81503300f2642b5b2b510d2256d7b36079ca2e3cb5c4a27a",
     "renner --n 4 --format json": "2f285431bb73a6d9dcfb4772fabde4065ab87c5a20804088c873d87c6b1a2205",
+    "renner --n 4 --format dot": "b4bd1bfd0fe9fed076c2218dbfe93af92c988260f9ef4e1d5299deda61db1c8b",
+    "renner --n 5 --format json": "fc0f9c4c39c6c6751f12579d91d99b6d8ae21ac0583ce371c85dca3b0d28e3d4",
+    "renner --n 6 --symmetric --format json": "8df465b50dbfcf15ce0f51cb3acbde72bc96bca289c5a46b5f6e7422ec2d2cc3",
+    "renner --n 6 --fpf --format dot": "9d668b6aa7d5a55f346bdc93b5139468c222d1d9122116afd3de58999058ca7f",
     "weight-polytope --family B --n 4 --lambda 0,1,0,0 --format json": "a49a3f70263b0d4b35fe1a4c9eec9c912aa1eb3900c92c1668bd92477a22d223",
     "weight-polytope --family A --n 4 --lambda 1,0,0,1 --format json": "f926f5b805eeb19fcf24ee719c4e584d0d51b34835d6c88655c0a4e921cd134b",
     "weight-polytope --family B --n 3 --lambda 1,0,1 --format json": "51b9af5de67f3d641358ca9e1e5278520fcab2294ed24f742cc01713f89121b8",
@@ -297,6 +305,12 @@ GOLDEN_STDOUT = {
     "weight-polytope --family B --n 3 --lambda 0,0,1 --format off": "473b75e5998bd3ebeb1c90b3f4fe7e5f83c86f9d6ae3b0ca83c255f1e92dac57",
     "weight-polytope --family C --n 3 --lambda 1,0,0 --format off": "ae830c515bbb2251393f97b8e52e98bc7f4a6041abc76564d19bcc3e038d71eb",
     "weight-polytope --family D --n 4 --lambda 1,1,1,1 --format json": "2291003f41f34d283aa8581ecff2d93ad762e26170d90665cb5626f02c3cc89b",
+    "weight-polytope --family D --n 4 --lambda 0,1,0,0 --format json": "a49a3f70263b0d4b35fe1a4c9eec9c912aa1eb3900c92c1668bd92477a22d223",
+    "weight-polytope --family C --n 4 --lambda 0,0,0,1 --format json": "975650daa527dc6954c6f296d97591dbb4f60674967eb4104f346f05f263a436",
+    "weight-polytope --family A --n 4 --lambda 1,0,0,1": "0bd20470235de00e3a65e5e5e99da3738d3c684da18cb95cbf49086f33567081",
+    "weight-polytope --family A --n 2 --lambda 1,1": "3aa4c493942da0d0a0348d4808550b2d3a42eb86b5d7eb50a486d203d54474ac",
+    "weight-polytope --family A --n 1 --lambda 2": "7afba20b7efa40d96adec531c0aaa4aa2ca3ad4db4fc7b57c9cc287519b4e044",
+    "weight-polytope --family B --n 2 --lambda 0,0": "22c6032ee9867b894956808e8440d5f01529d5c1636f5173aa3e59c15ef50a21",
     "roots --family B --n 4 --format json": "4cccbcfb512e3329d6cc970991cff845c1667f2ef3103ad1597f3f291d7a5950",
     "roots --family A --n 3 --format json": "447f5243f3b0447a37c582cc4cfae597c20f839c28c4f94263ec09ea158cc5c2",
     "roots --family C --n 3": "8ccb09e41d39f9a427a1c966507cc792be3366e7e8c5b5b4654bb470bf9c4158",
