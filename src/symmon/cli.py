@@ -8,6 +8,7 @@ byte-for-byte across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -116,7 +117,7 @@ def cmd_weight_polytope(args) -> str:
     if args.format == "json":
         data = poly.to_json()
         if poly.affine_dim <= pt.FVECTOR_DIM_GUARD:
-            data["f_vector"] = list(pt.f_vector(poly))
+            data["f_vector"] = list(pt.weight_polytope_f_vector(rs, lam))
         return json.dumps(data, indent=2) + "\n"
     lines = [
         f"weight polytope for lambda = {_fundamental_label(rs, lam)} in {rs.family}_{rs.rank}",
@@ -125,7 +126,7 @@ def cmd_weight_polytope(args) -> str:
     ]
     lines.extend(f"  {v}" for v in poly.vertices)
     if poly.affine_dim <= pt.FVECTOR_DIM_GUARD:
-        lines.append(f"f-vector: {pt.f_vector(poly)}")
+        lines.append(f"f-vector: {pt.weight_polytope_f_vector(rs, lam)}")
     lines.append(f"facets: {len(poly.facets)}")
     return "\n".join(lines) + "\n"
 
@@ -209,7 +210,9 @@ def cmd_census(args) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="symmon",
         description="Rook monoids, weight polytopes, classical involutions, and "

@@ -3,20 +3,22 @@
 Everything is computed over the rationals.  Weight polytopes conv(W.lambda)
 are read off the root datum: every orbit point is a vertex, the affine span is
 spanned by the simple roots of the Dynkin components that meet supp(lambda),
-and the facets are, in closed form, the W-orbits of the fundamental weights
-omega_i whose node i the standard H-description keeps.  `hull` is the generic
-path for arbitrary point sets: it maps the points to exact coordinates on
+the facets are, in closed form, the W-orbits of the fundamental weights
+omega_i whose node i the standard H-description keeps, and the f-vector
+counts the W-translates of the standard faces conv(W_J.lambda) with parabolic
+subgroup orders (weight_polytope_f_vector).  `hull` is the generic path for
+arbitrary point sets: it maps the points to exact coordinates on
 their affine span (`_AffineFrame`, shared with the OFF export), finds facets
 by enumerating supporting hyperplanes through affinely independent point
 subsets, and vertices as the points whose tight facet normals span the space.
 
-The face lattice behind f_vector and the OFF export (`_face_dims`) is
-built in integers: facets are vertex-incidence bitmasks, faces are their
-intersections, and each face's dimension follows from the grading of the
-lattice, with no rank computation.  The idempotent lattice of the closure of
-a maximal torus in a reductive monoid is anti-isomorphic to the face lattice
-of a polytope of this kind; that correspondence is background here and is
-not materialized as a map.
+The face lattice behind f_vector (of any RationalPolytope) and the OFF
+export (`_face_dims`) is built in integers: facets are vertex-incidence
+bitmasks, faces are their intersections, and each face's dimension follows
+from the grading of the lattice, with no rank computation.  The idempotent
+lattice of the closure of a maximal torus in a reductive monoid is
+anti-isomorphic to the face lattice of a polytope of this kind; that
+correspondence is background here and is not materialized as a map.
 """
 
 from __future__ import annotations
@@ -348,20 +350,66 @@ def _support_components(rs: RootSystem, lam: Weight) -> tuple[set[int], list[set
     return supp, [c for c in _dynkin_components(rs.cartan, range(rs.rank)) if c & supp]
 
 
+def _admissible(cartan, nodes, supp: set[int]) -> bool:
+    """Every connected component of the Dynkin diagram on nodes meets supp."""
+    return all(c & supp for c in _dynkin_components(cartan, nodes))
+
+
+def _weyl_group_order(cartan, nodes) -> int:
+    """|W_I| for the nodes I: the product over the Dynkin components of I of
+    (m+1)! for A_m, 2^m m! for B_m and C_m (a double bond), and 2^(m-1) m!
+    for D_m (a branch node)."""
+    order = 1
+    for comp in _dynkin_components(cartan, nodes):
+        m = len(comp)
+        if any(cartan[i][j] == -2 for i in comp for j in comp):
+            order *= 2**m * math.factorial(m)
+        elif any(sum(1 for j in comp if j != i and cartan[i][j]) == 3 for i in comp):
+            order *= 2 ** (m - 1) * math.factorial(m)
+        else:
+            order *= math.factorial(m + 1)
+    return order
+
+
 def facet_nodes(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
     """The simple-root indices i whose omega_i-orbit gives facets of conv(W.lam).
 
-    The faces of conv(W.lam) are the W-translates of conv(W_I.lam) for the
-    I in S whose every connected component meets supp(lam) (Putcha-Renner,
-    J. Algebra 1988).  So i gives facets when its Dynkin component meets
-    supp(lam) and every component of that component minus {i} does too.
-    The diagram is read from rs.cartan, so D_2 is A_1 x A_1.
+    The faces of conv(W.lam) are the W-translates of conv(W_J.lam) for the
+    admissible J in S, those whose every connected component meets supp(lam)
+    (Putcha-Renner, J. Algebra 1988); conv(W_J.lam) has dimension |J|.  The
+    admissible J of size d - 1 are U - {i}, U the nodes of the Dynkin
+    components that meet supp(lam), and i gives facets when U - {i} is
+    admissible.  The diagram is read from rs.cartan, so D_2 is A_1 x A_1.
     """
     supp, components = _support_components(rs, lam)
-    return tuple(sorted(
-        i for comp in components for i in comp
-        if all(c & supp for c in _dynkin_components(rs.cartan, comp - {i}))
-    ))
+    span = set().union(*components)
+    return tuple(i for i in sorted(span) if _admissible(rs.cartan, span - {i}, supp))
+
+
+def weight_polytope_f_vector(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
+    """f_vector(weight_polytope(rs, lam)) from parabolic data alone.
+
+    The k-faces are the W-translates of conv(W_J.lam), J admissible of size k
+    (see facet_nodes), and the stabilizer of conv(W_J.lam) is W_{J u K}, with
+    K the nodes outside J u supp(lam) that have no edge to J.  So
+    f_k = sum over those J of |W| / |W_{J u K}|.
+    """
+    _require_dominant(rs, lam)
+    supp, components = _support_components(rs, lam)
+    span = sorted(set().union(*components))
+    cartan = rs.cartan
+    order = _weyl_group_order(cartan, range(rs.rank))
+    f = [0] * len(span)
+    for k in range(len(span)):
+        for nodes in itertools.combinations(span, k):
+            if not _admissible(cartan, nodes, supp):
+                continue
+            fixed = {
+                i for i in range(rs.rank)
+                if i not in supp and i not in nodes and not any(cartan[i][j] for j in nodes)
+            }
+            f[k] += order // _weyl_group_order(cartan, fixed.union(nodes))
+    return tuple(f)
 
 
 def _span_roots(rs: RootSystem, lam: Weight) -> Mat:

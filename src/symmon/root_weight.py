@@ -92,6 +92,11 @@ class RootSystem:
     cartan: tuple[tuple[int, ...], ...]
     coroots: tuple[tuple[int, ...], ...]
 
+    def __hash__(self) -> int:
+        # equal systems share (family, rank), so this agrees with __eq__, and
+        # it spares every lru_cache lookup a hash of the Fraction simple roots
+        return hash((self.family, self.rank))
+
     def form(self, mu: Weight, nu: Weight) -> Fraction:
         """The W-invariant bilinear form (standard dot product in our coordinates)."""
         return linalg.dot(mu.coords, nu.coords)

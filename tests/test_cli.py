@@ -331,6 +331,32 @@ def test_golden_stdout_bytes(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
 
 
+def _golden(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0 and err == ""
+    return hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+def test_parser_built_once_keeps_calls_independent(tmp_path, capsys):
+    from symmon.cli import build_parser
+
+    assert build_parser() is build_parser()
+    # an argparse error, then a good call
+    with pytest.raises(SystemExit) as exc:
+        main(["renner", "--n", "3", "--format", "svg"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert _golden(capsys, "renner --n 3 --format json")
+    # two different subcommands in a row
+    assert _golden(capsys, "weight-polytope --family A --n 2 --lambda 1,1")
+    assert _golden(capsys, "factor --q 5 --matrix 1,2,0;3,4,1;0,1,1 --format json")
+    # --out, then a call to stdout
+    target = tmp_path / "poset.dot"
+    assert run(capsys, "--out", str(target), "renner", "--n", "4", "--format", "dot") == (0, "", "")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == GOLDEN_STDOUT["renner --n 4 --format dot"]
+    assert _golden(capsys, "renner --n 4 --format dot")
+
+
 def test_golden_hull_guard_error(capsys):
     code, out, err = run(capsys, "weight-polytope", "--family", "B", "--n", "4", "--lambda", "1,1,1,1", "--format", "json")
     assert (code, out, err) == (2, "", "error: hull guard: 384 points exceed the limit 200\n")

@@ -340,3 +340,61 @@ def test_a4_permutohedron_frontier():
     d4 = rw.root_system("D", 4)
     p = pt.weight_polytope(d4, rw.from_fundamental(d4, (1, 1, 1, 1)))
     assert pt.f_vector(p) == (192, 384, 240, 48)
+
+
+@pytest.mark.parametrize("family, rank", ROOT_SYSTEMS)
+def test_f_vector_formula_matches_face_lattice(family, rank):
+    # the parabolic count against the bitmask face lattice of the polytope
+    rs = rw.root_system(family, rank)
+    for labels in itertools.product((0, 1), repeat=rank):
+        lam = rw.from_fundamental(rs, labels)
+        try:
+            poly = pt.weight_polytope(rs, lam)
+        except ResourceLimitError:
+            continue
+        assert pt.weight_polytope_f_vector(rs, lam) == pt.f_vector(poly), labels
+
+
+@pytest.mark.parametrize("first", (0, 1))
+@pytest.mark.parametrize("family, rank", [("A", 5), ("A", 6), ("B", 5), ("D", 5)])
+def test_f_vector_formula_past_face_lattice(family, rank, first):
+    # past the hull and f_vector guards: Euler's relation for the proper
+    # faces, the vertex count against the orbit and the facet count against
+    # the closed-form facets; split on the first label to keep each case short
+    rs = rw.root_system(family, rank)
+    for rest in itertools.product((0, 1), repeat=rank - 1):
+        labels = (first,) + rest
+        lam = rw.from_fundamental(rs, labels)
+        f = pt.weight_polytope_f_vector(rs, lam)
+        d = pt.weight_polytope_dim(rs, lam)
+        assert len(f) == d
+        assert sum((-1) ** k * fk for k, fk in enumerate(f)) == 1 - (-1) ** d, labels
+        if d:
+            assert f[-1] == len(pt.weight_polytope_facets(rs, lam)), labels
+        if f and f[0] <= 5040:
+            assert f[0] == len(pt.weight_orbit_points(rs, lam)), labels
+
+
+@pytest.mark.parametrize(
+    "family, rank, order",
+    [("A", 1, 2), ("A", 4, 120), ("A", 6, 5040), ("B", 2, 8), ("C", 3, 48), ("B", 6, 46080),
+     ("D", 2, 4), ("D", 3, 24), ("D", 4, 192), ("D", 6, 23040)],
+)
+def test_weyl_group_order(family, rank, order):
+    rs = rw.root_system(family, rank)
+    assert pt._weyl_group_order(rs.cartan, range(rank)) == order
+    # the orbit of a regular weight is a regular orbit
+    if order <= 5040:
+        rho = rw.from_fundamental(rs, (1,) * rank)
+        assert len(pt.weight_orbit_points(rs, rho)) == order
+
+
+def test_f_vector_formula_edge_cases():
+    a2 = rw.root_system("A", 2)
+    with pytest.raises(PreconditionError, match="requires a dominant weight"):
+        pt.weight_polytope_f_vector(a2, rw.from_fundamental(a2, (1, -1)))
+    assert pt.weight_polytope_f_vector(a2, rw.from_fundamental(a2, (0, 0))) == ()
+    # the 5-dimensional permutohedron: f_k = (6-k)! S(6, 6-k), ordered set partitions
+    a5 = rw.root_system("A", 5)
+    rho = rw.from_fundamental(a5, (1,) * 5)
+    assert pt.weight_polytope_f_vector(a5, rho) == (720, 1800, 1560, 540, 62)

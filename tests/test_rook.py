@@ -240,17 +240,52 @@ def test_diagram_and_exports():
 
 
 def _hasse_edges_oracle(elements, leq):
-    """Covering pairs by the cubic transitive reduction: x < y with no z between."""
+    """Covering pairs by the cubic transitive reduction: x < y with no z
+    between, on the relation table of one leq call per ordered pair."""
     elems = list(elements)
+    n = len(elems)
+    less = [[i != j and leq(x, y) for j, y in enumerate(elems)] for i, x in enumerate(elems)]
     edges = []
-    for x in elems:
-        for y in elems:
-            if x == y or not leq(x, y):
-                continue
-            if any(z != x and z != y and leq(x, z) and leq(z, y) for z in elems):
-                continue
-            edges.append((x, y))
+    for i in range(n):
+        for j in range(n):
+            if less[i][j] and not any(less[i][k] and less[k][j] for k in range(n)):
+                edges.append((elems[i], elems[j]))
     return edges
+
+
+def _pairwise_up_sets(elems, leq):
+    return [sum(1 << j for j, y in enumerate(elems) if j != i and leq(x, y)) for i, x in enumerate(elems)]
+
+
+def test_bruhat_up_sets_match_pairwise_bruhat_leq():
+    for n in range(5):
+        elems = rn.enumerate_rook(n)
+        assert rn._bruhat_up_sets(list(elems)) == _pairwise_up_sets(elems, rn.bruhat_leq), n
+    elems = rn.symmetric_rook_elements(5)
+    assert rn._bruhat_up_sets(list(elems)) == _pairwise_up_sets(elems, rn.bruhat_leq)
+    assert rn._bruhat_up_sets([]) == []
+    with pytest.raises(PreconditionError, match="size mismatch"):
+        rn.hasse_edges([rn.zero_rook(2), rn.zero_rook(3)], rn.bruhat_leq)
+
+
+def test_hasse_edges_make_no_bruhat_leq_calls(monkeypatch):
+    # the up-sets of bruhat_leq come from the rank thresholds; a wrapped
+    # bruhat_leq is a different leq and keeps the pairwise path
+    calls = []
+    real = rn.bruhat_leq
+
+    def counted(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    elems = rn.enumerate_rook(2)
+    fast = rn.hasse_edges(elems, rn.bruhat_leq)
+    assert fast == rn.hasse_edges(elems, counted)
+    assert len(calls) == 7 * 6
+    monkeypatch.setattr(rn, "bruhat_leq", counted)
+    calls.clear()
+    assert rn.hasse_edges(elems, rn.bruhat_leq) == fast
+    assert calls == []
 
 
 def _divides(a, b):
@@ -263,10 +298,12 @@ def _divides(a, b):
         (rn.enumerate_rook(3), rn.bruhat_leq),
         (rn.symmetric_rook_elements(4), rn.bruhat_leq),
         (rn.symmetric_rook_elements(5, fpf=True), rn.bruhat_leq),
+        (rn.enumerate_rook(4), rn.bruhat_leq),
+        (rn.symmetric_rook_elements(5), rn.bruhat_leq),
         # a poset that is not a rook monoid keeps the generic leq contract tested
         ([d for d in range(1, 361) if 360 % d == 0], _divides),
     ],
-    ids=["R3", "involutions-R4", "fpf-R5", "divisors-360"],
+    ids=["R3", "involutions-R4", "fpf-R5", "R4", "involutions-R5", "divisors-360"],
 )
 def test_hasse_edges_match_cubic_oracle(elements, leq):
     assert rn.hasse_edges(elements, leq) == _hasse_edges_oracle(elements, leq)

@@ -29,6 +29,18 @@ def test_cartan_matrices():
                     assert rs.cartan[i][j] <= 0
 
 
+def test_root_system_hash_agrees_with_eq_and_caches_hit():
+    a, b = rw.root_system("D", 4), rw.root_system("d", 4)
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert a != rw.root_system("B", 4) and a != rw.root_system("D", 5)
+    assert {a: "D_4"}[b] == "D_4"
+    for cached in (rw.fundamental_weights, rw.positive_roots):
+        first = cached(a)
+        hits = cached.cache_info().hits
+        assert cached(b) is first
+        assert cached.cache_info().hits == hits + 1
+
+
 def test_form_positive_definite_on_root_span():
     for fam, rank in (("A", 3), ("B", 2), ("C", 3), ("D", 4)):
         rs = rw.root_system(fam, rank)
