@@ -283,6 +283,14 @@ GOLDEN_STDOUT = {
     "census --form skew --n 3 --q 5": "76dbeb51139432cdc71581d3bf3e36f26e6bca1980206e8634eb5789a768873a",
     "census --form sym --n 3 --q 5 --format json": "43cbca510fc23bbb4d1de94407fb818b48ae7b67fec15154723f960770850d41",
     "factor --q 5 --matrix 1,2,0;3,4,1;0,1,1 --format json": "2840f01ff65acc79056c6a9092558e9ee06c817ad38d7c5cdc0861c9ec94b990",
+    "factor --q 2 --matrix 1,1,0;0,1,1;1,0,1": "9fdb735aa3fe70c2f1262db5605069a2cd1eac2ce33ca0de8a27911ed53ce95e",
+    "factor --q 2 --matrix 1,1,0;0,1,1;1,0,1 --format json": "e11ccb21a35744991fc1780cae168cc1f2af149a8a77a4490b86313f91622250",
+    "factor --q 3 --matrix 2": "ebe2768a66d43c655fc04f231c9b604ccf854258950899e6dee6530225f95d2b",
+    "factor --q 3 --matrix 2 --format json": "b3c57bee190628ed2a0cca329df36600ef59514f9240294127400722e9887046",
+    "factor --q 7 --matrix 0,0,0,0;0,0,0,0;0,0,0,0;0,0,0,0": "ee54d4eeea9dfd2b9faf0f318881817bc037473aeb4e71b954ee6992fd030a0e",
+    "factor --q 7 --matrix 0,0,0,0;0,0,0,0;0,0,0,0;0,0,0,0 --format json": "822d8ac09ee3d27bab6adcc097f14d84b3f85e256c1a363e2869c9d86bc47069",
+    "factor --q 3 --matrix 1,2,0,1,2;2,1,1,0,2;0,2,2,1,1;1,1,0,2,1;2,0,1,1,2": "8a10eb7ba6584ab8e4c97d28dd941be5a8cdf32d7f320e85d10aa0db8b0444bd",
+    "factor --q 3 --matrix 1,2,0,1,2;2,1,1,0,2;0,2,2,1,1;1,1,0,2,1;2,0,1,1,2 --format json": "e30518d9771ef4ad773832760f466f26c3bb24be54bce4208b749c93a3f7ec87",
     "renner --n 3 --format json": "02650e2f01c9f69a38850bae1ff7397a7e30e2ac895bd05458af90db00b3f140",
     "renner --n 3 --format dot": "1c9954a3dcc57491479467c6f3d3f46cd93a704a058fbed3087e9296576ae4e0",
     "renner --n 4 --symmetric --format json": "70cd35d89a6aff4a81503300f2642b5b2b510d2256d7b36079ca2e3cb5c4a27a",

@@ -211,6 +211,36 @@ def test_invariant_violation_detected():
         ob.invariant_to_partial_involution(ob.rank_control(e12))
 
 
+def _rank_control_with_cells(cells):
+    """The RankControl whose inclusion-exclusion array is cells: rho[i][j]
+    sums cells over the trailing block [i.., j..]."""
+    n = len(cells)
+    rho = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in reversed(range(n)):
+        for j in reversed(range(n)):
+            rho[i][j] = cells[i][j] + rho[i + 1][j] + rho[i][j + 1] - rho[i + 1][j + 1]
+    return ob.RankControl(tuple(map(tuple, rho)))
+
+
+@pytest.mark.parametrize(
+    "cells,message",
+    [
+        ([[2]], "rank control is not of rook type"),
+        ([[0, 1], [0, 0]], "recovered array is not symmetric"),
+        ([[0, 1, 1], [1, 0, 0], [1, 0, 0]], "recovered array is not a partial permutation"),
+        ([[0, 1, 0], [1, 0, 0], [0, 0, -1]], "rank control is not of rook type"),
+        # when several tests fail, the first in this order is reported
+        ([[0, 1, 0], [0, 0, 0], [0, 0, 2]], "rank control is not of rook type"),
+        ([[0, 1, 1], [1, 0, 0], [0, 0, 0]], "recovered array is not symmetric"),
+        ([[1, 1, 0], [1, 0, 0], [0, 1, 0]], "recovered array is not symmetric"),
+    ],
+)
+def test_invariant_violation_messages(cells, message):
+    with pytest.raises(InvariantViolationError) as exc:
+        ob.invariant_to_partial_involution(_rank_control_with_cells(cells))
+    assert str(exc.value) == message
+
+
 def test_invariant_to_partial_fpf_examples():
     zero = ff.zero_matrix(3, 3)
     assert ob.invariant_to_partial_fpf(ob.rank_control(zero)) == rn.zero_rook(3)
