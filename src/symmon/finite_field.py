@@ -37,11 +37,17 @@ def _check_space(what: str, n: int, q: int, dim: int):
     raise ResourceLimitError(f"{what} space: {size} matrices exceed the limit {SPACE_GUARD}")
 
 
+# _INVERSE[q][a] is the inverse of a mod q, and 0 for a = 0
+_INVERSE = {q: (0,) + tuple(pow(a, q - 2, q) for a in range(1, q)) for q in SUPPORTED_PRIMES}
+
+
 def inv_mod(a: int, q: int) -> int:
-    a %= q
-    if a == 0:
+    """The inverse of a mod q, for q in SUPPORTED_PRIMES."""
+    _check_prime(q)
+    inverse = _INVERSE[q][a % q]
+    if not inverse:
         raise ZeroDivisionError("no inverse of 0")
-    return pow(a, q - 2, q)
+    return inverse
 
 
 def row_reduce(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
@@ -302,10 +308,11 @@ class BorelFactorization:
     v: FqMatrix
 
     def product(self) -> FqMatrix:
-        t, cols = self.t.rows, range(1, self.t.n + 1)
-        # row i of t . r holds t_ii at column r(i), and is zero when r(i) = 0
-        tr = tuple(tuple(t[i][i] if j == c else 0 for j in cols) for i, c in enumerate(self.r.map))
-        return self.u @ _reduced(self.t.q, tr) @ self.v
+        q, t, v = self.t.q, self.t.rows, self.v.rows
+        zero = (0,) * len(v)
+        # (t r) v is monomial: its row i is t_ii times row r(i) of v, or zero when r(i) = 0
+        trv = tuple([tuple([t[i][i] * e % q for e in v[c - 1]]) if c else zero for i, c in enumerate(self.r.map)])
+        return self.u @ _reduced(q, trv)
 
     def pattern_ok(self) -> bool:
         """Check the uniqueness pattern: u is supported on (a, b) with b a pivot
@@ -334,52 +341,50 @@ def bruhat_factor(m: FqMatrix) -> BorelFactorization:
     the unused rows, clear its row rightward by column operations, then its
     column upward by row operations.  The rook component is a complete
     invariant of the B x B orbit.
+
+    The operations only copy values into u and v, so they are written
+    directly.  A used row is piv e_c, c its pivot column; unused rows are
+    zero left of the current column j.  With pivot piv = a[i0][j]:
+
+    - rows k > j of v are still unit rows, so row j of v is
+      e_j + sum over k > j of (a[i0][k] / piv) e_k;
+    - the rows i < i0 nonzero in column j are unused, so their columns of u
+      are still unit columns, and column i0 of u is
+      e_i0 + sum over those i of (a[i][j] / piv) e_i;
+    - the column operations leave row i0 as piv e_j and subtract
+      (a[i][j] / piv) a[i0][k] from each a[i][k], k > j, of those rows i;
+      the row operations only clear a[i][j].  Neither row i0 nor column j
+      is read again.
     """
     q, n = m.q, m.n
+    inverse = _INVERSE[q]
     a = [list(row) for row in m.rows]
-    # accumulated inverse operations: m = U . a . V throughout
-    big_u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    big_v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    pivot_row_of_col: dict[int, int] = {}
-    used_rows: set[int] = set()
-    for j in range(n):
-        cand = [i for i in range(n) if i not in used_rows and a[i][j]]
-        if not cand:
-            continue
-        i0 = max(cand)  # lowest nonzero entry
-        piv = a[i0][j]
-        piv_inv = inv_mod(piv, q)
-        # clear row i0 rightward: col_k -= (a[i0][k]/piv) * col_j,
-        # i.e. a <- a . (I - f E_{jk}); v accumulates (I + f E_{jk}) on the left
-        for k in range(j + 1, n):
-            if a[i0][k]:
-                f = a[i0][k] * piv_inv % q
-                for r_ in range(n):
-                    a[r_][k] = (a[r_][k] - f * a[r_][j]) % q
-                for c in range(n):
-                    big_v[j][c] = (big_v[j][c] + f * big_v[k][c]) % q
-        # clear column j upward: row_i -= (a[i][j]/piv) * row_i0,
-        # i.e. a <- (I - f E_{i,i0}) . a; u accumulates (I + f E_{i,i0}) on the right
-        for i in range(i0):
-            if a[i][j]:
-                f = a[i][j] * piv_inv % q
-                for k in range(n):
-                    a[i][k] = (a[i][k] - f * a[i0][k]) % q
-                for r_ in range(n):
-                    big_u[r_][i0] = (big_u[r_][i0] + f * big_u[r_][i]) % q
-        pivot_row_of_col[j] = i0
-        used_rows.add(i0)
+    v = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]  # row j is set if column j has a pivot
+    u = [list(row) for row in v]
     rook_map = [0] * n
     tdiag = [1] * n
-    for j, i0 in pivot_row_of_col.items():
+    unused = list(range(n))
+    for j in range(n):
+        cand = [i for i in unused if a[i][j]]
+        if not cand:
+            continue
+        i0 = cand.pop()  # lowest nonzero entry
+        unused.remove(i0)
+        piv = a[i0][j]
+        piv_inv = inverse[piv]
+        right = a[i0][j + 1 :]
+        v[j] = (0,) * j + (1,) + tuple([e * piv_inv % q for e in right])
+        for i in cand:
+            row = a[i]
+            f = row[j] * piv_inv % q
+            u[i][i0] = f
+            row[j + 1 :] = [(e - f * p) % q for e, p in zip(row[j + 1 :], right)]
         rook_map[i0] = j + 1
-        tdiag[i0] = a[i0][j]
+        tdiag[i0] = piv
     r = RookElement(tuple(rook_map))
     # every entry is already reduced mod q
-    t = _reduced(q, tuple(tuple(tdiag[i] if i == j else 0 for j in range(n)) for i in range(n)))
-    return BorelFactorization(
-        u=_reduced(q, tuple(map(tuple, big_u))), t=t, r=r, v=_reduced(q, tuple(map(tuple, big_v)))
-    )
+    t = _reduced(q, tuple([(0,) * i + (d,) + (0,) * (n - 1 - i) for i, d in enumerate(tdiag)]))
+    return BorelFactorization(u=_reduced(q, tuple(map(tuple, u))), t=t, r=r, v=_reduced(q, tuple(v)))
 
 
 def orbit_enumerate(act, space, generators, guard: int = SPACE_GUARD):

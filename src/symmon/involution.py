@@ -23,6 +23,7 @@ CII        Sp_{2n} / (Sp_{2p} x Sp_{2q}), n = p+q  p, q          C_n
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -370,18 +371,41 @@ def spherical_generators(inv: InvolutionSpec, rs: RootSystem | None = None) -> t
     raise UnsupportedFamilyError(f"unknown family {fam!r}")
 
 
+@functools.lru_cache(maxsize=None)
+def _neg_star_on_labels(rs: RootSystem, inv: InvolutionSpec) -> tuple[tuple[int, ...], ...]:
+    """-theta* on Dynkin label vectors: the rank x rank integer matrix whose
+    column j is the labels of -theta* omega_j.
+
+    It is exact when theta* preserves the form and maps the simple roots to
+    roots, as every catalog matrix does: theta* then preserves the root span
+    and its orthogonal complement, on which the labels vanish.
+    """
+    theta = inv.theta_star
+    orthogonal = all(sum(map(mul, r, s)) == int(i == j) for i, r in enumerate(theta) for j, s in enumerate(theta))
+    roots = set(root_weight.all_roots(rs))
+    if not orthogonal or any(inv.apply_star(alpha) not in roots for alpha in rs.simple_roots):
+        raise PreconditionError("theta* must preserve the form and map the simple roots to roots")
+    columns = [rs.labels(-inv.apply_star(om)) for om in root_weight.fundamental_weights(rs)]
+    return tuple(zip(*columns))
+
+
 def check_weight_set_stability(rs: RootSystem, inv: InvolutionSpec, lam: Weight) -> bool:
     """True iff -theta* maps the weight set Pi(lambda) onto itself exactly.
 
     Requires lambda special and dominant; a non-special lambda violates the
     hypothesis and is rejected with NotSpecialError.
+
+    The weights are compared by their Dynkin labels, on which -theta* acts
+    as _neg_star_on_labels.  That is exact: every weight of Pi(lambda) has
+    lambda's W-fixed part (its component orthogonal to the root span), and
+    -theta* fixes that part, because it fixes lambda and preserves the span
+    and its complement.  So a weight and its image have the same W-fixed
+    part, and their labels determine the rest.
     """
     if not rs.is_dominant(lam):
         raise PreconditionError("stability check requires a dominant weight")
     if inv.apply_star(lam) != -lam:
         raise NotSpecialError("weight is not special for this involution")
-    # -theta* is linear, so it may act on the integer vectors D * mu
-    _, points = root_weight.scaled_weight_set(rs, lam)
-    pi = set(points)
-    theta = inv.theta_star
-    return {tuple(-sum(map(mul, row, p)) for row in theta) for p in pi} == pi
+    star = _neg_star_on_labels(rs, inv)
+    points, _, _ = root_weight._weight_set_labels(rs, lam)
+    return {tuple([sum(map(mul, row, p)) for row in star]) for p in points} == set(points)

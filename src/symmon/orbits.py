@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import sub
 
 from . import finite_field as ff
 from .errors import InvariantViolationError, PreconditionError
@@ -46,6 +47,16 @@ class RankControl:
         return len(self.rho) - 1
 
 
+# kernel: a row of A is packed one byte per entry, big-endian
+# (int.from_bytes(bytes(row), "big")), so byte c holds entry c of the
+# reversed row, and its leading position is its lowest nonzero byte,
+# ((v & -v).bit_length() - 1) >> 3.  A basis row b has leading byte 1, so
+# v + (q - lead) b has byte q there and only zero bytes below it; every
+# other byte is at most (q - 1) + (q - 1)^2 = 42 < 256 and never carries,
+# whatever n is.  bytes.translate(_MOD_TABLE[q]) reduces the bytes mod q in
+# one C call, as in the packed product.
+
+
 def rank_control(a: FqMatrix) -> RankControl:
     """The ranks of all trailing submatrices, from one bottom-up pass.
 
@@ -56,58 +67,60 @@ def rank_control(a: FqMatrix) -> RankControl:
     one more than rho[i + 1][j] for every j < n - c, and equal to it for
     the other j."""
     n, q = a.n, a.q
-    basis: dict[int, list[int]] = {}  # leading position -> row with leading entry 1
-    rho = [(0,) * (n + 1)]
+    table, inverse = ff._MOD_TABLE[q], ff._INVERSE[q]
+    basis = [0] * n  # by leading position: a packed row with leading byte 1, or 0
+    below = (0,) * (n + 1)
+    rho = [below]
     for row in reversed(a.rows):
-        v = row[::-1]
-        c = 0  # ends at the leading position of the reduced row, or n if it is zero
-        while c < n:
-            if v[c]:
-                b = basis.get(c)
-                if b is None:
-                    inv = ff.inv_mod(v[c], q)
-                    basis[c] = [e * inv % q for e in v]
-                    break
-                f = v[c]
-                v = [(e - f * p) % q for e, p in zip(v, b)]
-            c += 1
-        below = rho[-1]
-        rho.append(tuple([r + 1 for r in below[: n - c]]) + below[n - c :])
-    return RankControl(tuple(reversed(rho)))
-
-
-def _inclusion_exclusion(rc: RankControl) -> list[list[int]]:
-    n = rc.n
-    rho = rc.rho
-    return [
-        [rho[i][j] - rho[i + 1][j] - rho[i][j + 1] + rho[i + 1][j + 1] for j in range(n)]
-        for i in range(n)
-    ]
+        v = int.from_bytes(bytes(row), "big")
+        while v:
+            c = ((v & -v).bit_length() - 1) >> 3
+            lead = v >> (c << 3) & 255
+            b = basis[c]
+            if not b:
+                basis[c] = int.from_bytes((v * inverse[lead]).to_bytes(n, "little").translate(table), "little")
+                below = tuple([r + 1 for r in below[: n - c]]) + below[n - c :]
+                break
+            v = int.from_bytes((v + (q - lead) * b).to_bytes(n, "little").translate(table), "little")
+        rho.append(below)
+    rho.reverse()
+    return RankControl(tuple(rho))
 
 
 def invariant_to_partial_involution(rc: RankControl) -> RookElement:
     """Recover the partial involution from a symmetric matrix's rank control.
 
-    A non-0/1 or non-symmetric inclusion-exclusion array signals a bug or a
-    characteristic-2 input and raises InvariantViolationError.
+    The inclusion-exclusion array rho[i][j] - rho[i + 1][j] - rho[i][j + 1]
+    + rho[i + 1][j + 1] must be a symmetric 0/1 array with at most one 1 in
+    each row; it is then the partial involution's matrix.  Otherwise (a bug
+    or a characteristic-2 input) InvariantViolationError reports the first
+    of these tests that fails, in that order.  One pass over the rows makes
+    all three: a row of the array is compared with the column above it.
     """
-    cells = _inclusion_exclusion(rc)
+    rho = rc.rho
     n = rc.n
-    if any(e not in (0, 1) for row in cells for e in row):
-        raise InvariantViolationError("rank control is not of rook type")
-    if any(cells[i][j] != cells[j][i] for i in range(n) for j in range(n)):
-        raise InvariantViolationError("recovered array is not symmetric")
+    cells: list[list[int]] = []
     m = [0] * n
+    symmetric = partial = True
     for i in range(n):
-        hits = [j + 1 for j in range(n) if cells[i][j]]
-        if len(hits) > 1:
-            raise InvariantViolationError("recovered array is not a partial permutation")
-        if hits:
-            m[i] = hits[0]
-    rook = RookElement(tuple(m))
-    if not rook.is_symmetric():
-        raise InvariantViolationError("recovered rook element is not an involution")
-    return rook
+        d = list(map(sub, rho[i], rho[i + 1]))
+        row = list(map(sub, d, d[1:]))
+        if row.count(0) + row.count(1) != n:
+            raise InvariantViolationError("rank control is not of rook type")
+        if symmetric and row[:i] != [r[i] for r in cells]:
+            symmetric = False
+        hits = row.count(1)
+        if hits > 1:
+            partial = False
+        elif hits:
+            m[i] = row.index(1) + 1
+        cells.append(row)
+    if not symmetric:
+        raise InvariantViolationError("recovered array is not symmetric")
+    if not partial:
+        raise InvariantViolationError("recovered array is not a partial permutation")
+    # a symmetric 0/1 array with at most one 1 in each row is an involution
+    return RookElement(tuple(m))
 
 
 def invariant_to_partial_fpf(rc: RankControl) -> RookElement:

@@ -360,8 +360,9 @@ def dominant_weights_below(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
     return _to_weights(denom, map(scaled, found))
 
 
-def scaled_weight_set(rs: RootSystem, lam: Weight) -> tuple[int, list[tuple[int, ...]]]:
-    """(D, points): the weight set Pi(lam) as the integer vectors D * mu, unsorted.
+def _weight_set_labels(rs: RootSystem, lam: Weight):
+    """(points, denom, scaled): the weight set Pi(lam) as Dynkin label
+    vectors, unsorted, and the frame of _labels_and_frame.
 
     Pi(lam) is the disjoint union of the Weyl orbits of the dominant weights
     below lam, so no point repeats.
@@ -372,6 +373,12 @@ def scaled_weight_set(rs: RootSystem, lam: Weight) -> tuple[int, list[tuple[int,
         _extend_by_orbit(rs.cartan, mu, points)
         if len(points) > ORBIT_GUARD:
             raise ResourceLimitError(f"weight set: {len(points)} points exceed the limit {ORBIT_GUARD}")
+    return points, denom, scaled
+
+
+def scaled_weight_set(rs: RootSystem, lam: Weight) -> tuple[int, list[tuple[int, ...]]]:
+    """(D, points): the weight set Pi(lam) as the integer vectors D * mu, unsorted."""
+    points, denom, scaled = _weight_set_labels(rs, lam)
     return denom, list(map(scaled, points))
 
 

@@ -24,6 +24,18 @@ def test_primitive_roots():
         assert powers == set(range(1, q))
 
 
+def test_inv_mod():
+    for q in ff.SUPPORTED_PRIMES:
+        for a in range(-q, 2 * q):
+            if a % q:
+                assert ff.inv_mod(a, q) * a % q == 1
+            else:
+                with pytest.raises(ZeroDivisionError, match="no inverse of 0"):
+                    ff.inv_mod(a, q)
+    with pytest.raises(PreconditionError, match="modulus 4 not supported"):
+        ff.inv_mod(1, 4)
+
+
 def test_matrix_basics():
     m = ff.fq_matrix(3, [[1, 2], [4, -1]])
     assert m.rows == ((1, 2), (1, 2))
@@ -157,6 +169,61 @@ def test_bruhat_factor_exhaustive(n, q):
         assert fac.pattern_ok()
         rooks.add(fac.r)
     assert len(rooks) == len(enumerate_rook(n))
+
+
+def _bruhat_factor_oracle(m):
+    """bruhat_factor as the elimination that accumulates every row and column
+    operation into U and V, maintaining m = U . a . V."""
+    q, n = m.q, m.n
+    a = [list(row) for row in m.rows]
+    # accumulated inverse operations: m = U . a . V throughout
+    big_u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    big_v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    pivot_row_of_col: dict[int, int] = {}
+    used_rows: set[int] = set()
+    for j in range(n):
+        cand = [i for i in range(n) if i not in used_rows and a[i][j]]
+        if not cand:
+            continue
+        i0 = max(cand)  # lowest nonzero entry
+        piv = a[i0][j]
+        piv_inv = ff.inv_mod(piv, q)
+        # clear row i0 rightward: col_k -= (a[i0][k]/piv) * col_j,
+        # i.e. a <- a . (I - f E_{jk}); v accumulates (I + f E_{jk}) on the left
+        for k in range(j + 1, n):
+            if a[i0][k]:
+                f = a[i0][k] * piv_inv % q
+                for r_ in range(n):
+                    a[r_][k] = (a[r_][k] - f * a[r_][j]) % q
+                for c in range(n):
+                    big_v[j][c] = (big_v[j][c] + f * big_v[k][c]) % q
+        # clear column j upward: row_i -= (a[i][j]/piv) * row_i0,
+        # i.e. a <- (I - f E_{i,i0}) . a; u accumulates (I + f E_{i,i0}) on the right
+        for i in range(i0):
+            if a[i][j]:
+                f = a[i][j] * piv_inv % q
+                for k in range(n):
+                    a[i][k] = (a[i][k] - f * a[i0][k]) % q
+                for r_ in range(n):
+                    big_u[r_][i0] = (big_u[r_][i0] + f * big_u[r_][i]) % q
+        pivot_row_of_col[j] = i0
+        used_rows.add(i0)
+    rook_map = [0] * n
+    tdiag = [1] * n
+    for j, i0 in pivot_row_of_col.items():
+        rook_map[i0] = j + 1
+        tdiag[i0] = a[i0][j]
+    r = RookElement(tuple(rook_map))
+    t = FqMatrix(q, tuple(tuple(tdiag[i] if i == j else 0 for j in range(n)) for i in range(n)))
+    return ff.BorelFactorization(
+        u=FqMatrix(q, tuple(map(tuple, big_u))), t=t, r=r, v=FqMatrix(q, tuple(map(tuple, big_v)))
+    )
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)])
+def test_bruhat_factor_matches_oracle_exhaustive(n, q):
+    for m in ff.enumerate_matrices(n, q):
+        assert ff.bruhat_factor(m) == _bruhat_factor_oracle(m)
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -422,20 +489,26 @@ def _matmul_oracle(a, b):
 
 
 @st.composite
-def _same_shape(draw, count=3):
-    """Matrices of one size n = 0..17 and one modulus, each dense, sparse or
-    all q - 1 (the largest byte sums the product kernel can meet)."""
+def _same_shape(draw, count=3, max_n=17):
+    """Matrices of one size n = 0..max_n and one modulus, each dense, sparse,
+    singular (last row a combination of the others) or all q - 1 (the
+    largest byte sums the product kernel can meet)."""
     q = draw(st.sampled_from(ff.SUPPORTED_PRIMES))
-    n = draw(st.integers(0, 17))
+    n = draw(st.integers(0, max_n))
     out = []
     for _ in range(count):
-        kind = draw(st.sampled_from(("dense", "sparse", "top")))
+        kind = draw(st.sampled_from(("dense", "sparse", "singular", "top")))
         entry = {
             "dense": st.integers(0, q - 1),
             "sparse": st.sampled_from((0,) * 3 * q + tuple(range(q))),
+            "singular": st.integers(0, q - 1),
             "top": st.just(q - 1),
         }[kind]
-        out.append(FqMatrix(q, tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))))
+        rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+        if kind == "singular" and n:
+            coeffs = [draw(entry) for _ in range(n - 1)]
+            rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows)) % q for j in range(n)]
+        out.append(FqMatrix(q, tuple(map(tuple, rows))))
     return out
 
 
@@ -449,6 +522,15 @@ def test_product_matches_oracle(mats):
     assert a @ b == _matmul_oracle(a, b)
     assert a @ ident == a == ident @ a
     assert (a @ b) @ c == a @ (b @ c)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_same_shape(count=1, max_n=8))
+def test_bruhat_factor_matches_oracle(mats):
+    (m,) = mats
+    fac = ff.bruhat_factor(m)
+    assert fac == _bruhat_factor_oracle(m)
+    assert fac.product() == m
 
 
 @pytest.mark.parametrize(

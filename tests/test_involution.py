@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -164,6 +165,46 @@ def test_weight_set_stability():
     assert iv.check_weight_set_stability(a3, aii, rw.weight([0, 0, 0, 0]))
     with pytest.raises(NotSpecialError):
         iv.check_weight_set_stability(a3, aii, fw[0])
+
+
+def _stability_oracle(rs, inv, lam):
+    """check_weight_set_stability on ambient coordinates: -theta* applied to
+    the integer vectors D * mu of Pi(lambda)."""
+    _, points = rw.scaled_weight_set(rs, lam)
+    pi = set(points)
+    theta = inv.theta_star
+    return {tuple(-sum(map(mul, row, p)) for row in theta) for p in pi} == pi
+
+
+def test_weight_set_stability_matches_ambient_oracle():
+    checked = 0
+    for spec in iv.catalog(4):
+        rs = spec.root_system()
+        star = iv._neg_star_on_labels(rs, spec)
+        for mu in rw.all_roots(rs) + rw.fundamental_weights(rs):
+            image = tuple(sum(map(mul, row, rs.labels(mu))) for row in star)
+            assert image == rs.labels(-spec.apply_star(mu))
+        for lam in iv.spherical_generators(spec, rs):
+            assert iv.check_weight_set_stability(rs, spec, lam) is _stability_oracle(rs, spec, lam) is True
+            checked += 1
+    assert checked == 82
+
+
+@pytest.mark.parametrize(
+    "theta,lam",
+    [
+        (((0, 1, 1), (0, -1, 0), (0, 0, -1)), (2, 0)),  # not orthogonal
+        (((-1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0)),  # sends e_1 - e_2 off the roots
+    ],
+)
+def test_weight_set_stability_rejects_theta_off_the_roots(theta, lam):
+    a2 = rw.root_system("A", 2)
+    spec = InvolutionSpec("AI", (3,), theta)
+    lam = rw.from_fundamental(a2, lam)
+    assert spec.apply_star(lam) == -lam
+    with pytest.raises(PreconditionError) as exc:
+        iv.check_weight_set_stability(a2, spec, lam)
+    assert str(exc.value) == "theta* must preserve the form and map the simple roots to roots"
 
 
 def test_twisted_weight():

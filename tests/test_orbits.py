@@ -1,5 +1,6 @@
 import functools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -143,6 +144,19 @@ def borel_and_symmetric(draw):
 @given(fq_matrices(st.sampled_from((2, 3, 5, 7)), st.integers(0, 8)))
 def test_rank_control_matches_oracle(m):
     assert ob.rank_control(m) == _rank_control_oracle(m)
+
+
+def test_rank_control_byte_bound_matches_oracle():
+    """n = 16 over F_7.  A reversed row 1, 6, ..., 6 reduced by an equal basis
+    row reaches the kernel's largest byte, 6 + 6 * 6 = 42."""
+    q, n = 7, 16
+    rng = random.Random(16)
+    sixes = ff.fq_matrix(q, [[6] * (n - 1) + [1]] * n)
+    top = ff.fq_matrix(q, [[6] * n] * n)
+    dense = ff.fq_matrix(q, [[rng.randrange(q) for _ in range(n)] for _ in range(n)])
+    mixed = ff.fq_matrix(q, [[6] * (n - 1 - i) + [rng.randrange(1, q)] * (i + 1) for i in range(n)])
+    for a in (sixes, top, dense, dense.transpose(), mixed):
+        assert ob.rank_control(a) == _rank_control_oracle(a)
 
 
 @PROPERTY_SETTINGS
