@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from operator import getitem, mul
 
 from .errors import PreconditionError, ResourceLimitError, UnsupportedFamilyError
-from .rook import RookElement
+from .rook import RookElement, _rook
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 SPACE_GUARD = 10**6
@@ -381,7 +381,7 @@ def bruhat_factor(m: FqMatrix) -> BorelFactorization:
             row[j + 1 :] = [(e - f * p) % q for e, p in zip(row[j + 1 :], right)]
         rook_map[i0] = j + 1
         tdiag[i0] = piv
-    r = RookElement(tuple(rook_map))
+    r = _rook(tuple(rook_map))  # each row and column is used once
     # every entry is already reduced mod q
     t = _reduced(q, tuple([(0,) * i + (d,) + (0,) * (n - 1 - i) for i, d in enumerate(tdiag)]))
     return BorelFactorization(u=_reduced(q, tuple(map(tuple, u))), t=t, r=r, v=_reduced(q, tuple(v)))

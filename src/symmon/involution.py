@@ -406,6 +406,4 @@ def check_weight_set_stability(rs: RootSystem, inv: InvolutionSpec, lam: Weight)
         raise PreconditionError("stability check requires a dominant weight")
     if inv.apply_star(lam) != -lam:
         raise NotSpecialError("weight is not special for this involution")
-    star = _neg_star_on_labels(rs, inv)
-    points, _, _ = root_weight._weight_set_labels(rs, lam)
-    return {tuple([sum(map(mul, row, p)) for row in star]) for p in points} == set(points)
+    return root_weight.weight_set_is_stable(rs, lam, _neg_star_on_labels(rs, inv))

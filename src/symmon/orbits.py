@@ -17,7 +17,7 @@ from . import finite_field as ff
 from .errors import InvariantViolationError, PreconditionError
 from .finite_field import FqMatrix
 from .involution import InvolutionSpec
-from .rook import RookElement, symmetric_rook_elements
+from .rook import RookElement, _rook, symmetric_rook_elements
 
 
 def tau(m: FqMatrix, inv: InvolutionSpec) -> FqMatrix:
@@ -120,7 +120,7 @@ def invariant_to_partial_involution(rc: RankControl) -> RookElement:
     if not partial:
         raise InvariantViolationError("recovered array is not a partial permutation")
     # a symmetric 0/1 array with at most one 1 in each row is an involution
-    return RookElement(tuple(m))
+    return _rook(tuple(m))
 
 
 def invariant_to_partial_fpf(rc: RankControl) -> RookElement:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from . import linalg, root_weight
 from .errors import PreconditionError, ResourceLimitError
 from .linalg import Mat, Vec
-from .root_weight import RootSystem, Weight
+from .root_weight import RootSystem, Weight, _dynkin_components, _weyl_group_order
 
 HULL_POINT_GUARD = 200
 HULL_AMBIENT_GUARD = 6
@@ -327,23 +327,6 @@ def weight_orbit_points(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
     return root_weight.weyl_orbit(rs, base)
 
 
-def _dynkin_components(cartan, nodes) -> list[set[int]]:
-    """Connected components of the Dynkin diagram restricted to nodes."""
-    left = set(nodes)
-    out = []
-    while left:
-        comp = set()
-        stack = [min(left)]
-        while stack:
-            i = stack.pop()
-            if i not in comp:
-                comp.add(i)
-                stack.extend(j for j in left if cartan[i][j] and j not in comp)
-        left -= comp
-        out.append(comp)
-    return out
-
-
 def _support_components(rs: RootSystem, lam: Weight) -> tuple[set[int], list[set[int]]]:
     """supp(lam), and the connected components of the Dynkin diagram that meet it."""
     supp = {i for i, x in enumerate(rs.labels(lam)) if x}
@@ -353,22 +336,6 @@ def _support_components(rs: RootSystem, lam: Weight) -> tuple[set[int], list[set
 def _admissible(cartan, nodes, supp: set[int]) -> bool:
     """Every connected component of the Dynkin diagram on nodes meets supp."""
     return all(c & supp for c in _dynkin_components(cartan, nodes))
-
-
-def _weyl_group_order(cartan, nodes) -> int:
-    """|W_I| for the nodes I: the product over the Dynkin components of I of
-    (m+1)! for A_m, 2^m m! for B_m and C_m (a double bond), and 2^(m-1) m!
-    for D_m (a branch node)."""
-    order = 1
-    for comp in _dynkin_components(cartan, nodes):
-        m = len(comp)
-        if any(cartan[i][j] == -2 for i in comp for j in comp):
-            order *= 2**m * math.factorial(m)
-        elif any(sum(1 for j in comp if j != i and cartan[i][j]) == 3 for i in comp):
-            order *= 2 ** (m - 1) * math.factorial(m)
-        else:
-            order *= math.factorial(m + 1)
-    return order
 
 
 def facet_nodes(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
@@ -404,10 +371,10 @@ def weight_polytope_f_vector(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
         for nodes in itertools.combinations(span, k):
             if not _admissible(cartan, nodes, supp):
                 continue
-            fixed = {
+            fixed = frozenset(
                 i for i in range(rs.rank)
                 if i not in supp and i not in nodes and not any(cartan[i][j] for j in nodes)
-            }
+            )
             f[k] += order // _weyl_group_order(cartan, fixed.union(nodes))
     return tuple(f)
 

@@ -57,7 +57,7 @@ class RookElement:
         for i, j in enumerate(self.map):
             if j != 0:
                 m[j - 1] = i + 1
-        return RookElement(tuple(m))
+        return _rook(tuple(m))
 
     def is_idempotent(self) -> bool:
         return all(j == 0 or j == i + 1 for i, j in enumerate(self.map))
@@ -78,6 +78,14 @@ class RookElement:
     def diagram(self) -> str:
         """One-line rook diagram "j_1 j_2 ... j_n" with 0 for empty rows."""
         return " ".join(str(j) for j in self.map)
+
+
+def _rook(m: tuple[int, ...]) -> RookElement:
+    """A RookElement from a map already known to be a partial permutation,
+    built without re-validating it."""
+    r = object.__new__(RookElement)
+    r.__dict__["map"] = m  # past the frozen __setattr__
+    return r
 
 
 def identity_rook(n: int) -> RookElement:

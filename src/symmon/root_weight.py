@@ -9,11 +9,13 @@ Classical families A, B, C, D in epsilon-coordinates:
 
 Weights cross the API as `Weight`s with exact `Fraction` coordinates, and
 equality of weights is exact.  The Weyl-orbit and weight-set kernels work on
-Dynkin labels instead: mu is the tuple (<mu, alpha_j^vee>)_j, integers for
-every integral weight, read by `RootSystem.labels` off the integer coroots.
-The simple reflection is s_i(mu) = mu - mu_i * (row i of the Cartan matrix),
-and mu is dominant when every label is a nonnegative integer.  `Fraction`s
-are built only where labels are converted back to `Weight`s.
+Dynkin labels instead: mu is the vector (<mu, alpha_j^vee>)_j, integers for
+every integral weight (and scaled by their common denominator otherwise),
+read by `RootSystem.labels` off the integer coroots and packed into one int
+(see the kernel note at `_LabelCode`).  The simple reflection is
+s_i(mu) = mu - mu_i * (row i of the Cartan matrix), and mu is dominant when
+every label is a nonnegative integer.  `Fraction`s are built only where
+labels are converted back to `Weight`s.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from __future__ import annotations
 import functools
 import json
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, sub
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -80,7 +83,7 @@ def weight(entries) -> Weight:
     return Weight(linalg.vec(entries))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootSystem:
     """Simple-root data for one classical family at a fixed rank: the integer
     coroots 2 alpha_j / (alpha_j, alpha_j) and cartan[i][j] = <alpha_i, alpha_j^vee>."""
@@ -92,9 +95,15 @@ class RootSystem:
     cartan: tuple[tuple[int, ...], ...]
     coroots: tuple[tuple[int, ...], ...]
 
+    # root_system builds every other field from (family, rank), so comparing
+    # and hashing those alone spares every lru_cache lookup a hash and a
+    # comparison of the Fraction simple roots
+    def __eq__(self, other):
+        if other.__class__ is not RootSystem:
+            return NotImplemented
+        return self.family == other.family and self.rank == other.rank
+
     def __hash__(self) -> int:
-        # equal systems share (family, rank), so this agrees with __eq__, and
-        # it spares every lru_cache lookup a hash of the Fraction simple roots
         return hash((self.family, self.rank))
 
     def form(self, mu: Weight, nu: Weight) -> Fraction:
@@ -110,10 +119,15 @@ class RootSystem:
 
     def labels(self, mu: Weight) -> tuple:
         """The Dynkin labels (<mu, alpha_j^vee>)_j: exact, and int where integral."""
+        if len(mu.coords) != self.ambient_dim:
+            raise ValueError("weight and root system differ in ambient dimension")
+        # over the common denominator d of the coordinates, in integers
+        d = math.lcm(*(m.denominator for m in mu.coords))
+        scaled = [m.numerator * (d // m.denominator) for m in mu.coords]
         out = []
         for coroot in self.coroots:
-            x = sum(c * m for c, m in zip(coroot, mu.coords, strict=True) if c)
-            out.append(x.numerator if x.denominator == 1 else x)
+            x = sum(map(mul, coroot, scaled))
+            out.append(Fraction(x, d) if x % d else x // d)
         return tuple(out)
 
     def is_dominant(self, mu: Weight) -> bool:
@@ -217,23 +231,27 @@ def _scaled_fundamental(rs: RootSystem) -> tuple[int, tuple[tuple[int, ...], ...
     return d, tuple(tuple(int(c * d) for c in om.coords) for om in fw)
 
 
-def _labels_and_frame(rs: RootSystem, mu: Weight):
-    """(labels, denom, scaled): the Dynkin labels of mu, and integer ambient
-    coordinates for the weights that share mu's W-fixed part (the component
-    orthogonal to the root span), such as its W-orbit and mu + root lattice:
-    the weight with labels nu has coordinates scaled(nu) / denom."""
+def _scaled_labels(rs: RootSystem, mu: Weight) -> tuple[int, tuple[int, ...]]:
+    """(s, labels): the least s making s times every Dynkin label of mu an
+    integer, and those integers.  The W-orbit of s mu is s times that of mu,
+    with the same signs for Snow's rule to read."""
     labels = rs.labels(mu)
+    s = math.lcm(*(x.denominator for x in labels))
+    return s, labels if s == 1 else tuple(int(s * x) for x in labels)
+
+
+def _ambient(rs: RootSystem, mu: Weight, s: int, labels, code, codes) -> tuple[int, list[tuple[int, ...]]]:
+    """(denom, points): the weights with the given codes, of labels scaled by
+    s, as integer ambient vectors over a common denominator.  They must share
+    mu's W-fixed part (its component orthogonal to the root span), as its
+    W-orbit and mu + root lattice do."""
     d, rows = _scaled_fundamental(rs)
-    # d * (mu - sum_j labels_j omega_j): the W-fixed part, scaled by d
-    fixed = [d * c - sum(map(mul, labels, col)) for c, col in zip(mu.coords, zip(*rows))]
+    # s * d * (mu - sum_j (labels_j / s) omega_j): the W-fixed part, scaled by s * d
+    fixed = [s * d * c - sum(map(mul, labels, col)) for c, col in zip(mu.coords, zip(*rows))]
     k = math.lcm(*(Fraction(f).denominator for f in fixed))
-    columns = tuple(tuple(k * e for e in col) for col in zip(*rows))
-    offset = tuple(int(k * f) for f in fixed)
-
-    def scaled(nu) -> tuple:
-        return tuple(sum(map(mul, nu, col)) + off for col, off in zip(columns, offset))
-
-    return labels, d * k, scaled
+    frame = [([k * e for e in col], int(k * f)) for col, f in zip(zip(*rows), fixed)]
+    vectors = map(code.labels, codes)
+    return s * d * k, [tuple(sum(map(mul, nu, col)) + off for col, off in frame) for nu in vectors]
 
 
 def _to_weights(denom: int, scaled) -> tuple[Weight, ...]:
@@ -244,46 +262,143 @@ def _to_weights(denom: int, scaled) -> tuple[Weight, ...]:
     return tuple(Weight(tuple(map(frac.__getitem__, p))) for p in points)
 
 
-def _dominant_labels(cartan, mu: tuple) -> tuple:
-    """The dominant label vector in the W-orbit of mu."""
-    while True:
-        i = next((i for i, c in enumerate(mu) if c < 0), None)
-        if i is None:
-            return mu
-        c = mu[i]
-        mu = tuple(m - c * r for m, r in zip(mu, cartan[i]))
+# kernel: a Dynkin label vector nu of rank r is the int
+# sum_i (nu_i + 2^(k-1)) 2^(k i), in lanes of k = 8, 16, 32, 64, ... bits.
+# While every |nu_i| < 2^(k-1), no lane carries into the next, a lane's top
+# bit is set exactly when nu_i >= 0, and x ^ top (top: every lane's top bit,
+# the code of 0) holds nu_i mod 2^k, which struct (int.from_bytes past 64
+# bits) reads as signed lanes.  With <v> = sum_j v_j 2^(k j), the ints
+# x - c <Cartan row i>, x - <beta> and sum_j nu_j <column j of M> + top are
+# the codes of nu - c (row i), nu - beta and M nu.  k is fixed before
+# enumerating, from a bound on every label reached: for nu in W.mu,
+# nu_i = <mu, beta^vee> for a coroot beta^vee with coefficients of at most 2
+# in A-D, so |nu_i| <= 2 sum_j |mu_j|, and on Pi(lam),
+# |nu_i| <= <lam, theta^vee> <= 2 sum_j lam_j (theta^vee the highest coroot).
+_LANE_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 
-def _extend_by_orbit(cartan, dom: tuple, out: list) -> None:
-    """Append the W-orbit of the dominant label vector dom to out.
+def _plain(vector, k: int) -> int:
+    return sum(v << (k * j) for j, v in enumerate(vector))
+
+
+class _LabelCode:
+    """Packed Dynkin label vectors of one root system, k bits a lane."""
+
+    __slots__ = ("k", "top", "size", "unpack", "rows", "before")
+
+    def __init__(self, rs: RootSystem, k: int):
+        tops = [_plain([1 << (k - 1)] * i, k) for i in range(rs.rank + 1)]
+        self.k, self.top, self.size = k, tops.pop(), rs.rank * k // 8
+        if k <= 64:
+            self.unpack = struct.Struct(f"<{rs.rank}{_LANE_FORMATS[k]}").unpack
+        else:  # lanes wider than struct reads: one int.from_bytes per lane
+            w = k // 8
+            self.unpack = lambda b: tuple(
+                int.from_bytes(b[i : i + w], "little", signed=True) for i in range(0, len(b), w)
+            )
+        self.rows = tuple(_plain(row, k) for row in rs.cartan)  # <Cartan row i>
+        self.before = tuple(tops)  # the top bits of the lanes before lane i
+
+    def labels(self, x: int) -> tuple[int, ...]:
+        return self.unpack((x ^ self.top).to_bytes(self.size, "little"))
+
+
+# one code per root system and lane width
+_lane_code = functools.lru_cache(maxsize=None)(_LabelCode)
+
+
+def _label_code(rs: RootSystem, bound: int) -> _LabelCode:
+    """The code with the narrowest lanes that hold every label within +-bound."""
+    k = 8
+    while bound >= 1 << (k - 1):
+        k *= 2
+    return _lane_code(rs, k)
+
+
+def _dominant(code: _LabelCode, x: int) -> int:
+    """The code of the dominant vector in the W-orbit of code x: reflect at
+    the first negative label, the lowest lane whose top bit is clear."""
+    while negative := code.top & ~x:
+        i = ((negative & -negative).bit_length() - 1) // code.k
+        x -= code.labels(x)[i] * code.rows[i]
+    return x
+
+
+def _extend_by_orbit(code: _LabelCode, dom: int, out: list) -> None:
+    """Append the W-orbit of the dominant code dom to out.
 
     Snow's rule (D. Snow, "Weyl group orbits", ACM TOMS 16, 1990): the parent
     of a non-dominant nu is s_k nu for the least k with nu_k < 0.  So a child
     s_i mu of mu (where mu_i > 0) is kept only when its labels before i are all
-    >= 0; every orbit element is then produced exactly once, with no seen-set.
+    >= 0, that is when its code has every bit of before[i] set; every orbit
+    element is then produced exactly once, with no seen-set.
     """
+    top, size, unpack, rows, before = code.top, code.size, code.unpack, code.rows, code.before
     out.append(dom)
     frontier = [dom]
     while frontier:
         nxt = []
-        for mu in frontier:
-            for i, c in enumerate(mu):
+        for x in frontier:
+            for c, row, mask in zip(unpack((x ^ top).to_bytes(size, "little")), rows, before):
                 if c > 0:
-                    nu = tuple(m - c * r for m, r in zip(mu, cartan[i]))
-                    if all(x >= 0 for x in nu[:i]):
-                        nxt.append(nu)
+                    y = x - c * row
+                    if y & mask == mask:
+                        nxt.append(y)
         out.extend(nxt)
         frontier = nxt
 
 
+def _dynkin_components(cartan, nodes) -> list[set[int]]:
+    """Connected components of the Dynkin diagram restricted to nodes."""
+    left = set(nodes)
+    out = []
+    while left:
+        comp = set()
+        stack = [min(left)]
+        while stack:
+            i = stack.pop()
+            if i not in comp:
+                comp.add(i)
+                stack.extend(j for j in left if cartan[i][j] and j not in comp)
+        left -= comp
+        out.append(comp)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _weyl_group_order(cartan, nodes) -> int:
+    """|W_I| for the nodes I: the product over the Dynkin components of I of
+    (m+1)! for A_m, 2^m m! for B_m and C_m (a double bond), and 2^(m-1) m!
+    for D_m (a branch node)."""
+    order = 1
+    for comp in _dynkin_components(cartan, nodes):
+        m = len(comp)
+        if any(cartan[i][j] == -2 for i in comp for j in comp):
+            order *= 2**m * math.factorial(m)
+        elif any(sum(1 for j in comp if j != i and cartan[i][j]) == 3 for i in comp):
+            order *= 2 ** (m - 1) * math.factorial(m)
+        else:
+            order *= math.factorial(m + 1)
+    return order
+
+
+def _orbit_size(rs: RootSystem, labels) -> int:
+    """|W.mu| = |W| / |W_I| for mu dominant with these labels, I the nodes where they vanish."""
+    zeros = tuple(i for i, c in enumerate(labels) if not c)
+    return _weyl_group_order(rs.cartan, range(rs.rank)) // _weyl_group_order(rs.cartan, zeros)
+
+
 def weyl_orbit(rs: RootSystem, mu: Weight) -> tuple[Weight, ...]:
     """The W-orbit of mu, canonically sorted."""
-    labels, denom, scaled = _labels_and_frame(rs, mu)
+    s, labels = _scaled_labels(rs, mu)
+    code = _label_code(rs, 2 * sum(map(abs, labels)))
+    dom = _dominant(code, _plain(labels, code.k) + code.top)
+    size = _orbit_size(rs, code.labels(dom))
+    if size > ORBIT_GUARD:
+        raise ResourceLimitError(f"Weyl orbit: {size} points exceed the limit {ORBIT_GUARD}")
     points: list = []
-    _extend_by_orbit(rs.cartan, _dominant_labels(rs.cartan, labels), points)
-    if len(points) > ORBIT_GUARD:
-        raise ResourceLimitError(f"Weyl orbit: {len(points)} points exceed the limit {ORBIT_GUARD}")
-    return _to_weights(denom, map(scaled, points))
+    _extend_by_orbit(code, dom, points)
+    return _to_weights(*_ambient(rs, mu, s, labels, code, points))
 
 
 @functools.lru_cache(maxsize=None)
@@ -324,62 +439,65 @@ def dominance_leq(rs: RootSystem, mu: Weight, lam: Weight) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _positive_root_labels(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(rs.labels, positive_roots(rs)))
+def _positive_root_codes(rs: RootSystem, k: int) -> tuple[int, ...]:
+    return tuple(_plain(rs.labels(beta), k) for beta in positive_roots(rs))
 
 
-def _dominant_labels_below(rs: RootSystem, lam: Weight):
-    """(found, denom, scaled): the label vectors of the dominant weights below
-    lam, and the integer coordinates of _labels_and_frame.
+def _dominant_codes_below(rs: RootSystem, lam: Weight, spread: int = 1):
+    """(labels, code, found): lam's Dynkin labels, and the codes of the
+    dominant weights below lam, whose lanes also hold spread times any label
+    of Pi(lam).
 
     BFS downward by positive roots; any two comparable dominant weights are
     joined by a chain of dominant weights differing by single positive roots,
     so the closure is complete.
     """
-    if not rs.is_dominant(lam):
+    s, labels = _scaled_labels(rs, lam)
+    if s != 1 or min(labels) < 0:
         raise PreconditionError("dominant_weights_below requires a dominant weight")
-    top, denom, scaled = _labels_and_frame(rs, lam)
-    positives = _positive_root_labels(rs)
-    found = {top}
-    frontier = [top]
+    bound = 2 * sum(labels)
+    # a step mu - beta leaves the bound by at most a root's label, 2 in A-D
+    code = _label_code(rs, max(bound + 2, spread * bound))
+    steps, top = _positive_root_codes(rs, code.k), code.top
+    found = {_plain(labels, code.k) + top}
+    frontier = list(found)
     while frontier:
         nxt = []
-        for mu in frontier:
-            for beta in positives:
-                nu = tuple(map(sub, mu, beta))
-                if min(nu) >= 0 and nu not in found:
-                    found.add(nu)
-                    nxt.append(nu)
+        for x in frontier:
+            for step in steps:
+                y = x - step
+                if y & top == top and y not in found:
+                    found.add(y)
+                    nxt.append(y)
         frontier = nxt
-    return found, denom, scaled
+    return labels, code, found
 
 
 def dominant_weights_below(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
     """All dominant weights mu <= lam with mu in lam + root lattice, sorted."""
-    found, denom, scaled = _dominant_labels_below(rs, lam)
-    return _to_weights(denom, map(scaled, found))
+    labels, code, found = _dominant_codes_below(rs, lam)
+    return _to_weights(*_ambient(rs, lam, 1, labels, code, found))
 
 
-def _weight_set_labels(rs: RootSystem, lam: Weight):
-    """(points, denom, scaled): the weight set Pi(lam) as Dynkin label
-    vectors, unsorted, and the frame of _labels_and_frame.
-
-    Pi(lam) is the disjoint union of the Weyl orbits of the dominant weights
-    below lam, so no point repeats.
-    """
-    dominants, denom, scaled = _dominant_labels_below(rs, lam)
+def _weight_set_codes(rs: RootSystem, lam: Weight, spread: int = 1):
+    """(labels, code, points): as _dominant_codes_below, with the weight set
+    Pi(lam) as codes, unsorted.  Pi(lam) is the disjoint union of the W-orbits
+    of the dominant weights below lam, so its size is known before any orbit
+    is built, and no point repeats."""
+    labels, code, dominants = _dominant_codes_below(rs, lam, spread)
+    size = sum(_orbit_size(rs, code.labels(x)) for x in dominants)
+    if size > ORBIT_GUARD:
+        raise ResourceLimitError(f"weight set: {size} points exceed the limit {ORBIT_GUARD}")
     points: list = []
-    for mu in dominants:
-        _extend_by_orbit(rs.cartan, mu, points)
-        if len(points) > ORBIT_GUARD:
-            raise ResourceLimitError(f"weight set: {len(points)} points exceed the limit {ORBIT_GUARD}")
-    return points, denom, scaled
+    for x in dominants:
+        _extend_by_orbit(code, x, points)
+    return labels, code, points
 
 
 def scaled_weight_set(rs: RootSystem, lam: Weight) -> tuple[int, list[tuple[int, ...]]]:
     """(D, points): the weight set Pi(lam) as the integer vectors D * mu, unsorted."""
-    points, denom, scaled = _weight_set_labels(rs, lam)
-    return denom, list(map(scaled, points))
+    labels, code, points = _weight_set_codes(rs, lam)
+    return _ambient(rs, lam, 1, labels, code, points)
 
 
 def weight_set(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
@@ -388,6 +506,18 @@ def weight_set(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
     canonically sorted.
     """
     return _to_weights(*scaled_weight_set(rs, lam))
+
+
+def weight_set_is_stable(rs: RootSystem, lam: Weight, matrix) -> bool:
+    """True iff the integer rank x rank matrix, acting on Dynkin label
+    vectors, maps the weight set Pi(lam) onto itself."""
+    if len(matrix) != rs.rank or any(len(row) != rs.rank for row in matrix):
+        raise PreconditionError("need a rank x rank matrix on Dynkin labels")
+    _, code, points = _weight_set_codes(rs, lam, max(1, *(sum(map(abs, row)) for row in matrix)))
+    columns = [_plain(col, code.k) for col in zip(*matrix)]
+    top, size, unpack = code.top, code.size, code.unpack
+    images = {sum(map(mul, unpack((x ^ top).to_bytes(size, "little")), columns)) + top for x in points}
+    return images == set(points)
 
 
 def chi(rs: RootSystem) -> Weight:

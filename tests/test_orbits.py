@@ -210,6 +210,29 @@ def test_invariant_total_on_symmetric_inputs():
                 ob.invariant_to_partial_involution(ob.rank_control(m))
 
 
+def _checked(r):
+    """r, after the validation that the unchecked builder skips, with nothing
+    but its map stored."""
+    assert type(r) is RookElement and type(r.map) is tuple and vars(r) == {"map": r.map}
+    return RookElement(r.map)
+
+
+def test_unchecked_rook_outputs_equal_validated_elements():
+    for n, q in ((1, 3), (2, 3), (3, 2)):
+        for m in ff.enumerate_matrices(n, q):
+            r = ff.bruhat_factor(m).r
+            assert _checked(r) == r
+    for q in (3, 5):
+        for n in (1, 2, 3):
+            for m in ff.enumerate_symmetric(n, q):
+                p = ob.invariant_to_partial_involution(ob.rank_control(m))
+                assert _checked(p) == p
+    for n in range(1, 5):
+        for r in rn.enumerate_rook(n):
+            t = r.transpose()
+            assert _checked(t) == t and _checked(t.transpose()) == r
+
+
 def test_invariant_injective_on_partial_involutions():
     for n in (2, 3, 4):
         seen = {}

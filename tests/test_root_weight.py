@@ -485,3 +485,164 @@ def test_simple_root_coefficients_outside_span():
     assert _coefficients_oracle(a3, rw.chi(a3)) is None
     assert rw.simple_root_coefficients(a3, weight([1, 0, 0, 0])) is None
     assert not rw.dominance_leq(a3, weight([0, 0, 0, 0]), weight([1, 0, 0, 0]))
+
+
+# -- the packed Dynkin-label codes --------------------------------------------
+
+
+def test_lane_width_follows_the_label_bound():
+    b2 = rw.root_system("B", 2)
+    bounds = (0, 127, 128, 2**15 - 1, 2**15, 2**31, 2**63 - 1, 2**63, 2**200)
+    widths = [rw._label_code(b2, bound).k for bound in bounds]
+    assert widths == [8, 8, 16, 16, 32, 64, 64, 128, 256]
+
+
+def test_codes_round_trip_at_the_lane_limits():
+    for k in (8, 16, 32, 64, 128):
+        code = rw._label_code(rw.root_system("C", 3), 2 ** (k - 1) - 1)
+        assert code.k == k
+        extreme = 2 ** (k - 1) - 1
+        for labels in ((extreme, -extreme, 0), (-extreme - 1, 0, extreme), (0, 0, 0), (1, -1, 2)):
+            x = rw._plain(labels, k) + code.top
+            assert code.labels(x) == labels
+            # the top bit of a lane is set exactly where its label is >= 0
+            assert [bool(x >> (k * i + k - 1) & 1) for i in range(3)] == [c >= 0 for c in labels]
+
+
+@pytest.mark.parametrize("a", [62, 63, 64, 126, 127, 128])
+def test_a1_weight_sets_across_lane_widths(a):
+    a1 = rw.root_system("A", 1)
+    lam = rw.from_fundamental(a1, (a,))
+    pi = rw.weight_set(a1, lam)
+    assert pi == _weight_set_box_oracle(a1, lam)
+    assert [a1.labels(mu)[0] for mu in pi] == list(range(-a, a + 1, 2))
+    assert rw.weyl_orbit(a1, lam) == _weyl_orbit_oracle(a1, lam)
+
+
+@pytest.mark.parametrize(
+    "fam,labels,top",
+    # the largest |label| on the orbit: 2 a + b in B_2, a + 2 b in C_2
+    [
+        ("B", (50, 40), 140),
+        ("B", (100, 0), 200),
+        ("B", (63, 1), 127),
+        ("B", (64, 0), 128),
+        ("C", (40, 50), 140),
+        ("C", (0, 100), 200),
+        ("C", (1, 63), 127),
+        ("C", (0, 64), 128),
+    ],
+)
+def test_rank_two_orbits_crossing_eight_bit_lanes(fam, labels, top):
+    rs = rw.root_system(fam, 2)
+    lam = rw.from_fundamental(rs, labels)
+    orbit = rw.weyl_orbit(rs, lam)
+    assert orbit == _weyl_orbit_oracle(rs, lam)
+    assert max(abs(x) for mu in orbit for x in rs.labels(mu)) == top
+    assert rw.weyl_orbit(rs, -lam) == orbit
+
+
+@pytest.mark.parametrize("fam,labels", [("B", (64, 0)), ("C", (0, 64))])
+def test_rank_two_weight_sets_crossing_eight_bit_lanes(fam, labels):
+    rs = rw.root_system(fam, 2)
+    lam = rw.from_fundamental(rs, labels)
+    dominants = rw.dominant_weights_below(rs, lam)
+    assert dominants == _dominant_weights_below_oracle(rs, lam)
+    pi = rw.weight_set(rs, lam)
+    assert max(abs(x) for mu in pi for x in rs.labels(mu)) == 128
+    # the orbits of the small dominant weights take 8-bit lanes, the weight set 16-bit ones
+    orbits = [w for mu in dominants for w in rw.weyl_orbit(rs, mu)]
+    assert len(orbits) == len(pi) and set(orbits) == set(pi)
+
+
+@pytest.mark.parametrize("fam,labels", [("A", (10**20,)), ("B", (3, 2**70)), ("C", (2**64, 2**63))])
+def test_orbits_past_sixty_four_bit_lanes(fam, labels):
+    rs = rw.root_system(fam, len(labels))
+    lam = rw.from_fundamental(rs, labels)
+    assert rw.weyl_orbit(rs, lam) == _weyl_orbit_oracle(rs, lam)
+    assert rw.weyl_orbit(rs, lam.scale(frac(1, 3))) == _weyl_orbit_oracle(rs, lam.scale(frac(1, 3)))
+
+
+@pytest.mark.parametrize(
+    "fam,rank,coords",
+    [
+        ("A", 2, (frac(1, 2), frac(1, 3), 0)),
+        ("B", 2, (frac(3, 4), frac(-1, 6))),
+        ("C", 3, (frac(1, 5), frac(-2, 5), frac(7, 10))),
+        ("D", 4, (frac(1, 2), frac(1, 3), frac(-1, 4), 0)),
+    ],
+)
+def test_non_integral_weyl_orbits_match_reflect_oracle(fam, rank, coords):
+    rs = rw.root_system(fam, rank)
+    mu = weight(coords)
+    assert any(type(x) is not int for x in rs.labels(mu))
+    assert rw.weyl_orbit(rs, mu) == _weyl_orbit_oracle(rs, mu)
+
+
+def _label_map_oracle(rs, lam, matrix):
+    """weight_set_is_stable through Weights: the label vectors of Pi(lam),
+    mapped by matrix."""
+    pi = {rs.labels(mu) for mu in _weight_set_oracle(rs, lam)}
+    return {tuple(sum(a * b for a, b in zip(row, nu)) for row in matrix) for nu in pi} == pi
+
+
+@pytest.mark.parametrize(
+    "fam,rank,labels,matrix,stable",
+    [
+        ("B", 2, (1, 0), ((2, 0), (0, 2)), False),
+        ("B", 2, (1, 0), ((0, 1), (1, 0)), False),  # not a diagram symmetry of B_2
+        ("B", 2, (1, 0), ((1, 0), (0, 1)), True),
+        ("B", 2, (1, 0), ((-1, 0), (0, -1)), True),  # -1 is in W(B_2)
+        ("A", 2, (1, 0), ((0, 1), (1, 0)), False),  # Pi(omega_1) onto Pi(omega_2)
+        ("A", 2, (1, 1), ((0, 1), (1, 0)), True),
+        ("A", 1, (3,), ((100,),), False),  # images far outside Pi(lam)
+        ("A", 1, (3,), ((-1,),), True),
+        ("C", 3, (0, 1, 0), ((1, 0, 0), (0, 1, 0), (0, 0, 0)), False),
+    ],
+)
+def test_weight_set_is_stable(fam, rank, labels, matrix, stable):
+    rs = rw.root_system(fam, rank)
+    lam = rw.from_fundamental(rs, labels)
+    assert rw.weight_set_is_stable(rs, lam, matrix) is stable
+    assert _label_map_oracle(rs, lam, matrix) is stable
+
+
+def test_weight_set_is_stable_rejects_bad_input():
+    b2 = rw.root_system("B", 2)
+    with pytest.raises(PreconditionError, match="^need a rank x rank matrix on Dynkin labels$"):
+        rw.weight_set_is_stable(b2, rw.from_fundamental(b2, (1, 0)), ((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(PreconditionError, match="^dominant_weights_below requires a dominant weight$"):
+        rw.weight_set_is_stable(b2, rw.from_fundamental(b2, (-1, 0)), ((1, 0), (0, 1)))
+
+
+@pytest.mark.parametrize("fam,rank", ALL_ROOT_SYSTEMS)
+def test_orbit_sizes_from_parabolic_orders(fam, rank):
+    rs = rw.root_system(fam, rank)
+    fw = rw.fundamental_weights(rs)
+    rho = sum(fw, Weight(linalg.zero_vec(rs.ambient_dim)))
+    order = rw._weyl_group_order(rs.cartan, range(rank))
+    assert rw._orbit_size(rs, rs.labels(rho)) == order
+    if rank <= 5:  # |W(B_6)| = 46080 points would take the test most of a second
+        assert len(rw.weyl_orbit(rs, rho)) == order
+    for om in fw:
+        assert rw._orbit_size(rs, rs.labels(om)) == len(rw.weyl_orbit(rs, om))
+
+
+def _no_orbits(*args):
+    raise AssertionError("an orbit was enumerated past the guard")
+
+
+@pytest.mark.parametrize("fam,labels", [("A", (1, 0, 1)), ("B", (2, 0, 1)), ("C", (0, 2, 1)), ("D", (1, 0, 0, 1))])
+def test_guards_name_the_exact_size_before_enumerating(monkeypatch, fam, labels):
+    rs = rw.root_system(fam, len(labels))
+    lam = rw.from_fundamental(rs, labels)
+    pi, orbit = len(rw.weight_set(rs, lam)), len(rw.weyl_orbit(rs, lam))
+    monkeypatch.setattr(rw, "_extend_by_orbit", _no_orbits)
+    monkeypatch.setattr(rw, "ORBIT_GUARD", orbit - 1)
+    with pytest.raises(ResourceLimitError) as exc:
+        rw.weyl_orbit(rs, lam)
+    assert str(exc.value) == f"Weyl orbit: {orbit} points exceed the limit {orbit - 1}"
+    monkeypatch.setattr(rw, "ORBIT_GUARD", pi - 1)
+    with pytest.raises(ResourceLimitError) as exc:
+        rw.weight_set(rs, lam)
+    assert str(exc.value) == f"weight set: {pi} points exceed the limit {pi - 1}"
