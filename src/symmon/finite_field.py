@@ -1,15 +1,15 @@
 """Exhaustive matrix machinery over small prime fields.
 
 Everything here is desk scale by design: the supported moduli are 2, 3, 5, 7
-and every enumeration is guarded.  Matrices are immutable tuples of residue
-rows, so they hash and sort canonically (row-major).
+and every enumeration is guarded.  Matrices are immutable (q, rows) tuples,
+so they hash and sort canonically (by modulus, then row-major).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import getitem, mul
+from operator import getitem, itemgetter, mul
 
 from .errors import PreconditionError, ResourceLimitError, UnsupportedFamilyError
 from .rook import RookElement, _rook
@@ -100,48 +100,38 @@ _MOD_TABLE = {q: bytes(b % q for b in range(256)) for q in SUPPORTED_PRIMES}
 _CHUNK = {q: 255 // (q - 1) ** 2 for q in SUPPORTED_PRIMES}
 
 
-@dataclass(frozen=True, eq=False)
-class FqMatrix:
-    """A dense square matrix of residues mod q, ordered by (q, rows)."""
+class FqMatrix(tuple):
+    """A dense square matrix of residues mod q: the pair (q, rows), rows a
+    tuple of residue tuples.  Equality, hashing and the (q, rows) order are
+    the tuple's own, so they run in C; the pair is also what len() and
+    iteration see."""
 
-    q: int
-    rows: tuple[tuple[int, ...], ...]
+    q = property(itemgetter(0))
+    rows = property(itemgetter(1))
+    _inverse = None  # the cached inverse
+    _packed = None  # the cached packed rows of a right operand
+
+    def __new__(cls, q: int, rows: tuple[tuple[int, ...], ...]):
+        self = tuple.__new__(cls, (q, rows))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
+        """Validate q and rows: once per FqMatrix(q, rows), never for the
+        products and views built by _reduced."""
         _check_prime(self.q)
         n = len(self.rows)
         for row in self.rows:
             if len(row) != n or any(not 0 <= e < self.q for e in row):
                 raise PreconditionError("rows must be reduced residues of a square matrix")
 
-    # the (q, rows) order of a dataclass with order=True, without building the tuples
-    def __eq__(self, other):
-        if other.__class__ is not FqMatrix:
-            return NotImplemented
-        return self.q == other.q and self.rows == other.rows
+    def __getnewargs__(self):  # pickle and copy rebuild through __new__(cls, q, rows)
+        return tuple(self)
 
-    def __hash__(self):
-        return hash(self.rows)
+    def __add__(self, other):
+        return NotImplemented  # no tuple concatenation or repetition
 
-    def __lt__(self, other):
-        if other.__class__ is not FqMatrix:
-            return NotImplemented
-        return self.q < other.q or (self.q == other.q and self.rows < other.rows)
-
-    def __le__(self, other):
-        if other.__class__ is not FqMatrix:
-            return NotImplemented
-        return self.q < other.q or (self.q == other.q and self.rows <= other.rows)
-
-    def __gt__(self, other):
-        if other.__class__ is not FqMatrix:
-            return NotImplemented
-        return self.q > other.q or (self.q == other.q and self.rows > other.rows)
-
-    def __ge__(self, other):
-        if other.__class__ is not FqMatrix:
-            return NotImplemented
-        return self.q > other.q or (self.q == other.q and self.rows >= other.rows)
+    __mul__ = __rmul__ = __add__
 
     @property
     def n(self) -> int:
@@ -150,14 +140,16 @@ class FqMatrix:
     def __matmul__(self, other: "FqMatrix") -> "FqMatrix":
         if other.__class__ is not FqMatrix:
             return NotImplemented
-        q, rows = self.q, self.rows
+        q, rows = self
         n = len(rows)
         if q != other.q or n != len(other.rows):
             raise PreconditionError("size or modulus mismatch")
         # both operands are validated, so every entry is a residue below 256
         table, step = _MOD_TABLE[q], _CHUNK[q]
-        packed = [int.from_bytes(bytes(row), "little") for row in other.rows]
-        while len(packed) > step:
+        packed = other._packed
+        if packed is None:  # the matrix is immutable, so the cache never goes stale
+            packed = other._packed = [int.from_bytes(bytes(row), "little") for row in other.rows]
+        while len(packed) > step:  # rebinds packed, never mutates the cache
             part = packed[:step]  # map(mul, row, part) stops after step terms
             carry = [
                 int.from_bytes(sum(map(mul, row, part)).to_bytes(n, "little").translate(table), "little")
@@ -184,7 +176,7 @@ class FqMatrix:
 
     def inverse(self) -> "FqMatrix":
         """The inverse, computed once per instance and then cached."""
-        cached = self.__dict__.get("_inverse")
+        cached = self._inverse
         if cached is not None:
             return cached
         q, n = self.q, self.n
@@ -193,8 +185,7 @@ class FqMatrix:
         if pivots != list(range(n)):
             raise PreconditionError("matrix is singular")
         inverse = _reduced(q, tuple(tuple(row[n:]) for row in reduced))
-        object.__setattr__(self, "_inverse", inverse)
-        object.__setattr__(inverse, "_inverse", self)
+        self._inverse, inverse._inverse = inverse, self
         return inverse
 
     def is_upper_triangular(self) -> bool:
@@ -223,11 +214,7 @@ class FqMatrix:
 def _reduced(q: int, rows: tuple[tuple[int, ...], ...]) -> FqMatrix:
     """An FqMatrix from rows already known to be square and reduced mod a
     supported q, built without re-validating them."""
-    m = object.__new__(FqMatrix)
-    fields = m.__dict__  # past the frozen __setattr__
-    fields["q"] = q
-    fields["rows"] = rows
-    return m
+    return tuple.__new__(FqMatrix, (q, rows))
 
 
 def fq_matrix(q: int, rows) -> FqMatrix:
@@ -397,7 +384,7 @@ def orbit_enumerate(act, space, generators, guard: int = SPACE_GUARD):
     points = list(space)
     if len(points) > guard:
         raise ResourceLimitError(f"orbit space: {len(points)} points exceed the limit {guard}")
-    seen_orbit: dict = {}
+    seen_orbit: set = set()
     orbits = []
     for start in points:
         if start in seen_orbit:
@@ -418,10 +405,8 @@ def orbit_enumerate(act, space, generators, guard: int = SPACE_GUARD):
                                 f"exceed the limit {guard}"
                             )
             frontier = nxt
-        orbit_t = tuple(sorted(orbit))
-        for x in orbit_t:
-            seen_orbit[x] = orbit_t[0]
-        orbits.append(orbit_t)
+        seen_orbit |= orbit
+        orbits.append(tuple(sorted(orbit)))
     return tuple(sorted(orbits, key=lambda o: o[0]))
 
 

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from operator import mul
 
@@ -480,6 +482,128 @@ def test_comparisons_order_by_modulus_then_rows():
     for compare in (lambda: m < "x", lambda: m <= "x", lambda: m > "x", lambda: m >= "x"):
         with pytest.raises(TypeError):
             compare()
+
+
+def _code(m):
+    """The base-q integer of m's entries read row-major."""
+    return sum(e * m.q**k for k, e in enumerate(reversed([e for row in m.rows for e in row])))
+
+
+def test_sort_order_is_modulus_then_code():
+    space = list(ff.enumerate_matrices(2, 2)) + list(ff.enumerate_matrices(2, 3))
+    shuffled = space[:]
+    random.Random(0).shuffle(shuffled)
+    assert sorted(shuffled) == sorted(space, key=lambda m: (m.q, _code(m))) == space
+
+
+def test_hash_and_equality_agree():
+    space = list(ff.enumerate_matrices(2, 2)) + list(ff.enumerate_matrices(2, 3))
+    copies = [FqMatrix(m.q, tuple(map(tuple, map(list, m.rows)))) for m in space]
+    for m, c in zip(space, copies):
+        assert m == c and m is not c and hash(m) == hash(c)
+    assert len(set(space) | set(copies)) == len(space)
+    assert {m: i for i, m in enumerate(space)} == {c: i for i, c in enumerate(copies)}
+    assert all(a != b for a, b in itertools.combinations(space, 2))
+
+
+def test_equal_rows_under_different_moduli_are_unequal():
+    for rows in (((0, 0), (0, 0)), ((1, 0), (0, 1)), ((1, 1), (0, 1)), ((0,),), ()):
+        ms = [FqMatrix(q, rows) for q in ff.SUPPORTED_PRIMES]
+        assert all(a != b and not a == b for a, b in itertools.combinations(ms, 2))
+        assert len(set(ms)) == len(ms)
+        assert sorted(reversed(ms)) == ms
+
+
+def test_pickle_and_copy_round_trip():
+    g = ff.fq_matrix(5, [[2, 1, 0], [0, 3, 4], [0, 0, 1]])
+    plain = ff.fq_matrix(3, [[1, 2], [0, 0]])
+    ident = ff.identity_matrix(3, 5)
+    g.inverse()  # a cached inverse and cached packed rows travel with the copy
+    ident @ g
+    for m in (g, plain, FqMatrix(2, ())):
+        copies = [pickle.loads(pickle.dumps(m, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for c in copies + [copy.copy(m), copy.deepcopy(m)]:
+            assert type(c) is FqMatrix
+            assert c == m and hash(c) == hash(m)
+            assert (c.q, c.rows) == (m.q, m.rows)
+    c = copy.deepcopy(g)
+    assert c @ c.inverse() == ident == ident @ c @ g.inverse()
+
+
+def test_tuple_arithmetic_raises():
+    m = ff.identity_matrix(2, 3)
+    for operation in (lambda: m + m, lambda: m * 2, lambda: 2 * m, lambda: m + (1,)):
+        with pytest.raises(TypeError):
+            operation()
+
+
+def test_fields_are_read_only():
+    m = ff.identity_matrix(2, 3)
+    with pytest.raises(AttributeError):
+        m.q = 5
+    with pytest.raises(AttributeError):
+        m.rows = ((1,),)
+    assert m == ff.identity_matrix(2, 3) and m.q == 3
+
+
+def test_constructor_validates():
+    with pytest.raises(PreconditionError, match="rows must be reduced residues of a square matrix"):
+        FqMatrix(3, ((1, 2),))
+    with pytest.raises(PreconditionError, match="rows must be reduced residues"):
+        FqMatrix(3, ((1, 3), (0, 1)))
+    with pytest.raises(PreconditionError, match="rows must be reduced residues"):
+        FqMatrix(q=3, rows=((1, -1), (0, 1)))
+    with pytest.raises(PreconditionError, match="modulus 4 not supported"):
+        FqMatrix(4, ((1,),))
+
+
+def test_post_init_runs_once_per_validated_matrix(monkeypatch):
+    calls = []
+    original = FqMatrix.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(FqMatrix, "__post_init__", counted)
+    for build in (
+        lambda: FqMatrix(3, ((1, 2), (0, 1))),
+        lambda: ff.fq_matrix(3, [[1, 5], [0, 1]]),
+        lambda: ff.identity_matrix(2, 3),
+    ):
+        calls.clear()
+        m = build()
+        assert calls == [m]
+    a = ff.fq_matrix(7, [[1, 2, 3], [0, 4, 5], [0, 0, 6]])
+    calls.clear()
+    products = [a @ a, a.inverse(), a.inverse() @ a, a.transpose(), -a, ff.bruhat_factor(a).product()]
+    products += list(ff.enumerate_matrices(1, 7))
+    assert calls == [] and len(products) == 13
+
+
+def _naive_product(a, b):
+    """The textbook triple loop, reduced mod q at the end."""
+    n, q = a.n, a.q
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] += a.rows[i][k] * b.rows[k][j]
+    return FqMatrix(q, tuple(tuple(e % q for e in row) for row in out))
+
+
+@pytest.mark.parametrize("q,n", [(7, 2), (7, 7), (7, 8), (7, 9), (7, 16), (5, 16)])
+def test_reused_right_operand_matches_naive_product(q, n):
+    """One right operand, whose packed rows are cached on its first product,
+    times many left operands, one-sum (n <= 7 at q = 7) and chunked sizes."""
+    rng = random.Random(10 * q + n)
+    right = FqMatrix(q, tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n)))
+    lefts = [FqMatrix(q, ((q - 1,) * n,) * n), ff.identity_matrix(n, q)]
+    lefts += [FqMatrix(q, tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))) for _ in range(6)]
+    want = [_naive_product(a, right) for a in lefts]
+    for _ in range(3):
+        assert [a @ right for a in lefts] == want
+    assert right @ right == _naive_product(right, right)
 
 
 def _matmul_oracle(a, b):
