@@ -27,7 +27,7 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, neg
 
 from . import linalg, root_weight
 from .errors import NotSpecialError, PreconditionError, UnsupportedFamilyError
@@ -55,12 +55,8 @@ class InvolutionSpec:
         return root_weight.root_system(family, rank)
 
     def apply_star(self, w: Weight) -> Weight:
-        if w.dim != self.ambient_dim:
-            raise PreconditionError("ambient dimension mismatch")
-        zero = Fraction(0)
-        return Weight(
-            tuple(sum((c * e for e, c in zip(row, w.coords) if e), zero) for row in self.theta_star)
-        )
+        d, _, image = _star_scaled(self, w)
+        return Weight(tuple(Fraction(y, d) for y in image))
 
     def to_json(self) -> dict:
         return {
@@ -71,6 +67,27 @@ class InvolutionSpec:
 
     def to_json_str(self) -> str:
         return json.dumps(self.to_json())
+
+
+def star_vector(inv: InvolutionSpec, x) -> tuple[int, ...]:
+    """theta* x for an integer vector x of the ambient dimension: the integer
+    kernel behind every theta* image and test."""
+    return tuple(sum(map(mul, row, x)) for row in inv.theta_star)
+
+
+def _star_scaled(inv: InvolutionSpec, w: Weight) -> tuple[int, list[int], tuple[int, ...]]:
+    """(d, d w, theta*(d w)), the vectors in integers, d the common
+    denominator of w's coordinates."""
+    if w.dim != inv.ambient_dim:
+        raise PreconditionError("ambient dimension mismatch")
+    d, x = w.scaled_to_integers()
+    return d, x, star_vector(inv, x)
+
+
+def _negated(inv: InvolutionSpec, w: Weight) -> bool:
+    """theta*(w) = -w, tested on d w in integers."""
+    _, x, image = _star_scaled(inv, w)
+    return not any(map(add, x, image))
 
 
 def _root_data(family: str, params: tuple[int, ...]) -> tuple[str, int]:
@@ -252,9 +269,11 @@ def phi_decomposition(rs: RootSystem, inv: InvolutionSpec) -> tuple[tuple[Weight
 def check_positive_system(rs: RootSystem, inv: InvolutionSpec) -> bool:
     """Positivity gate: every positive non-fixed root must leave the positive
     system under theta*."""
-    positives = set(root_weight.positive_roots(rs))
+    if rs.ambient_dim != inv.ambient_dim:
+        raise PreconditionError("ambient dimension mismatch")
+    positives = root_weight.positive_root_vectors(rs)
     for alpha in positives:
-        image = inv.apply_star(alpha)
+        image = star_vector(inv, alpha)
         if image != alpha and image in positives:
             return False
     return True
@@ -291,7 +310,7 @@ def is_special(inv: InvolutionSpec, lam: Weight, rs: RootSystem | None = None) -
     rs = rs or inv.root_system()
     if not rs.is_dominant(lam):
         raise PreconditionError("is_special requires a dominant weight")
-    return inv.apply_star(lam) == -lam
+    return _negated(inv, lam)
 
 
 def theta_an_star(inv: InvolutionSpec, chi: Weight) -> Weight:
@@ -382,11 +401,12 @@ def _neg_star_on_labels(rs: RootSystem, inv: InvolutionSpec) -> tuple[tuple[int,
     """
     theta = inv.theta_star
     orthogonal = all(sum(map(mul, r, s)) == int(i == j) for i, r in enumerate(theta) for j, s in enumerate(theta))
-    roots = set(root_weight.all_roots(rs))
-    if not orthogonal or any(inv.apply_star(alpha) not in roots for alpha in rs.simple_roots):
+    positives = root_weight.positive_root_vectors(rs)
+    images = [_star_scaled(inv, alpha)[2] for alpha in rs.simple_roots]
+    if not orthogonal or any(y not in positives and tuple(map(neg, y)) not in positives for y in images):
         raise PreconditionError("theta* must preserve the form and map the simple roots to roots")
-    columns = [rs.labels(-inv.apply_star(om)) for om in root_weight.fundamental_weights(rs)]
-    return tuple(zip(*columns))
+    scaled = (_star_scaled(inv, om) for om in root_weight.fundamental_weights(rs))
+    return tuple(zip(*(rs.labels(Weight(tuple(Fraction(-y, d) for y in image))) for d, _, image in scaled)))
 
 
 def check_weight_set_stability(rs: RootSystem, inv: InvolutionSpec, lam: Weight) -> bool:
@@ -404,6 +424,6 @@ def check_weight_set_stability(rs: RootSystem, inv: InvolutionSpec, lam: Weight)
     """
     if not rs.is_dominant(lam):
         raise PreconditionError("stability check requires a dominant weight")
-    if inv.apply_star(lam) != -lam:
+    if not _negated(inv, lam):
         raise NotSpecialError("weight is not special for this involution")
     return root_weight.weight_set_is_stable(rs, lam, _neg_star_on_labels(rs, inv))

@@ -28,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg, root_weight
 from .errors import PreconditionError, ResourceLimitError
@@ -119,19 +120,17 @@ def _reduce_int_halfspace(a: tuple[int, ...], beta: int) -> tuple[tuple[int, ...
     return a, beta
 
 
+def _int_halfspace(normal: Vec, offset: Fraction) -> tuple[tuple[int, ...], int]:
+    """normal . x <= offset (or =) over the lcm of its denominators, content-free:
+    a positive scaling, so the same half-space (or hyperplane) in integers."""
+    lcm = math.lcm(*(c.denominator for c in normal), offset.denominator)
+    return _reduce_int_halfspace(tuple(c.numerator * (lcm // c.denominator) for c in normal), int(offset * lcm))
+
+
 def _normalize_halfspace(normal: Vec, offset: Fraction) -> tuple[Vec, Fraction]:
     """Scale so entries are coprime integers with a canonical sign convention."""
-    denoms = [c.denominator for c in normal] + [offset.denominator]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // math.gcd(lcm, d)
-    ints = [int(c * lcm) for c in normal] + [int(offset * lcm)]
-    g = 0
-    for e in ints:
-        g = math.gcd(g, abs(e))
-    if g:
-        ints = [e // g for e in ints]
-    return tuple(Fraction(e) for e in ints[:-1]), Fraction(ints[-1])
+    a, beta = _int_halfspace(normal, offset)
+    return tuple(map(Fraction, a)), Fraction(beta)
 
 
 def _span_equalities(directions: Mat, origin: Vec) -> tuple[tuple[Vec, Fraction], ...]:
@@ -236,23 +235,32 @@ def contains(p: RationalPolytope, x: Weight) -> bool:
     """Exact membership: the affine-span equalities and all facet inequalities."""
     if p.vertices and x.dim != p.vertices[0].dim:
         raise PreconditionError("ambient dimension mismatch")
-    for nu, off in p.span:
-        if linalg.dot(nu, x.coords) != off:
-            return False
-    if p.affine_dim == 0:
-        return True
-    return all(linalg.dot(nrm, x.coords) <= off for nrm, off in p.facets)
+    span, facets = _int_rows(p)
+    d, y = x.scaled_to_integers()
+    if any(sum(map(mul, a, y)) != d * b for a, b in span):
+        return False
+    return p.affine_dim == 0 or all(sum(map(mul, a, y)) <= d * b for a, b in facets)
+
+
+def _int_rows(p: RationalPolytope):
+    """(span, facets) as _int_halfspace rows, built once per polytope and
+    cached on the instance (outside the dataclass fields, so ==, hash and
+    repr do not see it)."""
+    cached = p.__dict__.get("_int_rows")
+    if cached is None:
+        cached = tuple(tuple(_int_halfspace(nu, off) for nu, off in rows) for rows in (p.span, p.facets))
+        object.__setattr__(p, "_int_rows", cached)
+    return cached
 
 
 def _face_dims(p: RationalPolytope) -> dict[int, int]:
     """The proper faces, each an int bitmask over vertex indices, mapped to
     their dimensions.
 
-    With L the lcm of every denominator in the vertex coordinates and the
-    facet data, vertex x lies on the facet normal . x <= offset iff
-    (L normal) . (L x) == L^2 offset, an integer test.  Every face is an
-    intersection of facets, so the faces are the closure of the facet masks
-    under &.
+    Vertex x lies on the facet a . x <= b (the integer row of _int_rows) iff
+    a . (d x) == d b, d the common denominator of x: an integer test.  Every
+    face is an intersection of facets, so the faces are the closure of the
+    facet masks under &.
 
     The dimension needs no rank.  The face lattice is graded, and every facet
     of a face F is F & g for some facet g of the polytope, while every other
@@ -261,23 +269,11 @@ def _face_dims(p: RationalPolytope) -> dict[int, int]:
     is no such g.  Faces are visited by increasing vertex count, so every
     F & g is graded before F.
     """
-    scale = 1
-    for v in p.vertices:
-        for c in v.coords:
-            scale = math.lcm(scale, c.denominator)
-    for nrm, off in p.facets:
-        for c in nrm + (off,):
-            scale = math.lcm(scale, c.denominator)
-    verts = [tuple(int(c * scale) for c in v.coords) for v in p.vertices]
-    facets = []
-    for nrm, off in p.facets:
-        a = tuple(int(c * scale) for c in nrm)
-        top = int(off * scale) * scale
-        mask = 0
-        for i, x in enumerate(verts):
-            if sum(ai * xi for ai, xi in zip(a, x)) == top:
-                mask |= 1 << i
-        facets.append(mask)
+    verts = [v.scaled_to_integers() for v in p.vertices]
+    facets = [
+        sum(1 << i for i, (d, x) in enumerate(verts) if sum(map(mul, a, x)) == d * b)
+        for a, b in _int_rows(p)[1]
+    ]
     faces = set(facets)
     frontier = set(facets)
     while frontier:

@@ -68,6 +68,11 @@ class Weight:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
+    def scaled_to_integers(self) -> tuple[int, list[int]]:
+        """(d, x): the common denominator d of the coordinates, and x = d * self in integers."""
+        d = math.lcm(*(c.denominator for c in self.coords))
+        return d, [c.numerator * (d // c.denominator) for c in self.coords]
+
     def to_json(self) -> list[str]:
         return [linalg.frac_str(c) for c in self.coords]
 
@@ -121,9 +126,7 @@ class RootSystem:
         """The Dynkin labels (<mu, alpha_j^vee>)_j: exact, and int where integral."""
         if len(mu.coords) != self.ambient_dim:
             raise ValueError("weight and root system differ in ambient dimension")
-        # over the common denominator d of the coordinates, in integers
-        d = math.lcm(*(m.denominator for m in mu.coords))
-        scaled = [m.numerator * (d // m.denominator) for m in mu.coords]
+        d, scaled = mu.scaled_to_integers()
         out = []
         for coroot in self.coroots:
             x = sum(map(mul, coroot, scaled))
@@ -428,6 +431,12 @@ def positive_roots(rs: RootSystem) -> tuple[Weight, ...]:
         if coeffs is not None and all(c >= 0 for c in coeffs):
             out.append(beta)
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def positive_root_vectors(rs: RootSystem) -> frozenset[tuple[int, ...]]:
+    """The positive roots as integer ambient vectors: every root of A-D is integral."""
+    return frozenset(tuple(map(int, beta.coords)) for beta in positive_roots(rs))
 
 
 def dominance_leq(rs: RootSystem, mu: Weight, lam: Weight) -> bool:

@@ -9,6 +9,8 @@ symmetric-group Bruhat order, exhaustive finite-field enumeration).  The CLI
 from __future__ import annotations
 
 import functools
+import itertools
+from operator import le
 from typing import Callable
 
 from . import finite_field as ff
@@ -19,18 +21,13 @@ from . import rook as rn
 from . import root_weight as rw
 
 
-def _perm_bruhat_leq_oracle(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-    """Dot criterion for the symmetric-group Bruhat order, independent of the
-    rook-matrix rank formulation: u <= v iff every northeast prefix count of u
-    is dominated, |{t <= i : u(t) >= j}| <= |{t <= i : v(t) >= j}| for all i, j."""
+def _dot_counts(u: tuple[int, ...]) -> tuple[int, ...]:
+    """The dot criterion's table for the symmetric-group Bruhat order,
+    independent of the rook-matrix rank formulation: u <= v iff every northeast
+    prefix count of u is dominated, |{t <= i : u(t) >= j}| <= |{t <= i : v(t) >= j}|
+    for all i, j.  Flat, row-major over 1 <= i, j <= n."""
     n = len(u)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            cu = sum(1 for t in range(i) if u[t] >= j)
-            cv = sum(1 for t in range(i) if v[t] >= j)
-            if cu > cv:
-                return False
-    return True
+    return tuple(sum(1 for t in range(i) if u[t] >= j) for i in range(1, n + 1) for j in range(1, n + 1))
 
 
 def criterion_1_rook_cardinality() -> tuple[bool, str]:
@@ -65,18 +62,15 @@ def criterion_2_bruhat_decomposition() -> tuple[bool, str]:
 
 
 def criterion_3_bruhat_order_gate() -> tuple[bool, str]:
-    import itertools
-
     worst = 0
     total = 0
     for n in range(1, 5):
-        perms = list(itertools.permutations(range(1, n + 1)))
-        for u in perms:
-            for v in perms:
+        # one rook element and one count table per permutation, not per pair
+        perms = [(rn.from_permutation(u), _dot_counts(u)) for u in itertools.permutations(range(1, n + 1))]
+        for ru, du in perms:
+            for rv, dv in perms:
                 total += 1
-                lhs = rn.bruhat_leq(rn.from_permutation(u), rn.from_permutation(v))
-                rhs = _perm_bruhat_leq_oracle(u, v)
-                if lhs != rhs:
+                if rn.bruhat_leq(ru, rv) != all(map(le, du, dv)):
                     worst += 1
     return worst == 0, f"S_n restriction vs dot-criterion oracle, n<=4: {total} pairs, {worst} mismatches"
 
@@ -86,13 +80,10 @@ def criterion_4_special_weights() -> tuple[bool, str]:
     checked = 0
     for spec in iv.catalog(4):
         rs = spec.root_system()
-        m = spec.theta_star
         dim = spec.ambient_dim
-        sq = [
-            [sum(m[i][k] * m[k][j] for k in range(dim)) for j in range(dim)]
-            for i in range(dim)
-        ]
-        if any(sq[i][j] != (1 if i == j else 0) for i in range(dim) for j in range(dim)):
+        # column j of theta*^2 is theta* of column j of theta*
+        square = [iv.star_vector(spec, column) for column in zip(*spec.theta_star)]
+        if square != [tuple(int(i == j) for j in range(dim)) for i in range(dim)]:
             failures.append(f"{spec.family}{spec.params}: theta*^2 != id")
             continue
         if not iv.check_positive_system(rs, spec):

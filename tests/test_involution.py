@@ -267,3 +267,61 @@ def test_json_roundtrip():
     assert data["family"] == "AIII" and data["params"] == [1, 3]
     assert len(data["theta_star"]) == 16
     assert iv.involution_from_json(data) == spec
+
+
+def _apply_star_oracle(spec, w):
+    """The Fraction formula apply_star replaced: one Fraction sum per coordinate."""
+    zero = Fraction(0)
+    return rw.Weight(tuple(sum((c * e for e, c in zip(row, w.coords) if e), zero) for row in spec.theta_star))
+
+
+def _positivity_oracle(rs, spec):
+    """check_positive_system on Fraction Weights through the oracle above."""
+    positives = set(rw.positive_roots(rs))
+    return not any(
+        (image := _apply_star_oracle(spec, a)) != a and image in positives for a in positives
+    )
+
+
+def test_integer_star_kernel_matches_fraction_oracle():
+    checked = 0
+    for spec in iv.catalog(4):
+        rs = spec.root_system()
+        fw = rw.fundamental_weights(rs)
+        sample = list(rw.all_roots(rs)) + list(fw) + [om.scale(2) for om in fw]
+        sample += list(iv.spherical_generators(spec, rs))
+        if rs.family == "A":  # chi and the extended weights are non-integral
+            sample += [rw.chi(rs), rw.chi(rs) + fw[0].scale(Fraction(1, 3))]
+        for w in sample:
+            image = spec.apply_star(w)
+            assert image == _apply_star_oracle(spec, w), (spec, w)
+            d, x = w.scaled_to_integers()
+            assert iv.star_vector(spec, x) == tuple(d * c for c in image.coords)
+            if rs.is_dominant(w):
+                assert iv.is_special(spec, w, rs) is (_apply_star_oracle(spec, w) == -w)
+            checked += 1
+        assert iv.check_positive_system(rs, spec) is _positivity_oracle(rs, spec) is True
+    assert checked > 500
+
+
+def test_integer_star_kernel_negative_cases():
+    a2, a3 = rw.root_system("A", 2), rw.root_system("A", 3)
+    # swapping e_1 and e_2 sends alpha_2 = e_2 - e_3 to the positive e_1 - e_3
+    swap = InvolutionSpec("X", (), ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
+    assert iv.check_positive_system(a2, swap) is _positivity_oracle(a2, swap) is False
+    aii, omega_1 = iv.involution_spec("AII", 2), rw.fundamental_weights(a3)[0]
+    assert _apply_star_oracle(aii, omega_1) != -omega_1
+    assert iv.is_special(aii, omega_1, a3) is False
+    with pytest.raises(NotSpecialError):
+        iv.check_weight_set_stability(a3, aii, omega_1)
+    # mismatched ambient dimensions, at every entry to the kernel
+    ai4, lam = iv.involution_spec("AI", 4), rw.fundamental_weights(a2)[0].scale(2)
+    for call in (
+        lambda: ai4.apply_star(lam),
+        lambda: iv.is_special(ai4, lam, a2),
+        lambda: iv.check_positive_system(a2, ai4),
+        lambda: iv.check_weight_set_stability(a2, ai4, lam),
+        lambda: iv._neg_star_on_labels(a2, ai4),
+    ):
+        with pytest.raises(PreconditionError, match="ambient dimension mismatch"):
+            call()

@@ -398,3 +398,96 @@ def test_f_vector_formula_edge_cases():
     a5 = rw.root_system("A", 5)
     rho = rw.from_fundamental(a5, (1,) * 5)
     assert pt.weight_polytope_f_vector(a5, rho) == (720, 1800, 1560, 540, 62)
+
+
+def _contains_oracle(p, x):
+    """The Fraction membership test that contains replaced: Fraction dot
+    products against the span equalities and the facet inequalities."""
+    if any(linalg.dot(nu, x.coords) != off for nu, off in p.span):
+        return False
+    return p.affine_dim == 0 or all(linalg.dot(nrm, x.coords) <= off for nrm, off in p.facets)
+
+
+def _probe_points(p):
+    """(inside, outside) sample points of p: the vertices, the centroid, facet
+    centroids and midpoints inside; the vertices and facet centroids pushed
+    away from the centroid by 1/k, and points pushed off the span by 1/k, outside."""
+    verts = [v.coords for v in p.vertices]
+    centroid = linalg.vec_scale(Fraction(1, len(verts)), [sum(c) for c in zip(*verts)])
+    on_facets = []
+    for nrm, off in p.facets:
+        tight = [v for v in verts if linalg.dot(nrm, v) == off]
+        on_facets.append(linalg.vec_scale(Fraction(1, len(tight)), [sum(c) for c in zip(*tight)]))
+    inside = verts + [centroid] + on_facets + [
+        linalg.vec_scale(Fraction(1, 2), linalg.vec_add(a, b)) for a, b in zip(verts, verts[1:])
+    ]
+    outside = []
+    for k in (1, 2, 7, 1000):
+        for x in verts + on_facets:
+            outside.append(linalg.vec_add(x, linalg.vec_scale(Fraction(1, k), linalg.vec_sub(x, centroid))))
+        for nu, _ in p.span:
+            outside.append(linalg.vec_add(centroid, linalg.vec_scale(Fraction(1, k), nu)))
+    return [rw.Weight(x) for x in inside], [rw.Weight(x) for x in outside]
+
+
+def _probe_polytopes():
+    a3, a4, b4 = rw.root_system("A", 3), rw.root_system("A", 4), rw.root_system("B", 4)
+    fw3, fw4, fwb = rw.fundamental_weights(a3), rw.fundamental_weights(a4), rw.fundamental_weights(b4)
+    return {
+        "cuboctahedron": pt.weight_polytope(a3, fw3[0] + fw3[2]),
+        "4-simplex": pt.weight_polytope(a4, fw4[0]),
+        "24-cell": pt.weight_polytope(b4, fwb[1]),
+        # a triangle on the plane x + y + z = 1 of R^3, off the integer lattice
+        "triangle": pt.hull([weight([1, 0, 0]), weight([0, Fraction(1, 2), Fraction(1, 2)]), weight([0, 0, 1])]),
+    }
+
+
+@pytest.mark.parametrize("name", ["cuboctahedron", "4-simplex", "24-cell", "triangle"])
+def test_integer_contains_matches_fraction_oracle(name):
+    p = _probe_polytopes()[name]
+    inside, outside = _probe_points(p)
+    assert len(outside) > len(p.span) and any(x.coords != tuple(map(int, x.coords)) for x in inside)
+    for x in inside:
+        assert pt.contains(p, x) is _contains_oracle(p, x) is True, x
+    for x in outside:
+        assert pt.contains(p, x) is _contains_oracle(p, x) is False, x
+    if name == "triangle":
+        assert p.affine_dim == 2 and len(p.span) == 1
+
+
+def test_integer_contains_on_unnormalized_rows():
+    # rows with fractional normals and offsets, as a caller may build them
+    square = pt.RationalPolytope(
+        (weight([0, 0]), weight([0, 1]), weight([1, 0]), weight([1, 1])),
+        (
+            ((Fraction(-1, 2), Fraction(0)), Fraction(0)),
+            ((Fraction(0), Fraction(-3)), Fraction(0)),
+            ((Fraction(2, 3), Fraction(0)), Fraction(2, 3)),
+            ((Fraction(0), Fraction(1, 5)), Fraction(1, 5)),
+        ),
+        (),
+        2,
+    )
+    for x in ([Fraction(1, 3), 1], [1, 1], [0, Fraction(1, 2)], [Fraction(1, 1000), 0]):
+        assert pt.contains(square, weight(x)) is _contains_oracle(square, weight(x)) is True
+    for x in ([Fraction(1001, 1000), 1], [-Fraction(1, 7), 0], [0, 2]):
+        assert pt.contains(square, weight(x)) is _contains_oracle(square, weight(x)) is False
+    point = pt.hull([weight([Fraction(1, 3), 2])])
+    assert pt.contains(point, weight([Fraction(1, 3), 2]))
+    assert not pt.contains(point, weight([Fraction(1, 3), Fraction(201, 100)]))
+
+
+def test_contains_cache_is_invisible():
+    import copy
+    import pickle
+
+    cached, fresh = _probe_polytopes()["cuboctahedron"], _probe_polytopes()["cuboctahedron"]
+    x = cached.vertices[0]
+    assert pt.contains(cached, x) and "_int_rows" in cached.__dict__ and "_int_rows" not in fresh.__dict__
+    assert cached == fresh and hash(cached) == hash(fresh)
+    assert repr(cached) == repr(fresh) and cached.to_json() == fresh.to_json()
+    for clone in (pickle.loads(pickle.dumps(cached)), copy.copy(cached), copy.deepcopy(cached)):
+        assert clone == cached and hash(clone) == hash(cached)
+        assert pt.contains(clone, x) and not pt.contains(clone, x.scale(2))
+    with pytest.raises(PreconditionError):
+        pt.contains(cached, weight([0, 0, 0]))
