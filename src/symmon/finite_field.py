@@ -424,8 +424,9 @@ def _simple_borel_generators(n: int, q: int) -> tuple[FqMatrix, ...]:
 
 
 def _check_orbit_work(n: int, q: int, action: str):
-    """Bound the estimated work of borel_orbits, |space| x |generators|
-    applications, before any generator or table is built."""
+    """Bound the work of borel_orbits by |space| x |generators| applications,
+    before any generator, table or decoder is built.  This is an upper bound:
+    the diagonal generators act once per U-orbit, not once per point."""
     dim = {"bxb": n * n, "sym": n * (n + 1) // 2, "skew": n * (n - 1) // 2}[action]
     gens = (n if q > 2 else 0) + max(n - 1, 0)  # len(_simple_borel_generators(n, q))
     if action == "bxb":
@@ -482,9 +483,24 @@ def borel_orbits(n: int, q: int, action: str) -> tuple[tuple[FqMatrix, ...], ...
     below Q = q^n.  A generator acts through tables over the Q row vectors:
     m -> m c maps each row through v -> v c, and the transpose T(m c) is a sum
     of one lookup per row.  Left multiplication is b m = T(T(m) b^T), and
-    congruence is b A b^T = T(T(A b^T) b^T).  Each point is merged with every
-    image in a union-find whose roots are the orbits' minimal codes.
+    congruence is b A b^T = T(T(A b^T) b^T).
+
+    B = T U, with U the unipotent subgroup, generated by the E_i,i+1(1), and
+    T the torus of diagonal matrices.  A union-find whose roots are minimal
+    codes first merges every point with its images under the E_i,i+1(1),
+    which leaves the U-orbits (U x U for "bxb").  T normalizes U, so
+    t (U x) = U (t x): the torus only permutes the U-orbits, and a second
+    pass merges one point of each U-orbit, its root, with its images under
+    the diagonal generators (T x T for "bxb").  Over F_2, T is trivial and
+    the second pass is skipped.
     """
+    codes = _borel_orbit_codes(n, q, action)
+    decode = _decoder(n, q)
+    return tuple(tuple(map(decode, orbit)) for orbit in codes)
+
+
+def _borel_orbit_codes(n: int, q: int, action: str) -> list[list[int]]:
+    """The orbits of borel_orbits as increasing lists of codes, in its order."""
     _check_prime(q)
     if n < 0:
         raise PreconditionError(f"n must be nonnegative, got {n}")
@@ -516,10 +532,12 @@ def borel_orbits(n: int, q: int, action: str) -> tuple[tuple[FqMatrix, ...], ...
     if action == "bxb":
         points = range(q ** (n * n))
         flip = transposed(identity_matrix(n, q))
-        on_rows = [placed(b) for b in gens]  # m -> m b
-        on_cols = [transposed(b.transpose()) for b in gens]  # m -> b m
 
-        def images(x):
+        def tables_of(group):  # m -> m b, and m -> b m
+            return [placed(b) for b in group], [transposed(b.transpose()) for b in group]
+
+        def images(x, sides):
+            on_rows, on_cols = sides
             rows = [x // p % size for p in place]
             for tables in on_rows:
                 yield sum(map(getitem, tables, rows))
@@ -530,34 +548,42 @@ def borel_orbits(n: int, q: int, action: str) -> tuple[tuple[FqMatrix, ...], ...
 
     else:
         points = _form_codes(n, q, action)
-        moves = [transposed(b.transpose()) for b in gens]  # A -> T(A b^T)
 
-        def images(x):
+        def tables_of(group):  # A -> T(A b^T)
+            return [transposed(b.transpose()) for b in group]
+
+        def images(x, moves):
             rows = [x // p % size for p in place]
             for tables in moves:
                 t = sum(map(getitem, tables, rows))
                 yield sum(map(getitem, tables, [t // p % size for p in place]))
 
     parent = list(points) if action == "bxb" else {x: x for x in points}
-    for x in points:
-        root = x
-        while parent[root] != root:
-            parent[root] = root = parent[parent[root]]
-        for y in images(x):
-            while parent[y] != y:
-                parent[y] = y = parent[parent[y]]
-            if y < root:
-                parent[root] = root = y
-            elif y > root:
-                parent[y] = root
+
+    def merge(xs, moves):
+        for x in xs:
+            root = x
+            while parent[root] != root:
+                parent[root] = root = parent[parent[root]]
+            for y in images(x, moves):
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                if y < root:
+                    parent[root] = root = y
+                elif y > root:
+                    parent[y] = root
+
+    torus = [b for b in gens if b.is_diagonal()]
+    merge(points, tables_of([b for b in gens if not b.is_diagonal()]))
+    if torus:  # it permutes the U-orbits, so their roots suffice
+        merge([x for x in points if parent[x] == x], tables_of(torus))
     orbits: dict[int, list[int]] = {}
     for x in points:  # increasing, so each orbit starts at its root
         root = parent[x]
         while parent[root] != root:
             root = parent[root]
         orbits.setdefault(root, []).append(x)
-    decode = _decoder(n, q)
-    return tuple(tuple(map(decode, orbit)) for orbit in orbits.values())
+    return list(orbits.values())
 
 
 def theta_an(m: FqMatrix, inv) -> FqMatrix:

@@ -183,18 +183,20 @@ def twisted_orbit_census(n: int, q: int, form: str) -> SymOrbitReport:
         raise PreconditionError("congruence oracles need odd characteristic")
     if form not in ("sym", "skew"):
         raise PreconditionError("form must be 'sym' or 'skew'")
-    orbits = ff.borel_orbits(n, q, form)
-    invariants = {rank_control(o[0]) for o in orbits}
+    codes = ff._borel_orbit_codes(n, q, form)  # its guards run before the decoder is built
+    # only the representatives are read, so only they are decoded
+    witnesses = tuple(map(ff._decoder(n, q), [orbit[0] for orbit in codes]))
     # the invariant is constant on orbits, so representatives suffice
+    invariants = {rank_control(w) for w in witnesses}
     parametrizers = symmetric_rook_elements(n, fpf=(form == "skew"))
     report = SymOrbitReport(
         n=n,
         q=q,
         form=form,
-        orbit_count=len(orbits),
+        orbit_count=len(witnesses),
         invariant_values=len(invariants),
         expected_parametrizer_count=len(parametrizers),
-        witnesses=tuple(o[0] for o in orbits),
+        witnesses=witnesses,
     )
     if form == "skew" and not report.match:
         raise InvariantViolationError("skew orbit count disagrees with parametrizers")

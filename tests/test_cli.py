@@ -274,7 +274,9 @@ def test_renner_n4_json_frontier(capsys):
 # on the Fraction face lattice before it became integer bitmasks, and on the
 # per-root Fraction pairings before the Dynkin labels came from integer coroots,
 # and on the pairwise Bruhat comparisons and face-lattice f-vectors before the
-# up-sets came from threshold bitmasks and the f-vectors from parabolic counts
+# up-sets came from threshold bitmasks and the f-vectors from parabolic counts,
+# and on the Borel orbit engine that applied every torus generator to every
+# point before the torus acted once per U-orbit (the q = 5, 7 censuses)
 GOLDEN_STDOUT = {
     "verify": "6d4246b5d637953b99d54a81e29fa6c4da7db6117a1c31dea3da537fa15c5116",
     "census --form skew --n 4 --q 3": "4d2a1cc2954cbcba1ec38583e2a9188dbe543dcda9cb2a8666d0931d191fbed5",
@@ -282,6 +284,8 @@ GOLDEN_STDOUT = {
     "census --form sym --n 2 --q 7": "c799dfaece2f6e69a9fd48845c8e24d2926aabe0e1ed0ddcdc588f53f73b53cd",
     "census --form skew --n 3 --q 5": "76dbeb51139432cdc71581d3bf3e36f26e6bca1980206e8634eb5789a768873a",
     "census --form sym --n 3 --q 5 --format json": "43cbca510fc23bbb4d1de94407fb818b48ae7b67fec15154723f960770850d41",
+    "census --form sym --n 3 --q 7 --format json": "21657593b60cbe45f97b861a7332298c2e0e42049afb16f6467ec9f915ce85cd",
+    "census --form skew --n 4 --q 5 --format json": "f5bc966de575f2afdf1b70071ae6c6d93424222c2c0f9940d8f129763e46e7ba",
     "factor --q 5 --matrix 1,2,0;3,4,1;0,1,1 --format json": "2840f01ff65acc79056c6a9092558e9ee06c817ad38d7c5cdc0861c9ec94b990",
     "factor --q 2 --matrix 1,1,0;0,1,1;1,0,1": "9fdb735aa3fe70c2f1262db5605069a2cd1eac2ce33ca0de8a27911ed53ce95e",
     "factor --q 2 --matrix 1,1,0;0,1,1;1,0,1 --format json": "e11ccb21a35744991fc1780cae168cc1f2af149a8a77a4490b86313f91622250",

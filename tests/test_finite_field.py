@@ -287,6 +287,28 @@ def test_borel_orbits_match_bfs_oracle(action, n, q):
     assert ff.borel_orbits(n, q, action) == oracle
 
 
+def _rothe_diagram_size(r):
+    """|D(r)|: reverse the rows of r into w (southwest ranks become northwest
+    ranks), and count the cells (i, j) with j < w(i) and i < w^-1(j), an empty
+    row or column counting as infinity."""
+    n, inf = r.n, float("inf")
+    w = [r.map[n - 1 - i] - 1 if r.map[n - 1 - i] else inf for i in range(n)]
+    w_inv = [w.index(j) if j in w else inf for j in range(n)]
+    return sum(1 for i in range(n) for j in range(n) if j < w[i] and i < w_inv[j])
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (2, 5), (2, 7)])
+def test_bxb_orbit_sizes_match_matrix_schubert_cells(n, q):
+    # |B r B| = (q - 1)^k q^(l - k), k = rank r, l = n^2 - |D(r)| (Fulton 1992):
+    # a U x U orbit that the torus pass failed to merge would be too small
+    orbits = ff.borel_orbits(n, q, "bxb")
+    assert len(orbits) == len(enumerate_rook(n))
+    for orbit in orbits:
+        r = ff.bruhat_factor(orbit[0]).r
+        k, length = r.rank, n * n - _rothe_diagram_size(r)
+        assert len(orbit) == (q - 1) ** k * q ** (length - k)
+
+
 def test_borel_orbits_empty_matrix():
     for action in ff.BOREL_ACTIONS:
         assert ff.borel_orbits(0, 3, action) == ((FqMatrix(3, ()),),)

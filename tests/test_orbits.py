@@ -10,7 +10,7 @@ from symmon import finite_field as ff
 from symmon import involution as iv
 from symmon import orbits as ob
 from symmon import rook as rn
-from symmon.errors import InvariantViolationError, PreconditionError
+from symmon.errors import InvariantViolationError, PreconditionError, ResourceLimitError
 from symmon.rook import RookElement
 
 AI2 = iv.involution_spec("AI", 2)
@@ -322,6 +322,28 @@ def test_census_skew5_f3_frontier():
     assert report.match
     recovered = {ob.invariant_to_partial_fpf(ob.rank_control(w)) for w in report.witnesses}
     assert recovered == set(rn.symmetric_rook_elements(5, fpf=True))
+
+
+@pytest.mark.parametrize(
+    "form,n,q",
+    [(form, n, q) for form in ("sym", "skew") for n in (1, 2, 3) for q in (3, 5, 7)] + [("skew", 4, 3)],
+)
+def test_census_witnesses_are_the_orbit_representatives(form, n, q):
+    # the census decodes only each orbit's first code
+    report = ob.twisted_orbit_census(n, q, form)
+    orbits = ff.borel_orbits(n, q, form)
+    assert report.witnesses == tuple(o[0] for o in orbits)
+    assert report.orbit_count == len(orbits)
+
+
+def test_census_work_guard_runs_before_the_decoder(monkeypatch):
+    # a decoder has q^n row vectors, so building it first would not fail fast
+    def no_decoder(n, q):
+        raise AssertionError("decoder built before the work guard")
+
+    monkeypatch.setattr(ff, "_decoder", no_decoder)
+    with pytest.raises(ResourceLimitError, match=r"3\^5050 points x 199 generators"):
+        ob.twisted_orbit_census(100, 3, "sym")
 
 
 def test_census_rejects_even_characteristic():
