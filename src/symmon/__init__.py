@@ -1,5 +1,12 @@
 """Exact computational algebra for rook monoids, weight polytopes, classical
-involutions, and Borel-orbit censuses over small prime fields."""
+involutions, and Borel-orbit censuses over small prime fields.
+
+Every public name but the errors is imported from its module on first use
+(PEP 562), so `import symmon.errors` or a CLI command compiles only the
+modules it needs.
+"""
+
+import importlib
 
 from .errors import (
     DegenerateRootError,
@@ -10,14 +17,28 @@ from .errors import (
     SymmonError,
     UnsupportedFamilyError,
 )
-from .finite_field import FqMatrix, BorelFactorization, bruhat_factor, orbit_enumerate
-from .involution import InvolutionSpec, RestrictedRootData, involution_spec
-from .orbits import RankControl, SymOrbitReport, rank_control, twisted_orbit_census
-from .polytope import RationalPolytope, hull, weight_polytope
-from .rook import CrossSection, RookElement, bruhat_leq, enumerate_rook
-from .root_weight import RootSystem, Weight, root_system, weight
 
 __version__ = "0.1.0"
+
+# the public names of each module, imported on first use
+_LAZY = {
+    "root_weight": ("Weight", "RootSystem", "weight", "root_system"),
+    "involution": ("InvolutionSpec", "RestrictedRootData", "involution_spec"),
+    "rook": ("RookElement", "CrossSection", "enumerate_rook", "bruhat_leq"),
+    "finite_field": ("FqMatrix", "BorelFactorization", "bruhat_factor", "orbit_enumerate"),
+    "orbits": ("RankControl", "SymOrbitReport", "rank_control", "twisted_orbit_census"),
+    "polytope": ("RationalPolytope", "hull", "weight_polytope"),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
 
 __all__ = [
     "SymmonError",
@@ -27,27 +48,6 @@ __all__ = [
     "NotSpecialError",
     "ResourceLimitError",
     "InvariantViolationError",
-    "Weight",
-    "RootSystem",
-    "weight",
-    "root_system",
-    "InvolutionSpec",
-    "RestrictedRootData",
-    "involution_spec",
-    "RookElement",
-    "CrossSection",
-    "enumerate_rook",
-    "bruhat_leq",
-    "FqMatrix",
-    "BorelFactorization",
-    "bruhat_factor",
-    "orbit_enumerate",
-    "RankControl",
-    "SymOrbitReport",
-    "rank_control",
-    "twisted_orbit_census",
-    "RationalPolytope",
-    "hull",
-    "weight_polytope",
+    *_MODULE_OF,
     "__version__",
 ]

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 flag/validation errors, 1 internal invariant
 violations (including failing verification criteria).  Output is deterministic
-byte-for-byte across runs.
+byte-for-byte across runs.  Each command imports the modules it uses, so a
+process compiles only those.
 """
 
 from __future__ import annotations
@@ -11,18 +12,18 @@ import argparse
 import functools
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import finite_field as ff
-from . import involution as iv
-from . import orbits as ob
-from . import polytope as pt
-from . import rook as rn
-from . import root_weight as rw
-from . import verify as verify_mod
 from .errors import InvariantViolationError, PreconditionError, ResourceLimitError
 
+if TYPE_CHECKING:
+    from .finite_field import FqMatrix
+    from .involution import InvolutionSpec
 
-def _family_spec(args) -> iv.InvolutionSpec:
+
+def _family_spec(args) -> InvolutionSpec:
+    from . import involution as iv
+
     fam = args.family.upper()
     if fam in ("AI", "AII", "CI", "DIII"):
         if args.n is None:
@@ -45,6 +46,8 @@ def _fundamental_label(rs, lam) -> str:
 
 
 def cmd_roots(args) -> str:
+    from . import root_weight as rw
+
     rs = rw.root_system(args.family, args.n)
     if args.format == "json":
         data = rs.to_json()
@@ -73,6 +76,9 @@ def cmd_roots(args) -> str:
 
 
 def cmd_special_weights(args) -> str:
+    from . import involution as iv
+    from . import root_weight as rw
+
     spec = _family_spec(args)
     rs = spec.root_system()
     gens = set(iv.spherical_generators(spec, rs))
@@ -99,6 +105,8 @@ def cmd_special_weights(args) -> str:
 
 
 def _parse_lambda(rs, text: str):
+    from . import root_weight as rw
+
     try:
         coeffs = [int(c) for c in text.split(",")]
     except ValueError as exc:
@@ -107,6 +115,9 @@ def _parse_lambda(rs, text: str):
 
 
 def cmd_weight_polytope(args) -> str:
+    from . import polytope as pt
+    from . import root_weight as rw
+
     rs = rw.root_system(args.family, args.n)
     lam = _parse_lambda(rs, getattr(args, "lambda"))
     if args.format == "off":
@@ -132,6 +143,8 @@ def cmd_weight_polytope(args) -> str:
 
 
 def cmd_rook_monoid(args) -> str:
+    from . import rook as rn
+
     n = args.n
     if args.symmetric or args.fpf:
         elements = rn.symmetric_rook_elements(n, fpf=args.fpf)
@@ -144,7 +157,9 @@ def cmd_rook_monoid(args) -> str:
     return "\n".join(r.diagram() for r in elements) + "\n"
 
 
-def _parse_matrix(text: str, q: int) -> ff.FqMatrix:
+def _parse_matrix(text: str, q: int) -> FqMatrix:
+    from . import finite_field as ff
+
     try:
         rows = [[int(e) for e in row.split(",")] for row in text.split(";")]
     except ValueError as exc:
@@ -159,6 +174,8 @@ def _parse_matrix(text: str, q: int) -> ff.FqMatrix:
 
 
 def cmd_factor(args) -> str:
+    from . import finite_field as ff
+
     q = args.q
     if q is None:
         raise PreconditionError("factor needs --q (prime modulus)")
@@ -190,6 +207,8 @@ def cmd_factor(args) -> str:
 
 
 def cmd_census(args) -> str:
+    from . import orbits as ob
+
     q = args.q
     if q is None:
         raise PreconditionError("census needs --q (odd prime modulus)")
@@ -277,6 +296,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
+            from . import verify as verify_mod
+
             ok = verify_mod.run_all(sys.stdout)
             return 0 if ok else 1
         text = args.fn(args)

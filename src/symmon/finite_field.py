@@ -8,9 +8,10 @@ so they hash and sort canonically (by modulus, then row-major).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import getitem, itemgetter, mul
+from typing import NamedTuple
 
+from ._record import no_tuple_arithmetic
 from .errors import PreconditionError, ResourceLimitError, UnsupportedFamilyError
 from .rook import RookElement, _rook
 
@@ -128,10 +129,7 @@ class FqMatrix(tuple):
     def __getnewargs__(self):  # pickle and copy rebuild through __new__(cls, q, rows)
         return tuple(self)
 
-    def __add__(self, other):
-        return NotImplemented  # no tuple concatenation or repetition
-
-    __mul__ = __rmul__ = __add__
+    __add__ = __mul__ = __rmul__ = no_tuple_arithmetic
 
     @property
     def n(self) -> int:
@@ -284,8 +282,7 @@ def enumerate_skew(n: int, q: int):
     return map(_decoder(n, q), _form_codes(n, q, "skew"))
 
 
-@dataclass(frozen=True)
-class BorelFactorization:
+class BorelFactorization(NamedTuple):
     """m = u . (t . r) . v with u, v unipotent upper triangular in the
     echelon-pattern subgroups determined by r, and t diagonal invertible."""
 
@@ -293,6 +290,8 @@ class BorelFactorization:
     t: FqMatrix
     r: RookElement
     v: FqMatrix
+
+    __add__ = __mul__ = __rmul__ = no_tuple_arithmetic
 
     def product(self) -> FqMatrix:
         q, t, v = self.t.q, self.t.rows, self.v.rows
@@ -305,17 +304,18 @@ class BorelFactorization:
         """Check the uniqueness pattern: u is supported on (a, b) with b a pivot
         row and a not a pivot row of an earlier column; v on (a, b) with a a
         pivot column."""
-        n = self.u.n
-        col_of_row = {i + 1: j for i, j in enumerate(self.r.map) if j != 0}
-        pivot_cols = set(self.r.map) - {0}
+        u, v, rook_map = self.u.rows, self.v.rows, self.r.map
+        n = len(u)
+        col_of_row = {i + 1: j for i, j in enumerate(rook_map) if j != 0}
+        pivot_cols = set(rook_map) - {0}
         for a in range(1, n + 1):
             for b in range(a + 1, n + 1):
-                if self.u.rows[a - 1][b - 1] != 0:
+                if u[a - 1][b - 1] != 0:
                     if b not in col_of_row:
                         return False
                     if a in col_of_row and col_of_row[a] < col_of_row[b]:
                         return False
-                if self.v.rows[a - 1][b - 1] != 0 and a not in pivot_cols:
+                if v[a - 1][b - 1] != 0 and a not in pivot_cols:
                     return False
         return True
 

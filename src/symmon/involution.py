@@ -25,19 +25,19 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, neg
+from typing import NamedTuple
 
 from . import linalg, root_weight
+from ._record import no_tuple_arithmetic
 from .errors import NotSpecialError, PreconditionError, UnsupportedFamilyError
 from .root_weight import RootSystem, Weight
 
 FAMILIES = ("AI", "AII", "AIII", "CI", "DIII", "BDI", "CII")
 
 
-@dataclass(frozen=True)
-class InvolutionSpec:
+class InvolutionSpec(NamedTuple):
     """A classical symmetric pair: theta* as an integer matrix on the ambient
     weight coordinates, plus an optional matrix-group realization tag."""
 
@@ -45,6 +45,8 @@ class InvolutionSpec:
     params: tuple[int, ...]
     theta_star: tuple[tuple[int, ...], ...]
     theta0: str | None = None  # "transpose" (AI) or "symplectic" (AII)
+
+    __add__ = __mul__ = __rmul__ = no_tuple_arithmetic
 
     @property
     def ambient_dim(self) -> int:
@@ -244,8 +246,7 @@ def catalog(max_rank: int) -> list[InvolutionSpec]:
     return specs
 
 
-@dataclass(frozen=True)
-class RestrictedRootData:
+class RestrictedRootData(NamedTuple):
     """The split of the root system induced by theta*."""
 
     phi0: tuple[Weight, ...]
@@ -254,6 +255,8 @@ class RestrictedRootData:
     delta1: tuple[Weight, ...]
     restricted_simples: tuple[Weight, ...]
     rank_l: int
+
+    __add__ = __mul__ = __rmul__ = no_tuple_arithmetic
 
 
 def phi_decomposition(rs: RootSystem, inv: InvolutionSpec) -> tuple[tuple[Weight, ...], tuple[Weight, ...]]:

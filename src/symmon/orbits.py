@@ -10,10 +10,11 @@ involution parametrizing the orbit's closed-field class.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from operator import sub
+from typing import NamedTuple
 
 from . import finite_field as ff
+from ._record import no_tuple_arithmetic
 from .errors import InvariantViolationError, PreconditionError
 from .finite_field import FqMatrix
 from .involution import InvolutionSpec
@@ -35,12 +36,13 @@ def is_in_symmetric_submonoid(m: FqMatrix, inv: InvolutionSpec) -> bool:
     return tau(m, inv) == ff.identity_matrix(m.n, m.q)
 
 
-@dataclass(frozen=True)
-class RankControl:
+class RankControl(NamedTuple):
     """rho[i][j] = rank of A[i.., j..] (0-based trailing submatrices), padded
     with zeros at i = n or j = n."""
 
     rho: tuple[tuple[int, ...], ...]
+
+    __add__ = __mul__ = __rmul__ = no_tuple_arithmetic
 
     @property
     def n(self) -> int:
@@ -126,13 +128,12 @@ def invariant_to_partial_involution(rc: RankControl) -> RookElement:
 def invariant_to_partial_fpf(rc: RankControl) -> RookElement:
     """As invariant_to_partial_involution, additionally requiring a zero diagonal."""
     rook = invariant_to_partial_involution(rc)
-    if any(rook.map[i] == i + 1 for i in range(rook.n)):
+    if any(j == i + 1 for i, j in enumerate(rook.map)):
         raise InvariantViolationError("recovered involution has a fixed point")
     return rook
 
 
-@dataclass(frozen=True)
-class SymOrbitReport:
+class SymOrbitReport(NamedTuple):
     """Census of Borel-congruence orbits against the rook-type parametrizers."""
 
     n: int
@@ -142,6 +143,8 @@ class SymOrbitReport:
     invariant_values: int
     expected_parametrizer_count: int
     witnesses: tuple[FqMatrix, ...]
+
+    __add__ = __mul__ = __rmul__ = no_tuple_arithmetic
 
     @property
     def match(self) -> bool:

@@ -26,11 +26,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from . import linalg, root_weight
+from ._record import no_tuple_arithmetic
 from .errors import PreconditionError, ResourceLimitError
 from .linalg import Mat, Vec
 from .root_weight import RootSystem, Weight, _dynkin_components, _weyl_group_order
@@ -40,19 +41,29 @@ HULL_AMBIENT_GUARD = 6
 FVECTOR_DIM_GUARD = 4
 
 
-@dataclass(frozen=True)
-class RationalPolytope:
-    """Vertices plus a complete exact facet description.
+class RationalPolytope(
+    NamedTuple(
+        "RationalPolytope",
+        [
+            ("vertices", tuple[Weight, ...]),
+            ("facets", tuple[tuple[Vec, Fraction], ...]),
+            ("span", tuple[tuple[Vec, Fraction], ...]),
+            ("affine_dim", int),
+        ],
+    )
+):
+    """Vertices plus a complete exact facet description: the record
+    (vertices, facets, span, affine_dim).
 
     facets are (normal, offset) pairs meaning normal . x <= offset; span
     carries the affine-hull equalities normal . x = offset.  Facet data is
-    normalized to integer, content-free normals for reproducibility.
+    normalized to integer, content-free normals for reproducibility.  An
+    instance also has a __dict__, for the integer rows cached on it.
     """
 
-    vertices: tuple[Weight, ...]
-    facets: tuple[tuple[Vec, Fraction], ...]
-    span: tuple[tuple[Vec, Fraction], ...]
-    affine_dim: int
+    _int_rows = None  # set by _int_rows(p) on first use
+
+    __add__ = __mul__ = __rmul__ = no_tuple_arithmetic
 
     def to_json(self) -> dict:
         return {
@@ -244,12 +255,12 @@ def contains(p: RationalPolytope, x: Weight) -> bool:
 
 def _int_rows(p: RationalPolytope):
     """(span, facets) as _int_halfspace rows, built once per polytope and
-    cached on the instance (outside the dataclass fields, so ==, hash and
+    cached on the instance (outside the record's fields, so ==, hash and
     repr do not see it)."""
-    cached = p.__dict__.get("_int_rows")
+    cached = p._int_rows
     if cached is None:
-        cached = tuple(tuple(_int_halfspace(nu, off) for nu, off in rows) for rows in (p.span, p.facets))
-        object.__setattr__(p, "_int_rows", cached)
+        rows = (p.span, p.facets)
+        cached = p._int_rows = tuple(tuple(_int_halfspace(nu, off) for nu, off in part) for part in rows)
     return cached
 
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, getitem, gt, or_
+from typing import NamedTuple
 
+from ._record import no_tuple_arithmetic
 from .errors import PreconditionError, ResourceLimitError
 
 ENUM_GUARD_N = 6
@@ -24,13 +25,22 @@ SYMMETRIC_GUARD_N = 8
 HASSE_WORK_GUARD = 4 * 10**6
 
 
-@dataclass(frozen=True, order=True)
-class RookElement:
-    """A partial permutation of [n], injective on its domain."""
+class RookElement(NamedTuple("RookElement", [("map", tuple[int, ...])])):
+    """A partial permutation of [n], injective on its domain: the record
+    (map,), validated on construction.  An instance also has a __dict__, for
+    the southwest-rank table cached on it."""
 
-    map: tuple[int, ...]
+    _southwest = None  # set by _southwest_ranks on first use
+
+    def __new__(cls, map: tuple[int, ...]):
+        self = tuple.__new__(cls, (map,))
+        self.__post_init__()
+        return self
+
+    __add__ = __mul__ = __rmul__ = no_tuple_arithmetic
 
     def __post_init__(self):
+        """Validate map: once per RookElement(map), never for _rook."""
         n = len(self.map)
         nonzero = [j for j in self.map if j != 0]
         if any(not 0 <= j <= n for j in self.map) or len(set(nonzero)) != len(nonzero):
@@ -71,9 +81,7 @@ class RookElement:
     def zero_one_rows(self) -> tuple[tuple[int, ...], ...]:
         """The element as a 0/1 matrix (tuple of rows)."""
         n = self.n
-        return tuple(
-            tuple(1 if self.map[i] == j + 1 else 0 for j in range(n)) for i in range(n)
-        )
+        return tuple(tuple(1 if c == j + 1 else 0 for j in range(n)) for c in self.map)
 
     def diagram(self) -> str:
         """One-line rook diagram "j_1 j_2 ... j_n" with 0 for empty rows."""
@@ -83,9 +91,7 @@ class RookElement:
 def _rook(m: tuple[int, ...]) -> RookElement:
     """A RookElement from a map already known to be a partial permutation,
     built without re-validating it."""
-    r = object.__new__(RookElement)
-    r.__dict__["map"] = m  # past the frozen __setattr__
-    return r
+    return tuple.__new__(RookElement, (m,))
 
 
 def identity_rook(n: int) -> RookElement:
@@ -167,11 +173,12 @@ def idempotent_order(e: RookElement, f: RookElement) -> bool:
     return multiply(e, f) == e and multiply(f, e) == e
 
 
-@dataclass(frozen=True)
-class CrossSection:
+class CrossSection(NamedTuple):
     """The chain e_0 < e_1 < ... < e_n with e_k = diag(1^k, 0^(n-k))."""
 
     chain: tuple[RookElement, ...]
+
+    __add__ = __mul__ = __rmul__ = no_tuple_arithmetic
 
 
 def cross_section(n: int) -> CrossSection:
@@ -213,7 +220,7 @@ def _southwest_ranks(r: RookElement) -> tuple[int, ...]:
     """Flat row-major table t[i*n + j] = rank of the submatrix on rows >= i+1,
     columns <= j+1, built once per element as cumulative row counts from the
     bottom row up, and then cached on the instance."""
-    cached = r.__dict__.get("_southwest")
+    cached = r._southwest
     if cached is not None:
         return cached
     n = r.n
@@ -225,7 +232,7 @@ def _southwest_ranks(r: RookElement) -> tuple[int, ...]:
                 row[c] += 1
         rows.append(tuple(row))
     table = tuple(itertools.chain.from_iterable(reversed(rows)))
-    object.__setattr__(r, "_southwest", table)
+    r._southwest = table
     return table
 
 
@@ -253,7 +260,7 @@ def symmetric_rook_elements(n: int, fpf: bool = False) -> tuple[RookElement, ...
         raise ResourceLimitError(f"symmetric_rook_elements guard is n <= {SYMMETRIC_GUARD_N}")
     out = []
     for r in _partial_involutions(n):
-        if fpf and any(r.map[i] == i + 1 for i in range(n)):
+        if fpf and any(j == i + 1 for i, j in enumerate(r.map)):
             continue
         out.append(r)
     return tuple(sorted(out))

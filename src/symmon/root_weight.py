@@ -24,11 +24,12 @@ import functools
 import json
 import math
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from . import linalg
+from ._record import no_tuple_arithmetic
 from .errors import (
     DegenerateRootError,
     PreconditionError,
@@ -40,11 +41,14 @@ ORBIT_GUARD = 10**6
 RANK_GUARD = 6
 
 
-@dataclass(frozen=True, order=True)
-class Weight:
-    """A vector of exact rationals in the ambient epsilon-coordinate space."""
+class Weight(NamedTuple):
+    """A vector of exact rationals in the ambient epsilon-coordinate space:
+    the record (coords,).  Its + and - are vector sums and c * w scales it;
+    w * c raises TypeError, as on every record."""
 
     coords: tuple[Fraction, ...]
+
+    __mul__ = no_tuple_arithmetic
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(linalg.vec_add(self.coords, other.coords))
@@ -88,8 +92,7 @@ def weight(entries) -> Weight:
     return Weight(linalg.vec(entries))
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
+class RootSystem(NamedTuple):
     """Simple-root data for one classical family at a fixed rank: the integer
     coroots 2 alpha_j / (alpha_j, alpha_j) and cartan[i][j] = <alpha_i, alpha_j^vee>."""
 
@@ -99,6 +102,8 @@ class RootSystem:
     simple_roots: tuple[Weight, ...]
     cartan: tuple[tuple[int, ...], ...]
     coroots: tuple[tuple[int, ...], ...]
+
+    __add__ = __mul__ = __rmul__ = no_tuple_arithmetic
 
     # root_system builds every other field from (family, rank), so comparing
     # and hashing those alone spares every lru_cache lookup a hash and a

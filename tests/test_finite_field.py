@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from symmon import finite_field as ff
 from symmon import involution as iv
+from symmon import orbits as ob
+from symmon import rook as rn
 from symmon.errors import PreconditionError, ResourceLimitError, UnsupportedFamilyError
 from symmon.finite_field import FqMatrix
-from symmon.rook import RookElement, enumerate_rook
+from symmon.rook import RookElement, bruhat_leq, cross_section, enumerate_rook
 
 
 def test_primitive_roots():
@@ -542,12 +544,23 @@ def test_pickle_and_copy_round_trip():
     ident = ff.identity_matrix(3, 5)
     g.inverse()  # a cached inverse and cached packed rows travel with the copy
     ident @ g
-    for m in (g, plain, FqMatrix(2, ())):
+    rook = RookElement((2, 0, 1))
+    bruhat_leq(rook, rook)  # so does a cached southwest-rank table
+    records = (
+        rook,
+        RookElement(()),
+        cross_section(2),
+        ff.bruhat_factor(g),
+        ob.rank_control(plain),
+        ob.twisted_orbit_census(2, 3, "skew"),
+    )
+    for m in (g, plain, FqMatrix(2, ()), *records):
         copies = [pickle.loads(pickle.dumps(m, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
         for c in copies + [copy.copy(m), copy.deepcopy(m)]:
-            assert type(c) is FqMatrix
-            assert c == m and hash(c) == hash(m)
-            assert (c.q, c.rows) == (m.q, m.rows)
+            assert type(c) is type(m)
+            assert c == m and hash(c) == hash(m) and tuple(c) == tuple(m)
+            assert getattr(c, "__dict__", None) == getattr(m, "__dict__", None)
+    assert vars(rook) == {"_southwest": rn._southwest_ranks(RookElement(rook.map))}
     c = copy.deepcopy(g)
     assert c @ c.inverse() == ident == ident @ c @ g.inverse()
 

@@ -213,7 +213,7 @@ def test_invariant_total_on_symmetric_inputs():
 def _checked(r):
     """r, after the validation that the unchecked builder skips, with nothing
     but its map stored."""
-    assert type(r) is RookElement and type(r.map) is tuple and vars(r) == {"map": r.map}
+    assert type(r) is RookElement and type(r.map) is tuple and tuple(r) == (r.map,) and vars(r) == {}
     return RookElement(r.map)
 
 

@@ -1,0 +1,158 @@
+"""Package-wide properties: the record types are plain tuples of their
+fields (no dataclass, whose generated methods cost about a millisecond per
+class on every start), and the package namespace and the CLI import a module
+only when it is used."""
+
+import ast
+import dataclasses
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import symmon
+from symmon import finite_field as ff
+from symmon import involution as iv
+from symmon import orbits as ob
+from symmon import polytope as pt
+from symmon import rook as rn
+from symmon import root_weight as rw
+
+SRC = Path(symmon.__file__).resolve().parent
+
+
+def _modules():
+    return [importlib.import_module(f"symmon.{m.name}") for m in pkgutil.iter_modules([str(SRC)])]
+
+
+def test_no_symmon_class_is_a_dataclass():
+    classes = [
+        obj
+        for module in _modules()
+        for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__ == module.__name__
+    ]
+    assert {"RookElement", "FqMatrix", "Weight", "RationalPolytope"} <= {c.__name__ for c in classes}
+    assert [c.__qualname__ for c in classes if dataclasses.is_dataclass(c)] == []
+
+
+def test_no_src_module_imports_dataclasses():
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                importers.append(path.name)
+    assert importers == []
+
+
+def _records():
+    m = ff.fq_matrix(3, [[0, 1], [1, 2]])
+    a2, ai2 = rw.root_system("A", 2), iv.involution_spec("AI", 2)
+    return {
+        rn.RookElement((2, 0, 1)): ("map",),
+        rn.cross_section(2): ("chain",),
+        rw.weight([1, Fraction(1, 2)]): ("coords",),
+        a2: ("family", "rank", "ambient_dim", "simple_roots", "cartan", "coroots"),
+        ai2: ("family", "params", "theta_star", "theta0"),
+        iv.restricted_simple_roots(ai2.root_system(), ai2): (
+            "phi0",
+            "phi1",
+            "delta0",
+            "delta1",
+            "restricted_simples",
+            "rank_l",
+        ),
+        ff.bruhat_factor(m): ("u", "t", "r", "v"),
+        ob.rank_control(m): ("rho",),
+        ob.twisted_orbit_census(2, 3, "skew"): (
+            "n",
+            "q",
+            "form",
+            "orbit_count",
+            "invariant_values",
+            "expected_parametrizer_count",
+            "witnesses",
+        ),
+        pt.weight_polytope(a2, rw.from_fundamental(a2, [1, 0])): ("vertices", "facets", "span", "affine_dim"),
+        m: ("q", "rows"),
+    }
+
+
+def test_a_record_is_the_tuple_of_its_fields():
+    for x, names in _records().items():
+        values = tuple(getattr(x, name) for name in names)
+        assert isinstance(x, tuple) and len(x) == len(names)
+        assert tuple(x) == values and list(x) == list(values)
+        assert x == values and values == x
+        # RootSystem hashes (family, rank), the fields every other one is built from
+        assert hash(x) == hash(values[:2] if isinstance(x, rw.RootSystem) else values)
+
+
+def test_records_have_no_tuple_arithmetic():
+    for x in _records():
+        operations = [lambda: x * 2, lambda: x * x]
+        if not isinstance(x, rw.Weight):  # a weight's + is the vector sum, and c * w scales it
+            operations += [lambda: 2 * x, lambda: x + (), lambda: x + x]
+        for operation in operations:
+            with pytest.raises(TypeError):
+                operation()
+    w = rw.weight([1, Fraction(1, 2)])
+    assert w + w == 2 * w == w.scale(2) == rw.weight([2, 1])
+    assert Fraction(1, 2) * w == rw.weight([Fraction(1, 2), Fraction(1, 4)])
+
+
+def test_fields_are_read_only():
+    for x, names in _records().items():
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)
+
+
+def _fresh(code: str) -> str:
+    """stdout of a fresh interpreter that runs code with this src/ first on its path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
+    return proc.stdout
+
+
+LOADED = "import sys; print(' '.join(sorted(m for m in sys.modules if m.startswith('symmon'))))"
+
+
+def test_importing_the_errors_loads_no_other_module():
+    assert _fresh("import symmon.errors; " + LOADED).split() == ["symmon", "symmon.errors"]
+
+
+def test_roots_command_loads_only_the_root_layer():
+    out = _fresh("from symmon.cli import main; main(['roots', '--family', 'A', '--n', '2']); " + LOADED)
+    assert out.startswith("root system A_2 in R^3\n")
+    loaded = out.splitlines()[-1].split()
+    assert loaded == ["symmon", "symmon._record", "symmon.cli", "symmon.errors", "symmon.linalg", "symmon.root_weight"]
+
+
+def test_package_names_resolve_on_first_use():
+    for name in symmon.__all__:
+        value = getattr(symmon, name)
+        if name != "__version__" and not name.endswith("Error"):
+            assert getattr(sys.modules[value.__module__], name) is value
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        symmon.no_such_name
+    out = _fresh("import symmon; print(symmon.RookElement((1,)), symmon.weight([1, 2])); " + LOADED)
+    assert out.splitlines()[0] == "RookElement(map=(1,)) (1, 2)"
+    assert out.splitlines()[1].split() == [
+        "symmon",
+        "symmon._record",
+        "symmon.errors",
+        "symmon.linalg",
+        "symmon.rook",
+        "symmon.root_weight",
+    ]

@@ -489,5 +489,14 @@ def test_contains_cache_is_invisible():
     for clone in (pickle.loads(pickle.dumps(cached)), copy.copy(cached), copy.deepcopy(cached)):
         assert clone == cached and hash(clone) == hash(cached)
         assert pt.contains(clone, x) and not pt.contains(clone, x.scale(2))
+    # the other weight-side records round-trip too
+    b3, ai2 = rw.root_system("B", 3), iv.involution_spec("AI", 2)
+    records = (x, weight([]), b3, ai2, iv.involution_spec("CI", 2), iv.restricted_simple_roots(ai2.root_system(), ai2))
+    for record in records:
+        copies = [pickle.loads(pickle.dumps(record, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in copies + [copy.copy(record), copy.deepcopy(record)]:
+            assert type(clone) is type(record) and clone == record and hash(clone) == hash(record)
+            assert tuple(clone) == tuple(record) and repr(clone) == repr(record)
+    assert rw.fundamental_weights(copy.deepcopy(b3)) == rw.fundamental_weights(b3)
     with pytest.raises(PreconditionError):
         pt.contains(cached, weight([0, 0, 0]))
