@@ -276,7 +276,9 @@ def test_renner_n4_json_frontier(capsys):
 # and on the pairwise Bruhat comparisons and face-lattice f-vectors before the
 # up-sets came from threshold bitmasks and the f-vectors from parabolic counts,
 # and on the Borel orbit engine that applied every torus generator to every
-# point before the torus acted once per U-orbit (the q = 5, 7 censuses)
+# point before the torus acted once per U-orbit (the q = 5, 7 censuses),
+# and on the Fraction facet normalization and Fraction OFF frame before both
+# moved to integers (the half-integer, chi-shifted and planar outputs)
 GOLDEN_STDOUT = {
     "verify": "6d4246b5d637953b99d54a81e29fa6c4da7db6117a1c31dea3da537fa15c5116",
     "census --form skew --n 4 --q 3": "4d2a1cc2954cbcba1ec38583e2a9188dbe543dcda9cb2a8666d0931d191fbed5",
@@ -323,6 +325,17 @@ GOLDEN_STDOUT = {
     "weight-polytope --family A --n 2 --lambda 1,1": "3aa4c493942da0d0a0348d4808550b2d3a42eb86b5d7eb50a486d203d54474ac",
     "weight-polytope --family A --n 1 --lambda 2": "7afba20b7efa40d96adec531c0aaa4aa2ca3ad4db4fc7b57c9cc287519b4e044",
     "weight-polytope --family B --n 2 --lambda 0,0": "22c6032ee9867b894956808e8440d5f01529d5c1636f5173aa3e59c15ef50a21",
+    "weight-polytope --family B --n 3 --lambda 0,0,1 --format json": "7a2046b80fe51e44144d8efc42f154d1c8d876c38252a529455151aa3993c775",
+    "weight-polytope --family A --n 3 --lambda 0,1,0 --format off": "ae830c515bbb2251393f97b8e52e98bc7f4a6041abc76564d19bcc3e038d71eb",
+    "weight-polytope --family A --n 3 --lambda 0,1,0 --format json": "2ecd2bbb8857f11032cbbe8489ba7359127181911b94ae44eef4f55dd2f86945",
+    "weight-polytope --family C --n 3 --lambda 0,1,0 --format json": "3e86d401731253c66718c8f933fbaec925a71a268909fd85a7db47e1d2f70db2",
+    "weight-polytope --family C --n 3 --lambda 0,1,0 --format off": "38d1db5a4563a828d8f123d8c99fd06fa4b032cb9f8d0123d643dbf9ee37b422",
+    "weight-polytope --family A --n 2 --lambda 1,0 --format off": "6762c19f980a701b5664ad4f14687bf05467a00e7990aac73d7053291d13702c",
+    "weight-polytope --family A --n 2 --lambda 1,0 --format json": "6a0d2261792727811cd74ace2687c52d78439a218c0b769f31e72b3fe5ca97af",
+    "weight-polytope --family B --n 2 --lambda 0,1 --format off": "3d1545cb25faf6cb7929b82ce6217f5f4d0b5ac75309c461b021042e41497596",
+    "weight-polytope --family D --n 3 --lambda 0,0,1 --format off": "57e1cf02a79432d15a97658b14b8d77349e0d3c52e6654b9cc1dce3ccc801bf2",
+    "weight-polytope --family A --n 1 --lambda 1 --format off": "02e815ddb62c97fe5e978e41e7364fbb8256e78fa7939ce2fe03a81f88b777a3",
+    "weight-polytope --family A --n 3 --lambda 2,1,0 --format off": "9061e4b47a23165765f4ef3aa57e3282465d7138d73c5f78662db8c3e83d379a",
     "roots --family B --n 4 --format json": "4cccbcfb512e3329d6cc970991cff845c1667f2ef3103ad1597f3f291d7a5950",
     "roots --family A --n 3 --format json": "447f5243f3b0447a37c582cc4cfae597c20f839c28c4f94263ec09ea158cc5c2",
     "roots --family C --n 3": "8ccb09e41d39f9a427a1c966507cc792be3366e7e8c5b5b4654bb470bf9c4158",
