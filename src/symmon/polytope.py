@@ -1,14 +1,17 @@
 """Exact convex geometry of Weyl-orbit polytopes in affine dimension <= 4.
 
-Everything is computed over the rationals.  Weight polytopes conv(W.lambda)
-are read off the root datum: every orbit point is a vertex, the affine span is
-spanned by the simple roots of the Dynkin components that meet supp(lambda),
+Everything is exact.  Points are scaled over a common denominator, and span
+equalities and facets are content-free integer rows; a RationalPolytope holds
+them as Fractions and caches the integer rows.  Weight polytopes
+conv(W.lambda) are read off the root datum and its integer Weyl orbits: every
+orbit point is a vertex, the affine span is spanned by the simple roots of
+the Dynkin components that meet supp(lambda),
 the facets are, in closed form, the W-orbits of the fundamental weights
 omega_i whose node i the standard H-description keeps, and the f-vector
 counts the W-translates of the standard faces conv(W_J.lambda) with parabolic
 subgroup orders (weight_polytope_f_vector).  `hull` is the generic path for
-arbitrary point sets: it maps the points to exact coordinates on
-their affine span (`_AffineFrame`, shared with the OFF export), finds facets
+arbitrary point sets: it maps the points to exact coordinates on their affine
+span (`_AffineFrame`, in integers, shared with the OFF export), finds facets
 by enumerating supporting hyperplanes through affinely independent point
 subsets, and vertices as the points whose tight facet normals span the space.
 
@@ -23,6 +26,7 @@ correspondence is background here and is not materialized as a map.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -138,50 +142,79 @@ def _int_halfspace(normal: Vec, offset: Fraction) -> tuple[tuple[int, ...], int]
     return _reduce_int_halfspace(tuple(c.numerator * (lcm // c.denominator) for c in normal), int(offset * lcm))
 
 
-def _normalize_halfspace(normal: Vec, offset: Fraction) -> tuple[Vec, Fraction]:
-    """Scale so entries are coprime integers with a canonical sign convention."""
-    a, beta = _int_halfspace(normal, offset)
-    return tuple(map(Fraction, a)), Fraction(beta)
+def _fraction_rows(rows) -> tuple[tuple[Vec, Fraction], ...]:
+    """Integer (normal, offset) rows as the record's Fractions, one per distinct value."""
+    frac = {x: Fraction(x) for a, b in rows for x in (*a, b)}
+    return tuple((tuple(map(frac.__getitem__, a)), frac[b]) for a, b in rows)
 
 
-def _span_equalities(directions: Mat, origin: Vec) -> tuple[tuple[Vec, Fraction], ...]:
-    """The normalized equalities nu . x = nu . origin of origin + span(directions).
-    The nullspace comes from a reduced row echelon form, which depends only on
-    the row space, so any spanning set of directions gives the same bytes."""
-    normals = linalg.nullspace(directions) if directions else linalg.identity_mat(len(origin))
-    return tuple(_normalize_halfspace(nu, linalg.dot(nu, origin)) for nu in normals)
+@functools.lru_cache(maxsize=64)
+def _span_normals(directions: tuple, n: int) -> tuple[tuple[int, ...], ...]:
+    """Integer normals of span(directions) in R^n, from a reduced row echelon
+    form: it depends only on the row space, so any spanning set gives them."""
+    normals = linalg.nullspace(directions) if directions else linalg.identity_mat(n)
+    return tuple(_int_halfspace(nu, 0)[0] for nu in normals)
+
+
+def _span_rows(directions: tuple, denom: int, origin: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """The rows nu . x = nu . o of o + span(directions), o = origin / denom."""
+    return [
+        _reduce_int_halfspace(tuple(denom * c for c in nu), sum(map(mul, nu, origin)))
+        for nu in _span_normals(directions, len(origin))
+    ]
+
+
+def _adjugate(m: list[list[int]]) -> list[list[int]]:
+    """adj(m) = det(m) m^-1: entry (i, j) is the signed minor of m without
+    row j and column i."""
+    n = len(m)
+    if n == 1:
+        return [[1]]
+    return [
+        [(-1) ** (i + j) * _int_det([r[:i] + r[i + 1 :] for k, r in enumerate(m) if k != j]) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 class _AffineFrame:
-    """Exact coordinates on the affine span of a point set."""
+    """Exact coordinates on the affine span of a point set, in integers: with
+    the points scaled to X = denom * x, origin O the first, B the differences
+    X - O independent of those before them and G = B B^T, the coordinates
+    c(x) = G^-1 B (X - O) are h (X - O) / det, h = adj(G) B and det = det G > 0."""
 
     def __init__(self, pts: list[Vec]):
-        self.origin = pts[0]
-        diffs = [linalg.vec_sub(p, self.origin) for p in pts[1:]]
-        idx = linalg.independent_rows(diffs)
-        self.basis: Mat = tuple(diffs[i] for i in idx)
+        self.denom = math.lcm(*(c.denominator for p in pts for c in p))
+        self.points = [tuple(c.numerator * (self.denom // c.denominator) for c in p) for p in pts]
+        self.origin = origin = self.points[0]
+        self.basis: list[tuple[int, ...]] = []
+        echelon: list[tuple[int, list[int]]] = []  # (pivot column, row) of the reduced basis
+        for x in self.points[1:]:
+            if len(echelon) == len(origin):
+                break
+            y = r = [a - b for a, b in zip(x, origin)]
+            for c, e in echelon:
+                if r[c]:
+                    r = [e[c] * u - r[c] * v for u, v in zip(r, e)]
+            pivot = next((c for c, u in enumerate(r) if u), None)
+            if pivot is not None:
+                echelon.append((pivot, r))
+                self.basis.append(tuple(y))
         self.dim = len(self.basis)
-        if self.dim:
-            gram = linalg.mat(
-                [[linalg.dot(a, b) for b in self.basis] for a in self.basis]
-            )
-            ginv = linalg.mat_inv(gram)
-            # rows of H give affine coordinates: c(x) = H (x - origin)
-            self.h: Mat = linalg.mat_mul(ginv, self.basis)
-        else:
-            self.h = ()
+        gram = [[sum(map(mul, a, b)) for b in self.basis] for a in self.basis]
+        self.det = _int_det(gram) if gram else 1
+        columns = list(zip(*self.basis))
+        self.h = [tuple(sum(map(mul, row, col)) for col in columns) for row in _adjugate(gram)] if gram else []
 
-    def coords(self, p: Vec) -> Vec:
-        return linalg.mat_vec(self.h, linalg.vec_sub(p, self.origin)) if self.dim else ()
+    def scaled_coords(self, x: tuple[int, ...]) -> list[int]:
+        """det * c(x), for x = denom * (a point of the span)."""
+        y = [a - b for a, b in zip(x, self.origin)]
+        return [sum(map(mul, row, y)) for row in self.h]
 
-    def lift_halfspace(self, a: Vec, beta: Fraction) -> tuple[Vec, Fraction]:
-        """Translate a . c(x) <= beta into an ambient inequality."""
-        normal = tuple(
-            sum((a[k] * self.h[k][i] for k in range(self.dim)), Fraction(0))
-            for i in range(len(self.origin))
-        )
-        offset = beta + linalg.dot(normal, self.origin)
-        return _normalize_halfspace(normal, offset)
+    def lift_halfspace(self, a: tuple[int, ...], beta: int) -> tuple[tuple[int, ...], int]:
+        """a . (det c(x)) <= beta as an ambient row:
+        (denom nu) . x <= beta + nu . O, with nu = a h."""
+        nu = [sum(map(mul, a, col)) for col in zip(*self.h)]
+        return _reduce_int_halfspace(tuple(self.denom * c for c in nu), beta + sum(map(mul, nu, self.origin)))
 
 
 def _check_hull_guards(pts: list[Vec]):
@@ -201,45 +234,36 @@ def hull(points) -> RationalPolytope:
     _check_hull_guards(pts)
     frame = _AffineFrame(pts)
     d = frame.dim
-    span = _span_equalities(frame.basis, frame.origin)
+    span = _span_rows(tuple(frame.basis), frame.denom, frame.origin)
     if d == 0:
-        return RationalPolytope((Weight(pts[0]),), (), span, 0)
-    coords = {p: frame.coords(p) for p in pts}
-    # integer-scaled coordinates keep the facet search fraction-free
-    denom_lcm = 1
-    for c in coords.values():
-        for e in c:
-            denom_lcm = denom_lcm * e.denominator // math.gcd(denom_lcm, e.denominator)
-    icoords = [tuple(int(e * denom_lcm) for e in coords[p]) for p in pts]
-    facets_int: set[tuple[tuple[int, ...], int]] = set()
+        return _polytope((Weight(pts[0]),), [], span, 0)
+    # the integer coordinates det * c(x) keep the facet search fraction-free
+    icoords = [frame.scaled_coords(x) for x in frame.points]
+    facets_local: set[tuple[tuple[int, ...], int]] = set()
     for subset in itertools.combinations(range(len(pts)), d):
         kernel = _int_hyperplane([icoords[i] for i in subset])
         if kernel is None:
             continue
         a, beta = kernel
-        sides = [sum(ai * ci for ai, ci in zip(a, icoords[i])) - beta for i in range(len(pts))]
+        sides = [sum(map(mul, a, c)) - beta for c in icoords]
         if all(s <= 0 for s in sides):
-            facets_int.add(_reduce_int_halfspace(a, beta))
+            facets_local.add(_reduce_int_halfspace(a, beta))
         elif all(s >= 0 for s in sides):
-            facets_int.add(_reduce_int_halfspace(tuple(-c for c in a), -beta))
-    # back to span coordinates: a . c(x) <= beta / denom_lcm
-    facets_local = {
-        (tuple(Fraction(c) for c in a), Fraction(beta, denom_lcm)) for a, beta in facets_int
-    }
-    tight: dict[Vec, list[tuple[Vec, Fraction]]] = {p: [] for p in pts}
-    for a, beta in facets_local:
-        for p in pts:
-            if linalg.dot(a, coords[p]) == beta:
-                tight[p].append((a, beta))
+            facets_local.add(_reduce_int_halfspace(tuple(-c for c in a), -beta))
     vertices = []
-    for p in pts:
-        normals = linalg.mat([t[0] for t in tight[p]]) if tight[p] else ()
-        if tight[p] and linalg.rank(normals) == d:
+    for p, c in zip(pts, icoords):
+        normals = [a for a, beta in facets_local if sum(map(mul, a, c)) == beta]
+        if normals and linalg.rank(normals) == d:
             vertices.append(Weight(p))
-    facets = tuple(
-        sorted(frame.lift_halfspace(a, beta) for a, beta in facets_local)
-    )
-    return RationalPolytope(tuple(sorted(vertices)), facets, span, d)
+    facets = sorted({frame.lift_halfspace(a, beta) for a, beta in facets_local})
+    return _polytope(tuple(vertices), facets, span, d)
+
+
+def _polytope(vertices, facets, span, affine_dim: int) -> RationalPolytope:
+    """The record of the integer facet and span rows, with the rows cached."""
+    p = RationalPolytope(vertices, _fraction_rows(facets), _fraction_rows(span), affine_dim)
+    p._int_rows = (tuple(span), tuple(facets))
+    return p
 
 
 def contains(p: RationalPolytope, x: Weight) -> bool:
@@ -326,12 +350,15 @@ def _require_dominant(rs: RootSystem, lam: Weight):
         raise PreconditionError("weight_polytope requires a dominant weight")
 
 
+def _orbit_base(rs: RootSystem, lam: Weight) -> Weight:
+    _require_dominant(rs, lam)
+    return root_weight.chi(rs) + lam if rs.family == "A" else lam
+
+
 def weight_orbit_points(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
     """The Weyl orbit of chi + lambda (type A, extended coordinates) or of
     lambda itself (other families): the points weight_polytope takes the hull of."""
-    _require_dominant(rs, lam)
-    base = root_weight.chi(rs) + lam if rs.family == "A" else lam
-    return root_weight.weyl_orbit(rs, base)
+    return root_weight.weyl_orbit(rs, _orbit_base(rs, lam))
 
 
 def _support_components(rs: RootSystem, lam: Weight) -> tuple[set[int], list[set[int]]]:
@@ -355,6 +382,7 @@ def facet_nodes(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
     components that meet supp(lam), and i gives facets when U - {i} is
     admissible.  The diagram is read from rs.cartan, so D_2 is A_1 x A_1.
     """
+    _require_dominant(rs, lam)
     supp, components = _support_components(rs, lam)
     span = set().union(*components)
     return tuple(i for i in sorted(span) if _admissible(rs.cartan, span - {i}, supp))
@@ -401,33 +429,44 @@ def weight_polytope_dim(rs: RootSystem, lam: Weight) -> int:
     return len(_span_roots(rs, lam))
 
 
-def weight_polytope_facets(rs: RootSystem, lam: Weight) -> tuple[tuple[Vec, Fraction], ...]:
-    """The facets of conv(weight_orbit_points(rs, lam)).
+def _facet_rows(rs: RootSystem, lam: Weight) -> list[tuple[tuple[int, ...], int]]:
+    """The facets of conv(weight_orbit_points(rs, lam)) as sorted
+    _int_halfspace rows, the normal form hull gives.
 
     For each facet node i and each nu in W.omega_i, the facet is
-    nu . x <= (omega_i, lam), normalized as hull normalizes it.  (omega_i, lam)
-    is the maximum of nu over the orbit, since the form is W-invariant and
-    both weights are dominant; the type-A shift chi is orthogonal to omega_i.
-    nu already lies in the span of the simple roots of i's component, which
-    the affine hull contains, so no projection is needed.
+    nu . x <= (omega_i, lam).  (omega_i, lam) is the maximum of nu over the
+    orbit, since the form is W-invariant and both weights are dominant; the
+    type-A shift chi is orthogonal to omega_i.  nu already lies in the span of
+    the simple roots of i's component, which the affine hull contains, so no
+    projection is needed.
     """
     omega = root_weight.fundamental_weights(rs)
-    facets = set()
+    d, scaled_omega = root_weight._scaled_fundamental(rs)
+    e, y = lam.scaled_to_integers()
+    rows = set()
     for i in facet_nodes(rs, lam):
-        top = rs.form(omega[i], lam)
-        facets.update(_normalize_halfspace(nu.coords, top) for nu in root_weight.weyl_orbit(rs, omega[i]))
-    return tuple(sorted(facets))
+        denom, orbit = root_weight._scaled_orbit(rs, omega[i])
+        # (omega_i, lam) = p / r with r = d e
+        r, offset = d * e, denom * sum(map(mul, scaled_omega[i], y))
+        rows.update(_reduce_int_halfspace(tuple(r * c for c in nu), offset) for nu in orbit)
+    return sorted(rows)
+
+
+def weight_polytope_facets(rs: RootSystem, lam: Weight) -> tuple[tuple[Vec, Fraction], ...]:
+    """The facets of conv(weight_orbit_points(rs, lam)) (see _facet_rows)."""
+    return _fraction_rows(_facet_rows(rs, lam))
 
 
 def weight_polytope(rs: RootSystem, lam: Weight) -> RationalPolytope:
     """conv(weight_orbit_points(rs, lam)): every orbit point is a vertex, the
     affine hull is the first vertex plus the span of _span_roots, and the
-    facets come from weight_polytope_facets.  Equal to hull of the orbit."""
-    vertices = weight_orbit_points(rs, lam)
-    _check_hull_guards([v.coords for v in vertices])
+    facets come from _facet_rows.  Equal to hull of the orbit."""
+    denom, orbit = root_weight._scaled_orbit(rs, _orbit_base(rs, lam))
+    _check_hull_guards(orbit)
+    orbit.sort()
     roots = _span_roots(rs, lam)
-    span = _span_equalities(roots, vertices[0].coords)
-    return RationalPolytope(vertices, weight_polytope_facets(rs, lam), span, len(roots))
+    span = _span_rows(roots, denom, orbit[0])
+    return _polytope(root_weight._to_weights(denom, orbit), _facet_rows(rs, lam), span, len(roots))
 
 
 def require_off_dim(affine_dim: int):
@@ -476,10 +515,10 @@ def to_off(p: RationalPolytope) -> str:
     require_off_dim(p.affine_dim)
     frame = _AffineFrame([v.coords for v in p.vertices])
     proj = []
-    for v in p.vertices:
-        c = frame.coords(v.coords)
-        c3 = tuple(float(c[i]) if i < len(c) else 0.0 for i in range(3))
-        proj.append(c3)
+    for x in frame.points:
+        # an int true division is correctly rounded, as float(Fraction) is
+        c = frame.scaled_coords(x) + [0, 0, 0]
+        proj.append((c[0] / frame.det, c[1] / frame.det, c[2] / frame.det))
     graded = _face_lattice(p)
     # the polytope is a face of itself: the polygon at dimension 2, the edge at 1
     graded[p.affine_dim] = {frozenset(range(len(proj)))}

@@ -14,8 +14,10 @@ every integral weight (and scaled by their common denominator otherwise),
 read by `RootSystem.labels` off the integer coroots and packed into one int
 (see the kernel note at `_LabelCode`).  The simple reflection is
 s_i(mu) = mu - mu_i * (row i of the Cartan matrix), and mu is dominant when
-every label is a nonnegative integer.  `Fraction`s are built only where
-labels are converted back to `Weight`s.
+every label is a nonnegative integer.  Orbits and weight sets leave the
+kernels as integer vectors over a common denominator (`_scaled_orbit`,
+`scaled_weight_set`, which `polytope` reads), and `Fraction`s are built only
+where those become `Weight`s.
 """
 
 from __future__ import annotations
@@ -254,10 +256,13 @@ def _ambient(rs: RootSystem, mu: Weight, s: int, labels, code, codes) -> tuple[i
     mu's W-fixed part (its component orthogonal to the root span), as its
     W-orbit and mu + root lattice do."""
     d, rows = _scaled_fundamental(rs)
-    # s * d * (mu - sum_j (labels_j / s) omega_j): the W-fixed part, scaled by s * d
-    fixed = [s * d * c - sum(map(mul, labels, col)) for c, col in zip(mu.coords, zip(*rows))]
-    k = math.lcm(*(Fraction(f).denominator for f in fixed))
-    frame = [([k * e for e in col], int(k * f)) for col, f in zip(zip(*rows), fixed)]
+    e, y = mu.scaled_to_integers()
+    # e * s * d * (mu - sum_j (labels_j / s) omega_j): the W-fixed part, scaled
+    # by e * s * d; over s * d it has the denominators of fixed / e, whose lcm is k
+    fixed = [s * d * c - e * sum(map(mul, labels, col)) for c, col in zip(y, zip(*rows))]
+    g = math.gcd(e, *fixed)
+    k = e // g
+    frame = [([k * x for x in col], f // g) for col, f in zip(zip(*rows), fixed)]
     vectors = map(code.labels, codes)
     return s * d * k, [tuple(sum(map(mul, nu, col)) + off for col, off in frame) for nu in vectors]
 
@@ -396,8 +401,8 @@ def _orbit_size(rs: RootSystem, labels) -> int:
     return _weyl_group_order(rs.cartan, range(rs.rank)) // _weyl_group_order(rs.cartan, zeros)
 
 
-def weyl_orbit(rs: RootSystem, mu: Weight) -> tuple[Weight, ...]:
-    """The W-orbit of mu, canonically sorted."""
+def _scaled_orbit(rs: RootSystem, mu: Weight) -> tuple[int, list[tuple[int, ...]]]:
+    """(D, points): the W-orbit of mu as the integer vectors D * nu, unsorted."""
     s, labels = _scaled_labels(rs, mu)
     code = _label_code(rs, 2 * sum(map(abs, labels)))
     dom = _dominant(code, _plain(labels, code.k) + code.top)
@@ -406,7 +411,12 @@ def weyl_orbit(rs: RootSystem, mu: Weight) -> tuple[Weight, ...]:
         raise ResourceLimitError(f"Weyl orbit: {size} points exceed the limit {ORBIT_GUARD}")
     points: list = []
     _extend_by_orbit(code, dom, points)
-    return _to_weights(*_ambient(rs, mu, s, labels, code, points))
+    return _ambient(rs, mu, s, labels, code, points)
+
+
+def weyl_orbit(rs: RootSystem, mu: Weight) -> tuple[Weight, ...]:
+    """The W-orbit of mu, canonically sorted."""
+    return _to_weights(*_scaled_orbit(rs, mu))
 
 
 @functools.lru_cache(maxsize=None)

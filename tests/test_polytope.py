@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,75 @@ def _face_lattice_oracle(p):
         )
         graded.setdefault(dim, set()).add(f)
     return graded
+
+
+class _FractionFrame:
+    """The Fraction affine frame that the integer _AffineFrame replaced:
+    c(x) = G^-1 B (x - origin), with the Gram inverse G^-1 over the rationals."""
+
+    def __init__(self, pts):
+        self.origin = pts[0]
+        diffs = [linalg.vec_sub(p, self.origin) for p in pts[1:]]
+        self.basis = tuple(diffs[i] for i in linalg.independent_rows(diffs))
+        self.dim = len(self.basis)
+        gram = linalg.mat([[linalg.dot(a, b) for b in self.basis] for a in self.basis])
+        self.h = linalg.mat_mul(linalg.mat_inv(gram), self.basis) if self.dim else ()
+
+    def coords(self, p):
+        return linalg.mat_vec(self.h, linalg.vec_sub(p, self.origin)) if self.dim else ()
+
+    def lift_halfspace(self, a, beta):
+        normal = tuple(sum((a[k] * self.h[k][i] for k in range(self.dim)), Fraction(0)) for i in range(len(self.origin)))
+        return _fraction_halfspace(normal, beta + linalg.dot(normal, self.origin))
+
+
+def _fraction_halfspace(normal, offset):
+    a, b = pt._int_halfspace(normal, offset)
+    return tuple(map(Fraction, a)), Fraction(b)
+
+
+def _hull_oracle(points):
+    """hull as it ran on the Fraction frame: span equalities from the Fraction
+    nullspace, the integer facet search on coordinates scaled by the lcm of
+    their denominators, and each facet lifted back through G^-1 B."""
+    pts = sorted({linalg.vec(x) for x in points})
+    frame = _FractionFrame(pts)
+    d = frame.dim
+    normals = linalg.nullspace(frame.basis) if frame.basis else linalg.identity_mat(len(pts[0]))
+    span = tuple(_fraction_halfspace(nu, linalg.dot(nu, frame.origin)) for nu in normals)
+    if d == 0:
+        return pt.RationalPolytope((rw.Weight(pts[0]),), (), span, 0)
+    coords = [frame.coords(p) for p in pts]
+    scale = math.lcm(*(e.denominator for c in coords for e in c))
+    icoords = [tuple(int(e * scale) for e in c) for c in coords]
+    local = set()
+    for subset in itertools.combinations(range(len(pts)), d):
+        kernel = pt._int_hyperplane([icoords[i] for i in subset])
+        if kernel is not None:
+            a, beta = kernel
+            sides = [sum(x * y for x, y in zip(a, c)) - beta for c in icoords]
+            if all(s <= 0 for s in sides):
+                local.add((a, Fraction(beta, scale)))
+            elif all(s >= 0 for s in sides):
+                local.add((tuple(-x for x in a), Fraction(-beta, scale)))
+    vertices = []
+    for p, c in zip(pts, coords):
+        tight = [a for a, beta in local if linalg.dot(a, c) == beta]
+        if tight and linalg.rank(linalg.mat(tight)) == d:
+            vertices.append(rw.Weight(p))
+    facets = tuple(sorted({frame.lift_halfspace(a, beta) for a, beta in local}))
+    return pt.RationalPolytope(tuple(vertices), facets, span, d)
+
+
+def _assert_frame_matches_oracle(pts):
+    """Exact coordinates, and the six-decimal strings to_off prints, of the
+    integer frame against the Fraction frame."""
+    frame, oracle = pt._AffineFrame(pts), _FractionFrame(pts)
+    assert frame.dim == oracle.dim and frame.basis == [tuple(frame.denom * e for e in b) for b in oracle.basis]
+    for x, p in zip(frame.points, pts):
+        scaled, exact = frame.scaled_coords(x), oracle.coords(p)
+        assert tuple(Fraction(c, frame.det) for c in scaled) == exact
+        assert [f"{c / frame.det:.6f}" for c in scaled] == [f"{float(c):.6f}" for c in exact]
 
 
 def test_hull_single_point():
@@ -134,6 +204,11 @@ def test_weight_polytope_requires_dominant():
     a2 = rw.root_system("A", 2)
     with pytest.raises(PreconditionError):
         pt.weight_polytope(a2, -rw.fundamental_weights(a2)[0])
+    # the facet entry points too: for lambda = -omega_1 the three facet rows
+    # would have offset -1 and cut out the empty set
+    for f in (pt.facet_nodes, pt.weight_polytope_facets, pt.weight_polytope_dim, pt.weight_polytope_f_vector):
+        with pytest.raises(PreconditionError, match="requires a dominant weight"):
+            f(a2, -rw.fundamental_weights(a2)[0])
 
 
 def test_weight_polytope_vertices_are_one_orbit():
@@ -296,6 +371,61 @@ def test_face_lattice_matches_oracle_on_random_hulls(case):
     denom, points = case
     p = pt.hull([weight([Fraction(c, denom) for c in x]) for x in points])
     assert pt._face_lattice(p) == _face_lattice_oracle(p)
+
+
+def _admitted_off_polytopes():
+    """(family, rank, labels) of every weight polytope of affine dimension <= 3
+    with labels in {0, 1, 2} whose orbit the hull point guard admits."""
+    for family, rank in ROOT_SYSTEMS:
+        rs = rw.root_system(family, rank)
+        for labels in itertools.product((0, 1, 2), repeat=rank):
+            lam = rw.from_fundamental(rs, labels)
+            if pt.weight_polytope_dim(rs, lam) <= 3 and len(pt.weight_orbit_points(rs, lam)) <= pt.HULL_POINT_GUARD:
+                yield family, rank, labels
+
+
+def test_integer_frame_matches_fraction_oracle_on_weight_polytopes():
+    cases = list(_admitted_off_polytopes())
+    assert len(cases) == 151
+    for family, rank, labels in cases:
+        rs = rw.root_system(family, rank)
+        p = pt.weight_polytope(rs, rw.from_fundamental(rs, labels))
+        _assert_frame_matches_oracle([v.coords for v in p.vertices])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda d: st.tuples(
+            st.integers(1, 7),
+            st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=1, max_size=10),
+        )
+    )
+)
+def test_integer_frame_and_hull_match_fraction_oracle_on_random_hulls(case):
+    # denominators up to 7 give coordinates with no short decimal expansion,
+    # so the six-decimal rounding of to_off is exercised
+    denom, points = case
+    pts = sorted({tuple(Fraction(c, denom) for c in x) for x in points})
+    _assert_frame_matches_oracle(pts)
+    assert pt.hull([weight(x) for x in pts]) == _hull_oracle(pts)
+
+
+def test_rows_are_fractions_not_ints():
+    # Fraction(3) == 3 and their hashes agree, so == cannot see an int entry,
+    # but repr and the record's documented types can
+    polytopes = [pt.hull([weight([0, 0]), weight([Fraction(1, 2), 0]), weight([0, Fraction(1, 3)])])]
+    rows = list(polytopes[0].facets + polytopes[0].span)
+    for family, rank, labels in _admitted_01_labels():
+        rs = rw.root_system(family, rank)
+        lam = rw.from_fundamental(rs, labels)
+        p = pt.weight_polytope(rs, lam)
+        polytopes.append(p)
+        rows += p.facets + p.span + pt.weight_polytope_facets(rs, lam)
+    assert len(polytopes) > 40 and len(rows) > 1000
+    for nrm, off in rows:
+        assert type(off) is Fraction and all(type(c) is Fraction for c in nrm), (nrm, off)
+    assert all(type(c) is Fraction for p in polytopes for v in p.vertices for c in v.coords)
 
 
 @pytest.mark.parametrize("family, rank", ROOT_SYSTEMS)
@@ -481,11 +611,15 @@ def test_contains_cache_is_invisible():
     import copy
     import pickle
 
-    cached, fresh = _probe_polytopes()["cuboctahedron"], _probe_polytopes()["cuboctahedron"]
+    # weight_polytope caches the integer rows it builds from; the same record
+    # rebuilt from its fields has no cache until contains fills it
+    cached = _probe_polytopes()["cuboctahedron"]
+    fresh = pt.RationalPolytope(*cached)
     x = cached.vertices[0]
     assert pt.contains(cached, x) and "_int_rows" in cached.__dict__ and "_int_rows" not in fresh.__dict__
     assert cached == fresh and hash(cached) == hash(fresh)
     assert repr(cached) == repr(fresh) and cached.to_json() == fresh.to_json()
+    assert pt.contains(fresh, x) and fresh.__dict__["_int_rows"] == cached.__dict__["_int_rows"]
     for clone in (pickle.loads(pickle.dumps(cached)), copy.copy(cached), copy.deepcopy(cached)):
         assert clone == cached and hash(clone) == hash(cached)
         assert pt.contains(clone, x) and not pt.contains(clone, x.scale(2))
