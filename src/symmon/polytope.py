@@ -26,7 +26,6 @@ correspondence is background here and is not materialized as a map.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -148,20 +147,16 @@ def _fraction_rows(rows) -> tuple[tuple[Vec, Fraction], ...]:
     return tuple((tuple(map(frac.__getitem__, a)), frac[b]) for a, b in rows)
 
 
-@functools.lru_cache(maxsize=64)
-def _span_normals(directions: tuple, n: int) -> tuple[tuple[int, ...], ...]:
-    """Integer normals of span(directions) in R^n, from a reduced row echelon
-    form: it depends only on the row space, so any spanning set gives them."""
-    normals = linalg.nullspace(directions) if directions else linalg.identity_mat(n)
-    return tuple(_int_halfspace(nu, 0)[0] for nu in normals)
-
-
-def _span_rows(directions: tuple, denom: int, origin: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-    """The rows nu . x = nu . o of o + span(directions), o = origin / denom."""
-    return [
-        _reduce_int_halfspace(tuple(denom * c for c in nu), sum(map(mul, nu, origin)))
-        for nu in _span_normals(directions, len(origin))
-    ]
+def _span_rows(directions: Mat, denom: int, origin: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """The rows nu . x = nu . o of o + span(directions), o = origin / denom, with
+    nu the integer normals of the span.  They come from a reduced row echelon
+    form, which depends only on the row space, so any spanning set gives them."""
+    normals = linalg.nullspace(directions) if directions else linalg.identity_mat(len(origin))
+    rows = []
+    for nu in normals:
+        a = _int_halfspace(nu, 0)[0]
+        rows.append(_reduce_int_halfspace(tuple(denom * c for c in a), sum(map(mul, a, origin))))
+    return rows
 
 
 def _adjugate(m: list[list[int]]) -> list[list[int]]:
@@ -186,19 +181,8 @@ class _AffineFrame:
         self.denom = math.lcm(*(c.denominator for p in pts for c in p))
         self.points = [tuple(c.numerator * (self.denom // c.denominator) for c in p) for p in pts]
         self.origin = origin = self.points[0]
-        self.basis: list[tuple[int, ...]] = []
-        echelon: list[tuple[int, list[int]]] = []  # (pivot column, row) of the reduced basis
-        for x in self.points[1:]:
-            if len(echelon) == len(origin):
-                break
-            y = r = [a - b for a, b in zip(x, origin)]
-            for c, e in echelon:
-                if r[c]:
-                    r = [e[c] * u - r[c] * v for u, v in zip(r, e)]
-            pivot = next((c for c, u in enumerate(r) if u), None)
-            if pivot is not None:
-                echelon.append((pivot, r))
-                self.basis.append(tuple(y))
+        diffs = [tuple(a - b for a, b in zip(x, origin)) for x in self.points[1:]]
+        self.basis = [diffs[i] for i in linalg.independent_rows(diffs)]
         self.dim = len(self.basis)
         gram = [[sum(map(mul, a, b)) for b in self.basis] for a in self.basis]
         self.det = _int_det(gram) if gram else 1
@@ -345,25 +329,30 @@ def f_vector(p: RationalPolytope) -> tuple[int, ...]:
     return tuple(dims.count(i) for i in range(d))
 
 
-def _require_dominant(rs: RootSystem, lam: Weight):
-    if not rs.is_dominant(lam):
+def _dominant_labels(rs: RootSystem, lam: Weight) -> tuple:
+    """The Dynkin labels of lam, which every public function below requires
+    dominant; each reaches this check once."""
+    labels = rs.labels(lam)
+    if not all(type(x) is int and x >= 0 for x in labels):
         raise PreconditionError("weight_polytope requires a dominant weight")
+    return labels
 
 
 def _orbit_base(rs: RootSystem, lam: Weight) -> Weight:
-    _require_dominant(rs, lam)
     return root_weight.chi(rs) + lam if rs.family == "A" else lam
 
 
 def weight_orbit_points(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
     """The Weyl orbit of chi + lambda (type A, extended coordinates) or of
     lambda itself (other families): the points weight_polytope takes the hull of."""
+    _dominant_labels(rs, lam)
     return root_weight.weyl_orbit(rs, _orbit_base(rs, lam))
 
 
 def _support_components(rs: RootSystem, lam: Weight) -> tuple[set[int], list[set[int]]]:
-    """supp(lam), and the connected components of the Dynkin diagram that meet it."""
-    supp = {i for i, x in enumerate(rs.labels(lam)) if x}
+    """supp(lam), and the connected components of the Dynkin diagram that meet
+    it; lam must be dominant."""
+    supp = {i for i, x in enumerate(_dominant_labels(rs, lam)) if x}
     return supp, [c for c in _dynkin_components(rs.cartan, range(rs.rank)) if c & supp]
 
 
@@ -382,10 +371,12 @@ def facet_nodes(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
     components that meet supp(lam), and i gives facets when U - {i} is
     admissible.  The diagram is read from rs.cartan, so D_2 is A_1 x A_1.
     """
-    _require_dominant(rs, lam)
-    supp, components = _support_components(rs, lam)
+    return _facet_nodes(rs.cartan, *_support_components(rs, lam))
+
+
+def _facet_nodes(cartan, supp: set[int], components: list[set[int]]) -> tuple[int, ...]:
     span = set().union(*components)
-    return tuple(i for i in sorted(span) if _admissible(rs.cartan, span - {i}, supp))
+    return tuple(i for i in sorted(span) if _admissible(cartan, span - {i}, supp))
 
 
 def weight_polytope_f_vector(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
@@ -396,7 +387,6 @@ def weight_polytope_f_vector(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
     K the nodes outside J u supp(lam) that have no edge to J.  So
     f_k = sum over those J of |W| / |W_{J u K}|.
     """
-    _require_dominant(rs, lam)
     supp, components = _support_components(rs, lam)
     span = sorted(set().union(*components))
     cartan = rs.cartan
@@ -414,26 +404,24 @@ def weight_polytope_f_vector(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
     return tuple(f)
 
 
-def _span_roots(rs: RootSystem, lam: Weight) -> Mat:
+def _span_roots(rs: RootSystem, components: list[set[int]]) -> Mat:
     """The simple roots of the Dynkin components that meet supp(lam): they span
     the directions of the affine hull of W.lam, since the other components fix
     lam (and the type-A shift chi)."""
-    components = _support_components(rs, lam)[1]
     return tuple(rs.simple_roots[i].coords for comp in components for i in sorted(comp))
 
 
 def weight_polytope_dim(rs: RootSystem, lam: Weight) -> int:
     """The affine dimension of conv(weight_orbit_points(rs, lam)), read off the
     root datum without building the orbit."""
-    _require_dominant(rs, lam)
-    return len(_span_roots(rs, lam))
+    return len(_span_roots(rs, _support_components(rs, lam)[1]))
 
 
-def _facet_rows(rs: RootSystem, lam: Weight) -> list[tuple[tuple[int, ...], int]]:
+def _facet_rows(rs: RootSystem, lam: Weight, nodes) -> list[tuple[tuple[int, ...], int]]:
     """The facets of conv(weight_orbit_points(rs, lam)) as sorted
     _int_halfspace rows, the normal form hull gives.
 
-    For each facet node i and each nu in W.omega_i, the facet is
+    For each facet node i (nodes, from facet_nodes) and each nu in W.omega_i, the facet is
     nu . x <= (omega_i, lam).  (omega_i, lam) is the maximum of nu over the
     orbit, since the form is W-invariant and both weights are dominant; the
     type-A shift chi is orthogonal to omega_i.  nu already lies in the span of
@@ -444,7 +432,7 @@ def _facet_rows(rs: RootSystem, lam: Weight) -> list[tuple[tuple[int, ...], int]
     d, scaled_omega = root_weight._scaled_fundamental(rs)
     e, y = lam.scaled_to_integers()
     rows = set()
-    for i in facet_nodes(rs, lam):
+    for i in nodes:
         denom, orbit = root_weight._scaled_orbit(rs, omega[i])
         # (omega_i, lam) = p / r with r = d e
         r, offset = d * e, denom * sum(map(mul, scaled_omega[i], y))
@@ -454,19 +442,21 @@ def _facet_rows(rs: RootSystem, lam: Weight) -> list[tuple[tuple[int, ...], int]
 
 def weight_polytope_facets(rs: RootSystem, lam: Weight) -> tuple[tuple[Vec, Fraction], ...]:
     """The facets of conv(weight_orbit_points(rs, lam)) (see _facet_rows)."""
-    return _fraction_rows(_facet_rows(rs, lam))
+    return _fraction_rows(_facet_rows(rs, lam, facet_nodes(rs, lam)))
 
 
 def weight_polytope(rs: RootSystem, lam: Weight) -> RationalPolytope:
     """conv(weight_orbit_points(rs, lam)): every orbit point is a vertex, the
     affine hull is the first vertex plus the span of _span_roots, and the
     facets come from _facet_rows.  Equal to hull of the orbit."""
+    supp, components = _support_components(rs, lam)
     denom, orbit = root_weight._scaled_orbit(rs, _orbit_base(rs, lam))
     _check_hull_guards(orbit)
     orbit.sort()
-    roots = _span_roots(rs, lam)
+    roots = _span_roots(rs, components)
     span = _span_rows(roots, denom, orbit[0])
-    return _polytope(root_weight._to_weights(denom, orbit), _facet_rows(rs, lam), span, len(roots))
+    facets = _facet_rows(rs, lam, _facet_nodes(rs.cartan, supp, components))
+    return _polytope(root_weight._to_weights(denom, orbit), facets, span, len(roots))
 
 
 def require_off_dim(affine_dim: int):
