@@ -23,8 +23,8 @@ __version__ = "0.1.0"
 # the public names of each module, imported on first use
 _LAZY = {
     "root_weight": ("Weight", "RootSystem", "weight", "root_system"),
-    "involution": ("InvolutionSpec", "RestrictedRootData", "involution_spec"),
-    "rook": ("RookElement", "CrossSection", "enumerate_rook", "bruhat_leq"),
+    "involution": ("InvolutionSpec", "involution_spec"),
+    "rook": ("RookElement", "enumerate_rook", "bruhat_leq"),
     "finite_field": ("FqMatrix", "BorelFactorization", "bruhat_factor", "orbit_enumerate"),
     "orbits": ("RankControl", "SymOrbitReport", "rank_control", "twisted_orbit_census"),
     "polytope": ("RationalPolytope", "hull", "weight_polytope"),

@@ -186,23 +186,11 @@ class FqMatrix(tuple):
         self._inverse, inverse._inverse = inverse, self
         return inverse
 
-    def is_upper_triangular(self) -> bool:
-        return all(self.rows[i][j] == 0 for i in range(self.n) for j in range(i))
-
-    def is_upper_unitriangular(self) -> bool:
-        return self.is_upper_triangular() and all(self.rows[i][i] == 1 for i in range(self.n))
-
     def is_diagonal(self) -> bool:
         return all(self.rows[i][j] == 0 for i in range(self.n) for j in range(self.n) if i != j)
 
     def is_symmetric(self) -> bool:
         return self.rows == tuple(zip(*self.rows))
-
-    def is_skew(self) -> bool:
-        n = self.n
-        return all(self.rows[i][i] == 0 for i in range(n)) and all(
-            self.rows[i][j] == -self.rows[j][i] % self.q for i in range(n) for j in range(n)
-        )
 
     def __repr__(self) -> str:
         body = "; ".join(",".join(str(e) for e in row) for row in self.rows)
@@ -224,10 +212,6 @@ def identity_matrix(n: int, q: int) -> FqMatrix:
     return FqMatrix(q, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
-def zero_matrix(n: int, q: int) -> FqMatrix:
-    return FqMatrix(q, ((0,) * n,) * n)
-
-
 def from_rook(r: RookElement, q: int, diag=None) -> FqMatrix:
     """The rook element as an F_q matrix, optionally with scaled pivot rows.
 
@@ -245,10 +229,6 @@ def enumerate_matrices(n: int, q: int):
     """All of Mat_n(F_q), row-major lexicographic order."""
     _check_space("matrix", n, q, n * n)
     return map(_decoder(n, q), range(q ** (n * n)))
-
-
-def borel_size(n: int, q: int) -> int:
-    return (q - 1) ** n * q ** (n * (n - 1) // 2)
 
 
 def borel_generators(n: int, q: int) -> tuple[FqMatrix, ...]:
@@ -608,6 +588,3 @@ def symplectic_j(n: int, q: int) -> FqMatrix:
     return FqMatrix(q, tuple(tuple(r) for r in rows))
 
 
-def twisted_action(b: FqMatrix, m: FqMatrix, inv) -> FqMatrix:
-    """b * m = b . m . theta_an(b); for AI this is b m b^T."""
-    return b @ m @ theta_an(b, inv)

@@ -29,12 +29,10 @@ from fractions import Fraction
 from operator import add, mul, neg
 from typing import NamedTuple
 
-from . import linalg, root_weight
+from . import root_weight
 from ._record import no_tuple_arithmetic
 from .errors import NotSpecialError, PreconditionError, UnsupportedFamilyError
 from .root_weight import RootSystem, Weight
-
-FAMILIES = ("AI", "AII", "AIII", "CI", "DIII", "BDI", "CII")
 
 
 class InvolutionSpec(NamedTuple):
@@ -216,10 +214,6 @@ def _expect_params(family: str, params, count: int):
         raise PreconditionError(f"{family} takes {count} parameter(s), got {len(params)}")
 
 
-def involution_from_json(data: dict) -> InvolutionSpec:
-    return involution_spec(data["family"], *data["params"])
-
-
 def catalog(max_rank: int) -> list[InvolutionSpec]:
     """Every catalog involution whose root system has rank <= max_rank."""
     specs = []
@@ -246,29 +240,6 @@ def catalog(max_rank: int) -> list[InvolutionSpec]:
     return specs
 
 
-class RestrictedRootData(NamedTuple):
-    """The split of the root system induced by theta*."""
-
-    phi0: tuple[Weight, ...]
-    phi1: tuple[Weight, ...]
-    delta0: tuple[Weight, ...]
-    delta1: tuple[Weight, ...]
-    restricted_simples: tuple[Weight, ...]
-    rank_l: int
-
-    __add__ = __mul__ = __rmul__ = no_tuple_arithmetic
-
-
-def phi_decomposition(rs: RootSystem, inv: InvolutionSpec) -> tuple[tuple[Weight, ...], tuple[Weight, ...]]:
-    """(Phi_0, Phi_1) with Phi_0 the roots fixed by theta*."""
-    if rs.ambient_dim != inv.ambient_dim:
-        raise PreconditionError("ambient dimension mismatch")
-    phi0, phi1 = [], []
-    for alpha in root_weight.all_roots(rs):
-        (phi0 if inv.apply_star(alpha) == alpha else phi1).append(alpha)
-    return tuple(phi0), tuple(phi1)
-
-
 def check_positive_system(rs: RootSystem, inv: InvolutionSpec) -> bool:
     """Positivity gate: every positive non-fixed root must leave the positive
     system under theta*."""
@@ -282,71 +253,12 @@ def check_positive_system(rs: RootSystem, inv: InvolutionSpec) -> bool:
     return True
 
 
-def restricted_simple_roots(rs: RootSystem, inv: InvolutionSpec) -> RestrictedRootData:
-    """Delta_0, Delta_1 and the restricted simple roots (alpha - theta* alpha)/2.
-
-    Delta_1 is ordered so that the l distinct difference vectors come first;
-    the remaining entries repeat earlier differences.
-    """
-    if not check_positive_system(rs, inv):
-        raise PreconditionError("positivity gate failed for this involution")
-    phi0, phi1 = phi_decomposition(rs, inv)
-    phi0_set = set(phi0)
-    delta0 = tuple(a for a in rs.simple_roots if a in phi0_set)
-    delta1_raw = [a for a in rs.simple_roots if a not in phi0_set]
-    seen: dict[Weight, Weight] = {}
-    fresh, repeats = [], []
-    for a in delta1_raw:
-        diff = a - inv.apply_star(a)
-        if diff in seen:
-            repeats.append(a)
-        else:
-            seen[diff] = a
-            fresh.append(a)
-    delta1 = tuple(fresh + repeats)
-    restricted = tuple((a - inv.apply_star(a)).scale(Fraction(1, 2)) for a in fresh)
-    return RestrictedRootData(phi0, phi1, delta0, delta1, restricted, len(restricted))
-
-
 def is_special(inv: InvolutionSpec, lam: Weight, rs: RootSystem | None = None) -> bool:
     """theta*(lambda) = -lambda, for dominant lambda."""
     rs = rs or inv.root_system()
     if not rs.is_dominant(lam):
         raise PreconditionError("is_special requires a dominant weight")
     return _negated(inv, lam)
-
-
-def theta_an_star(inv: InvolutionSpec, chi: Weight) -> Weight:
-    """The antiinvolution side on weights: -theta*(chi)."""
-    return -inv.apply_star(chi)
-
-
-def twisted_weight(inv: InvolutionSpec, chi: Weight) -> Weight:
-    """chi - theta*(chi)."""
-    return chi - inv.apply_star(chi)
-
-
-def in_restricted_cone(rs: RootSystem, inv: InvolutionSpec, w: Weight) -> bool:
-    """Membership of w in the nonnegative rational cone over the doubled
-    restricted simple roots {2 alpha-bar_i}."""
-    data = restricted_simple_roots(rs, inv)
-    gens = [g.scale(2) for g in data.restricted_simples]
-    if not gens:
-        return w.is_zero()
-    cols = linalg.transpose(linalg.mat([g.coords for g in gens]))
-    if linalg.rank(linalg.mat([g.coords for g in gens])) != len(gens):
-        raise PreconditionError("restricted simple roots are not independent")
-    sol = linalg.solve(cols, w.coords)
-    if sol is None:
-        return False
-    return all(c >= 0 for c in sol)
-
-
-def twisted_weight_in_support(rs: RootSystem, inv: InvolutionSpec, lam: Weight, mu: Weight) -> bool:
-    """Companion predicate of twisted_weight: the twisted weight of mu must be
-    of the form 2(lambda - sum n_i alpha-bar_i) with n_i >= 0, i.e.
-    2 lambda - (mu - theta* mu) lies in the cone over {2 alpha-bar_i}."""
-    return in_restricted_cone(rs, inv, lam.scale(2) - twisted_weight(inv, mu))
 
 
 def spherical_generators(inv: InvolutionSpec, rs: RootSystem | None = None) -> tuple[Weight, ...]:

@@ -54,11 +54,6 @@ def mat_vec(m: Mat, x: Vec) -> Vec:
     return tuple(dot(row, x) for row in m)
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
 def transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
 
@@ -104,23 +99,6 @@ def mat_inv(m: Mat) -> Mat:
     return tuple(tuple(row[n:]) for row in reduced)
 
 
-def solve(a: Mat, b: Vec) -> Vec | None:
-    """One exact solution x of a x = b, or None if inconsistent.
-
-    If the system is underdetermined the free variables are set to zero.
-    """
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    aug = [list(a[i]) + [b[i]] for i in range(nrows)]
-    reduced, pivots = _row_reduce(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = reduced[r][-1]
-    return tuple(x)
-
-
 def nullspace(m: Mat) -> tuple[Vec, ...]:
     """Basis of the right nullspace {x : m x = 0}."""
     nrows = len(m)
@@ -150,5 +128,3 @@ def frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)

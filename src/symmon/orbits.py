@@ -26,11 +26,6 @@ def tau(m: FqMatrix, inv: InvolutionSpec) -> FqMatrix:
     return m @ ff.theta_an(m, inv)
 
 
-def is_in_MQ(m: FqMatrix, inv: InvolutionSpec) -> bool:
-    """Membership in the fixed locus of the antiinvolution; symmetric matrices for AI."""
-    return ff.theta_an(m, inv) == m
-
-
 def is_in_symmetric_submonoid(m: FqMatrix, inv: InvolutionSpec) -> bool:
     """m . theta_an(m) = 1, the unit-fixed submonoid; for AI, m m^T = 1."""
     return tau(m, inv) == ff.identity_matrix(m.n, m.q)

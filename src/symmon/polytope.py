@@ -330,8 +330,8 @@ def f_vector(p: RationalPolytope) -> tuple[int, ...]:
 
 
 def _dominant_labels(rs: RootSystem, lam: Weight) -> tuple:
-    """The Dynkin labels of lam, which every public function below requires
-    dominant; each reaches this check once."""
+    """The Dynkin labels of lam, which every weight-polytope function below
+    requires dominant; each reaches this check once."""
     labels = rs.labels(lam)
     if not all(type(x) is int and x >= 0 for x in labels):
         raise PreconditionError("weight_polytope requires a dominant weight")
@@ -339,14 +339,9 @@ def _dominant_labels(rs: RootSystem, lam: Weight) -> tuple:
 
 
 def _orbit_base(rs: RootSystem, lam: Weight) -> Weight:
+    """The weight whose W-orbit weight_polytope takes the hull of: chi + lam
+    in type A (extended coordinates), lam itself in the other families."""
     return root_weight.chi(rs) + lam if rs.family == "A" else lam
-
-
-def weight_orbit_points(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
-    """The Weyl orbit of chi + lambda (type A, extended coordinates) or of
-    lambda itself (other families): the points weight_polytope takes the hull of."""
-    _dominant_labels(rs, lam)
-    return root_weight.weyl_orbit(rs, _orbit_base(rs, lam))
 
 
 def _support_components(rs: RootSystem, lam: Weight) -> tuple[set[int], list[set[int]]]:
@@ -361,20 +356,17 @@ def _admissible(cartan, nodes, supp: set[int]) -> bool:
     return all(c & supp for c in _dynkin_components(cartan, nodes))
 
 
-def facet_nodes(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
-    """The simple-root indices i whose omega_i-orbit gives facets of conv(W.lam).
+def _facet_nodes(cartan, supp: set[int], components: list[set[int]]) -> tuple[int, ...]:
+    """The simple-root indices i whose omega_i-orbit gives facets of conv(W.lam),
+    from supp(lam) and the Dynkin components that meet it (_support_components).
 
     The faces of conv(W.lam) are the W-translates of conv(W_J.lam) for the
     admissible J in S, those whose every connected component meets supp(lam)
     (Putcha-Renner, J. Algebra 1988); conv(W_J.lam) has dimension |J|.  The
     admissible J of size d - 1 are U - {i}, U the nodes of the Dynkin
     components that meet supp(lam), and i gives facets when U - {i} is
-    admissible.  The diagram is read from rs.cartan, so D_2 is A_1 x A_1.
+    admissible.  The diagram is read from the Cartan matrix, so D_2 is A_1 x A_1.
     """
-    return _facet_nodes(rs.cartan, *_support_components(rs, lam))
-
-
-def _facet_nodes(cartan, supp: set[int], components: list[set[int]]) -> tuple[int, ...]:
     span = set().union(*components)
     return tuple(i for i in sorted(span) if _admissible(cartan, span - {i}, supp))
 
@@ -383,7 +375,7 @@ def weight_polytope_f_vector(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
     """f_vector(weight_polytope(rs, lam)) from parabolic data alone.
 
     The k-faces are the W-translates of conv(W_J.lam), J admissible of size k
-    (see facet_nodes), and the stabilizer of conv(W_J.lam) is W_{J u K}, with
+    (see _facet_nodes), and the stabilizer of conv(W_J.lam) is W_{J u K}, with
     K the nodes outside J u supp(lam) that have no edge to J.  So
     f_k = sum over those J of |W| / |W_{J u K}|.
     """
@@ -412,16 +404,16 @@ def _span_roots(rs: RootSystem, components: list[set[int]]) -> Mat:
 
 
 def weight_polytope_dim(rs: RootSystem, lam: Weight) -> int:
-    """The affine dimension of conv(weight_orbit_points(rs, lam)), read off the
-    root datum without building the orbit."""
+    """The affine dimension of weight_polytope(rs, lam), read off the root
+    datum without building the orbit."""
     return len(_span_roots(rs, _support_components(rs, lam)[1]))
 
 
 def _facet_rows(rs: RootSystem, lam: Weight, nodes) -> list[tuple[tuple[int, ...], int]]:
-    """The facets of conv(weight_orbit_points(rs, lam)) as sorted
-    _int_halfspace rows, the normal form hull gives.
+    """The facets of weight_polytope(rs, lam) as sorted _int_halfspace rows,
+    the normal form hull gives.
 
-    For each facet node i (nodes, from facet_nodes) and each nu in W.omega_i, the facet is
+    For each facet node i (nodes, from _facet_nodes) and each nu in W.omega_i, the facet is
     nu . x <= (omega_i, lam).  (omega_i, lam) is the maximum of nu over the
     orbit, since the form is W-invariant and both weights are dominant; the
     type-A shift chi is orthogonal to omega_i.  nu already lies in the span of
@@ -440,13 +432,8 @@ def _facet_rows(rs: RootSystem, lam: Weight, nodes) -> list[tuple[tuple[int, ...
     return sorted(rows)
 
 
-def weight_polytope_facets(rs: RootSystem, lam: Weight) -> tuple[tuple[Vec, Fraction], ...]:
-    """The facets of conv(weight_orbit_points(rs, lam)) (see _facet_rows)."""
-    return _fraction_rows(_facet_rows(rs, lam, facet_nodes(rs, lam)))
-
-
 def weight_polytope(rs: RootSystem, lam: Weight) -> RationalPolytope:
-    """conv(weight_orbit_points(rs, lam)): every orbit point is a vertex, the
+    """conv(W.mu), mu = _orbit_base(rs, lam): every orbit point is a vertex, the
     affine hull is the first vertex plus the span of _span_roots, and the
     facets come from _facet_rows.  Equal to hull of the orbit."""
     supp, components = _support_components(rs, lam)

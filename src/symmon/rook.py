@@ -20,7 +20,6 @@ from ._record import no_tuple_arithmetic
 from .errors import PreconditionError, ResourceLimitError
 
 ENUM_GUARD_N = 6
-WEW_GUARD_N = 5
 SYMMETRIC_GUARD_N = 8
 HASSE_WORK_GUARD = 4 * 10**6
 
@@ -54,14 +53,6 @@ class RookElement(NamedTuple("RookElement", [("map", tuple[int, ...])])):
     def rank(self) -> int:
         return sum(1 for j in self.map if j != 0)
 
-    def domain(self) -> frozenset[int]:
-        """Rows carrying a 1 (1-based)."""
-        return frozenset(i + 1 for i, j in enumerate(self.map) if j != 0)
-
-    def image(self) -> frozenset[int]:
-        """Columns carrying a 1 (1-based)."""
-        return frozenset(j for j in self.map if j != 0)
-
     def transpose(self) -> "RookElement":
         m = [0] * self.n
         for i, j in enumerate(self.map):
@@ -69,14 +60,8 @@ class RookElement(NamedTuple("RookElement", [("map", tuple[int, ...])])):
                 m[j - 1] = i + 1
         return _rook(tuple(m))
 
-    def is_idempotent(self) -> bool:
-        return all(j == 0 or j == i + 1 for i, j in enumerate(self.map))
-
     def is_symmetric(self) -> bool:
         return self == self.transpose()
-
-    def is_permutation(self) -> bool:
-        return self.rank == self.n
 
     def zero_one_rows(self) -> tuple[tuple[int, ...], ...]:
         """The element as a 0/1 matrix (tuple of rows)."""
@@ -92,20 +77,6 @@ def _rook(m: tuple[int, ...]) -> RookElement:
     """A RookElement from a map already known to be a partial permutation,
     built without re-validating it."""
     return tuple.__new__(RookElement, (m,))
-
-
-def identity_rook(n: int) -> RookElement:
-    return RookElement(tuple(range(1, n + 1)))
-
-
-def zero_rook(n: int) -> RookElement:
-    return RookElement((0,) * n)
-
-
-def idempotent(n: int, support) -> RookElement:
-    """The diagonal idempotent e_I with 1s exactly on the rows in support."""
-    s = set(support)
-    return RookElement(tuple(i if i in s else 0 for i in range(1, n + 1)))
 
 
 def from_permutation(perm) -> RookElement:
@@ -138,84 +109,6 @@ def enumerate_rook(n: int) -> tuple[RookElement, ...]:
     return tuple(sorted(out))
 
 
-def multiply(r: RookElement, s: RookElement) -> RookElement:
-    """Composition as 0/1 matrix product r . s."""
-    if r.n != s.n:
-        raise PreconditionError("size mismatch")
-    m = []
-    for j in r.map:
-        m.append(s.map[j - 1] if j != 0 else 0)
-    return RookElement(tuple(m))
-
-
-def green_relation(r: RookElement, s: RookElement, rel: str) -> bool:
-    """Green's relations via the big unit group: L is equal row spaces (equal
-    column supports), R is equal column spaces (equal row supports), J is equal
-    rank, H is L and R."""
-    if r.n != s.n:
-        raise PreconditionError("size mismatch")
-    rel = rel.upper()
-    if rel == "L":
-        return r.image() == s.image()
-    if rel == "R":
-        return r.domain() == s.domain()
-    if rel == "J":
-        return r.rank == s.rank
-    if rel == "H":
-        return r.image() == s.image() and r.domain() == s.domain()
-    raise PreconditionError(f"unknown Green relation {rel!r}")
-
-
-def idempotent_order(e: RookElement, f: RookElement) -> bool:
-    """e <= f iff ef = e = fe (both arguments must be idempotent)."""
-    if not (e.is_idempotent() and f.is_idempotent()):
-        raise PreconditionError("idempotent_order needs idempotent arguments")
-    return multiply(e, f) == e and multiply(f, e) == e
-
-
-class CrossSection(NamedTuple):
-    """The chain e_0 < e_1 < ... < e_n with e_k = diag(1^k, 0^(n-k))."""
-
-    chain: tuple[RookElement, ...]
-
-    __add__ = __mul__ = __rmul__ = no_tuple_arithmetic
-
-
-def cross_section(n: int) -> CrossSection:
-    if n > ENUM_GUARD_N:
-        raise ResourceLimitError(f"cross_section guard is n <= {ENUM_GUARD_N}")
-    return CrossSection(tuple(idempotent(n, range(1, k + 1)) for k in range(n + 1)))
-
-
-def diagonal_idempotents(n: int) -> tuple[RookElement, ...]:
-    out = []
-    for bits in itertools.product((0, 1), repeat=n):
-        out.append(idempotent(n, (i + 1 for i, b in enumerate(bits) if b)))
-    return tuple(sorted(out))
-
-
-def conjugates_of_cross_section(n: int) -> frozenset[RookElement]:
-    """Union of w Lambda w^{-1} over the unit group; should be all of E(T-bar)."""
-    chain = cross_section(n).chain
-    out = set()
-    for perm in itertools.permutations(range(1, n + 1)):
-        w = from_permutation(perm)
-        winv = w.transpose()
-        for e in chain:
-            out.add(multiply(multiply(w, e), winv))
-    return frozenset(out)
-
-
-def w_e_w_decomposition(n: int) -> tuple[tuple[RookElement, ...], ...]:
-    """Partition of the rook monoid into the classes W e_k W, indexed by rank k."""
-    if n > WEW_GUARD_N:
-        raise ResourceLimitError(f"w_e_w_decomposition guard is n <= {WEW_GUARD_N}")
-    classes: list[list[RookElement]] = [[] for _ in range(n + 1)]
-    for r in enumerate_rook(n):
-        classes[r.rank].append(r)
-    return tuple(tuple(sorted(c)) for c in classes)
-
-
 def _southwest_ranks(r: RookElement) -> tuple[int, ...]:
     """Flat row-major table t[i*n + j] = rank of the submatrix on rows >= i+1,
     columns <= j+1, built once per element as cumulative row counts from the
@@ -234,13 +127,6 @@ def _southwest_ranks(r: RookElement) -> tuple[int, ...]:
     table = tuple(itertools.chain.from_iterable(reversed(rows)))
     r._southwest = table
     return table
-
-
-def southwest_rank_table(r: RookElement) -> tuple[tuple[int, ...], ...]:
-    """Table t[i][j] = rank of the submatrix on rows >= i+1, columns <= j+1."""
-    n = r.n
-    flat = _southwest_ranks(r)
-    return tuple(flat[i * n : (i + 1) * n] for i in range(n))
 
 
 def bruhat_leq(r: RookElement, s: RookElement) -> bool:

@@ -71,9 +71,6 @@ class Weight(NamedTuple):
     def dim(self) -> int:
         return len(self.coords)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
     def scaled_to_integers(self) -> tuple[int, list[int]]:
         """(d, x): the common denominator d of the coordinates, and x = d * self in integers."""
         d = math.lcm(*(c.denominator for c in self.coords))
@@ -81,10 +78,6 @@ class Weight(NamedTuple):
 
     def to_json(self) -> list[str]:
         return [linalg.frac_str(c) for c in self.coords]
-
-    @staticmethod
-    def from_json(items: list[str]) -> "Weight":
-        return Weight(tuple(Fraction(s) for s in items))
 
     def __repr__(self) -> str:
         return "(" + ", ".join(linalg.frac_str(c) for c in self.coords) + ")"
@@ -194,10 +187,6 @@ def root_system(family: str, rank: int) -> RootSystem:
     return RootSystem(family, rank, len(simples[0]), tuple(map(weight, simples)), cartan, coroots)
 
 
-def rootsystem_from_json(data: dict) -> RootSystem:
-    return root_system(data["family"], int(data["rank"]))
-
-
 def reflect(rs: RootSystem, alpha: Weight, mu: Weight) -> Weight:
     """Reflection of mu in the hyperplane orthogonal to alpha."""
     nn = rs.form(alpha, alpha)
@@ -226,19 +215,27 @@ def fundamental_weights(rs: RootSystem) -> tuple[Weight, ...]:
     return tuple(_combination(rs, row, rs.simple_roots) for row in _cartan_inverse(rs))
 
 
-def from_fundamental(rs: RootSystem, coeffs) -> Weight:
-    """The weight sum_i coeffs[i] * omega_i."""
-    if len(coeffs) != rs.rank:
-        raise PreconditionError("need one coefficient per fundamental weight")
-    return _combination(rs, coeffs, fundamental_weights(rs))
-
-
 @functools.lru_cache(maxsize=None)
 def _scaled_fundamental(rs: RootSystem) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(d, rows): the least d making every d * omega_j integral, and those vectors."""
     fw = fundamental_weights(rs)
     d = math.lcm(*(c.denominator for om in fw for c in om.coords))
     return d, tuple(tuple(int(c * d) for c in om.coords) for om in fw)
+
+
+def from_fundamental(rs: RootSystem, coeffs) -> Weight:
+    """The weight sum_i coeffs[i] * omega_i, for int or Fraction coeffs.
+
+    With e the common denominator of the coeffs and d * omega_j integral
+    (_scaled_fundamental), coordinate k is sum_j (e c_j)(d omega_j)_k / (d e):
+    one integer matrix-vector product, and one Fraction per coordinate.
+    """
+    if len(coeffs) != rs.rank:
+        raise PreconditionError("need one coefficient per fundamental weight")
+    d, rows = _scaled_fundamental(rs)
+    e = math.lcm(*(c.denominator for c in coeffs))
+    scaled = [c.numerator * (e // c.denominator) for c in coeffs]
+    return Weight(tuple(Fraction(sum(map(mul, scaled, col)), d * e) for col in zip(*rows)))
 
 
 def _scaled_labels(rs: RootSystem, mu: Weight) -> tuple[int, tuple[int, ...]]:
@@ -452,14 +449,6 @@ def positive_roots(rs: RootSystem) -> tuple[Weight, ...]:
 def positive_root_vectors(rs: RootSystem) -> frozenset[tuple[int, ...]]:
     """The positive roots as integer ambient vectors: every root of A-D is integral."""
     return frozenset(tuple(map(int, beta.coords)) for beta in positive_roots(rs))
-
-
-def dominance_leq(rs: RootSystem, mu: Weight, lam: Weight) -> bool:
-    """True iff lam - mu is a nonnegative integer combination of simple roots."""
-    coeffs = simple_root_coefficients(rs, lam - mu)
-    if coeffs is None:
-        return False
-    return all(c >= 0 and c.denominator == 1 for c in coeffs)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,0 +1,258 @@
+"""Reference implementations the tests compare symmon against.
+
+No command, `symmon verify` criterion or benchmark job reaches these, so they
+live with the tests, not in src/, where every start would compile them:
+
+* the type-A rook-monoid helpers (products, idempotents, Green's relations,
+  the cross-section lattice), the oracles for views of the Renner monoid;
+* small F_q facts (the zero matrix, |B|, the twisted Borel action and the
+  triangularity and skew predicates);
+* the dominance order, the Fraction matrix product and the Weyl orbit a weight
+  polytope is the hull of;
+* the restricted-root layer (Phi_0 and Phi_1, the restricted simple roots and
+  their cone), the oracle for deriving spherical weights from theta*.
+"""
+
+import itertools
+from fractions import Fraction
+
+from symmon import finite_field as ff
+from symmon import involution as iv
+from symmon import linalg
+from symmon import polytope as pt
+from symmon import root_weight as rw
+from symmon.errors import PreconditionError
+from symmon.rook import RookElement, enumerate_rook, from_permutation
+
+# -- the type-A rook monoid ---------------------------------------------------
+
+
+def identity_rook(n):
+    return RookElement(tuple(range(1, n + 1)))
+
+
+def zero_rook(n):
+    return RookElement((0,) * n)
+
+
+def idempotent(n, support):
+    """The diagonal idempotent e_I with 1s exactly on the rows in support."""
+    s = set(support)
+    return RookElement(tuple(i if i in s else 0 for i in range(1, n + 1)))
+
+
+def is_idempotent(r):
+    return all(j == 0 or j == i + 1 for i, j in enumerate(r.map))
+
+
+def multiply(r, s):
+    """Composition as 0/1 matrix product r . s."""
+    if r.n != s.n:
+        raise PreconditionError("size mismatch")
+    return RookElement(tuple(s.map[j - 1] if j != 0 else 0 for j in r.map))
+
+
+def _rows(r):
+    """Rows carrying a 1 (1-based)."""
+    return frozenset(i + 1 for i, j in enumerate(r.map) if j != 0)
+
+
+def _columns(r):
+    """Columns carrying a 1 (1-based)."""
+    return frozenset(j for j in r.map if j != 0)
+
+
+def green_relation(r, s, rel):
+    """Green's relations via the big unit group: L is equal row spaces (equal
+    column supports), R is equal column spaces (equal row supports), J is equal
+    rank, H is L and R."""
+    if r.n != s.n:
+        raise PreconditionError("size mismatch")
+    rel = rel.upper()
+    if rel == "L":
+        return _columns(r) == _columns(s)
+    if rel == "R":
+        return _rows(r) == _rows(s)
+    if rel == "J":
+        return r.rank == s.rank
+    if rel == "H":
+        return _columns(r) == _columns(s) and _rows(r) == _rows(s)
+    raise PreconditionError(f"unknown Green relation {rel!r}")
+
+
+def idempotent_order(e, f):
+    """e <= f iff ef = e = fe (both arguments must be idempotent)."""
+    if not (is_idempotent(e) and is_idempotent(f)):
+        raise PreconditionError("idempotent_order needs idempotent arguments")
+    return multiply(e, f) == e and multiply(f, e) == e
+
+
+def cross_section(n):
+    """The chain e_0 < e_1 < ... < e_n with e_k = diag(1^k, 0^(n-k)), as a tuple."""
+    return tuple(idempotent(n, range(1, k + 1)) for k in range(n + 1))
+
+
+def diagonal_idempotents(n):
+    out = []
+    for bits in itertools.product((0, 1), repeat=n):
+        out.append(idempotent(n, (i + 1 for i, b in enumerate(bits) if b)))
+    return tuple(sorted(out))
+
+
+def conjugates_of_cross_section(n):
+    """Union of w Lambda w^{-1} over the unit group; should be all of E(T-bar)."""
+    out = set()
+    for perm in itertools.permutations(range(1, n + 1)):
+        w = from_permutation(perm)
+        winv = w.transpose()
+        for e in cross_section(n):
+            out.add(multiply(multiply(w, e), winv))
+    return frozenset(out)
+
+
+def w_e_w_decomposition(n):
+    """Partition of the rook monoid into the classes W e_k W, indexed by rank k."""
+    classes = [[] for _ in range(n + 1)]
+    for r in enumerate_rook(n):
+        classes[r.rank].append(r)
+    return tuple(tuple(sorted(c)) for c in classes)
+
+
+# -- F_q ----------------------------------------------------------------------
+
+
+def zero_matrix(n, q):
+    return ff.FqMatrix(q, ((0,) * n,) * n)
+
+
+def borel_size(n, q):
+    return (q - 1) ** n * q ** (n * (n - 1) // 2)
+
+
+def twisted_action(b, m, inv):
+    """b * m = b . m . theta_an(b); for AI this is b m b^T."""
+    return b @ m @ ff.theta_an(b, inv)
+
+
+def is_upper_triangular(m):
+    return all(m.rows[i][j] == 0 for i in range(m.n) for j in range(i))
+
+
+def is_upper_unitriangular(m):
+    return is_upper_triangular(m) and all(m.rows[i][i] == 1 for i in range(m.n))
+
+
+def is_skew(m):
+    n = m.n
+    return all(m.rows[i][i] == 0 for i in range(n)) and all(
+        m.rows[i][j] == -m.rows[j][i] % m.q for i in range(n) for j in range(n)
+    )
+
+
+# -- weights ------------------------------------------------------------------
+
+
+def dominance_leq(rs, mu, lam):
+    """True iff lam - mu is a nonnegative integer combination of simple roots."""
+    coeffs = rw.simple_root_coefficients(rs, lam - mu)
+    if coeffs is None:
+        return False
+    return all(c >= 0 and c.denominator == 1 for c in coeffs)
+
+
+def mat_mul(a, b):
+    bt = linalg.transpose(b)
+    return tuple(tuple(linalg.dot(row, col) for col in bt) for row in a)
+
+
+def weight_orbit_points(rs, lam):
+    """The Weyl orbit of chi + lambda (type A, extended coordinates) or of
+    lambda itself (other families): the points weight_polytope takes the hull of."""
+    pt._dominant_labels(rs, lam)
+    return rw.weyl_orbit(rs, pt._orbit_base(rs, lam))
+
+
+# -- the restricted root system of theta* -------------------------------------
+
+
+def solve(a, b):
+    """One exact solution x of a x = b, or None if inconsistent.
+
+    If the system is underdetermined the free variables are set to zero.
+    """
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    aug = [list(a[i]) + [b[i]] for i in range(nrows)]
+    reduced, pivots = linalg._row_reduce(aug)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = reduced[r][-1]
+    return tuple(x)
+
+
+def phi_decomposition(rs, inv):
+    """(Phi_0, Phi_1) with Phi_0 the roots fixed by theta*."""
+    if rs.ambient_dim != inv.ambient_dim:
+        raise PreconditionError("ambient dimension mismatch")
+    phi0, phi1 = [], []
+    for alpha in rw.all_roots(rs):
+        (phi0 if inv.apply_star(alpha) == alpha else phi1).append(alpha)
+    return tuple(phi0), tuple(phi1)
+
+
+def restricted_simple_roots(rs, inv):
+    """(phi0, phi1, delta0, delta1, restricted_simples, rank_l): Delta_0,
+    Delta_1 and the restricted simple roots (alpha - theta* alpha)/2.
+
+    Delta_1 is ordered so that the l distinct difference vectors come first;
+    the remaining entries repeat earlier differences.
+    """
+    if not iv.check_positive_system(rs, inv):
+        raise PreconditionError("positivity gate failed for this involution")
+    phi0, phi1 = phi_decomposition(rs, inv)
+    phi0_set = set(phi0)
+    delta0 = tuple(a for a in rs.simple_roots if a in phi0_set)
+    delta1_raw = [a for a in rs.simple_roots if a not in phi0_set]
+    seen = {}
+    fresh, repeats = [], []
+    for a in delta1_raw:
+        diff = a - inv.apply_star(a)
+        if diff in seen:
+            repeats.append(a)
+        else:
+            seen[diff] = a
+            fresh.append(a)
+    restricted = tuple((a - inv.apply_star(a)).scale(Fraction(1, 2)) for a in fresh)
+    return phi0, phi1, delta0, tuple(fresh + repeats), restricted, len(restricted)
+
+
+def theta_an_star(inv, chi):
+    """The antiinvolution side on weights: -theta*(chi)."""
+    return -inv.apply_star(chi)
+
+
+def twisted_weight(inv, chi):
+    """chi - theta*(chi)."""
+    return chi - inv.apply_star(chi)
+
+
+def in_restricted_cone(rs, inv, w):
+    """Membership of w in the nonnegative rational cone over the doubled
+    restricted simple roots {2 alpha-bar_i}."""
+    gens = [g.scale(2) for g in restricted_simple_roots(rs, inv)[4]]
+    if not gens:
+        return not any(w.coords)
+    rows = linalg.mat([g.coords for g in gens])
+    if linalg.rank(rows) != len(gens):
+        raise PreconditionError("restricted simple roots are not independent")
+    sol = solve(linalg.transpose(rows), w.coords)
+    return sol is not None and all(c >= 0 for c in sol)
+
+
+def twisted_weight_in_support(rs, inv, lam, mu):
+    """Companion predicate of twisted_weight: the twisted weight of mu must be
+    of the form 2(lambda - sum n_i alpha-bar_i) with n_i >= 0, i.e.
+    2 lambda - (mu - theta* mu) lies in the cone over {2 alpha-bar_i}."""
+    return in_restricted_cone(rs, inv, lam.scale(2) - twisted_weight(inv, mu))

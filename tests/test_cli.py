@@ -182,13 +182,14 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
 
 
 def test_off_rejects_dimension_before_hull(capsys, monkeypatch):
-    from symmon import polytope
+    from symmon import polytope, root_weight
 
     def no_facets(*args):
-        raise AssertionError("no facet search may run")
+        raise AssertionError("neither a facet search nor an orbit may run")
 
     monkeypatch.setattr(polytope, "hull", no_facets)
-    monkeypatch.setattr(polytope, "weight_polytope_facets", no_facets)
+    monkeypatch.setattr(polytope, "_facet_rows", no_facets)
+    monkeypatch.setattr(root_weight, "_scaled_orbit", no_facets)
     code, out, err = run(capsys, "weight-polytope", "--family", "A", "--n", "4", "--lambda", "0,1,1,0", "--format", "off")
     assert code == 2
     assert out == ""

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import borel_size, identity_rook, is_upper_triangular, twisted_action, zero_matrix, zero_rook
 
 from symmon import finite_field as ff
 from symmon import involution as iv
@@ -18,7 +19,7 @@ AI3 = iv.involution_spec("AI", 3)
 
 
 def test_tau_examples():
-    zero = ff.zero_matrix(2, 3)
+    zero = zero_matrix(2, 3)
     assert ob.tau(zero, AI2) == zero
     e12 = ff.fq_matrix(3, [[0, 1], [0, 0]])
     e11 = ff.fq_matrix(3, [[1, 0], [0, 0]])
@@ -32,12 +33,13 @@ def test_tau_examples():
 
 def test_is_in_MQ():
     sym = ff.fq_matrix(3, [[1, 2], [2, 0]])
-    assert ob.is_in_MQ(sym, AI2)
+    assert ff.theta_an(sym, AI2) == sym
     e12 = ff.fq_matrix(3, [[0, 1], [0, 0]])
-    assert not ob.is_in_MQ(e12, AI2)
-    # tau always lands in M_Q, exhaustively at n = 2, q = 3
+    assert ff.theta_an(e12, AI2) != e12
+    # tau always lands in M_Q, the fixed locus of theta_an, exhaustively at n = 2, q = 3
     for m in ff.enumerate_matrices(2, 3):
-        assert ob.is_in_MQ(ob.tau(m, AI2), AI2)
+        t = ob.tau(m, AI2)
+        assert ff.theta_an(t, AI2) == t
 
 
 def test_symmetric_submonoid():
@@ -53,7 +55,7 @@ def test_symmetric_submonoid():
 
 
 def test_rank_control_examples():
-    zero = ff.zero_matrix(2, 3)
+    zero = zero_matrix(2, 3)
     assert all(e == 0 for row in ob.rank_control(zero).rho for e in row)
     i2 = ff.identity_matrix(2, 3)
     assert [row[:2] for row in ob.rank_control(i2).rho[:2]] == [(2, 1), (1, 1)]
@@ -187,7 +189,7 @@ def test_rank_control_invariant_under_borel_congruence():
 
 def test_invariant_to_partial_involution_examples():
     i2 = ff.identity_matrix(2, 3)
-    assert ob.invariant_to_partial_involution(ob.rank_control(i2)) == rn.identity_rook(2)
+    assert ob.invariant_to_partial_involution(ob.rank_control(i2)) == identity_rook(2)
     ones = ff.fq_matrix(3, [[1, 1], [1, 1]])
     assert ob.invariant_to_partial_involution(ob.rank_control(ones)) == RookElement((0, 2))
     # explicit congruence witness: b E22 b^T = all-ones for b = [[1,1],[0,1]]
@@ -279,8 +281,8 @@ def test_invariant_violation_messages(cells, message):
 
 
 def test_invariant_to_partial_fpf_examples():
-    zero = ff.zero_matrix(3, 3)
-    assert ob.invariant_to_partial_fpf(ob.rank_control(zero)) == rn.zero_rook(3)
+    zero = zero_matrix(3, 3)
+    assert ob.invariant_to_partial_fpf(ob.rank_control(zero)) == zero_rook(3)
     sk = ff.fq_matrix(3, [[0, 1], [2, 0]])
     assert ob.invariant_to_partial_fpf(ob.rank_control(sk)) == RookElement((2, 1))
     outputs = {
@@ -372,12 +374,12 @@ def test_borel_meets_monomial_closure():
 
 
 def test_twisted_equivariance_of_tau_at_invariant_level():
-    borel = [b for b in ff.enumerate_matrices(2, 3) if b.is_upper_triangular() and b.is_invertible()]
-    assert len(borel) == ff.borel_size(2, 3)
+    borel = [b for b in ff.enumerate_matrices(2, 3) if is_upper_triangular(b) and b.is_invertible()]
+    assert len(borel) == borel_size(2, 3)
     for b in borel:
         for a in ff.enumerate_matrices(2, 3):
             lhs = ob.rank_control(ob.tau(b @ a, AI2))
-            rhs = ob.rank_control(ff.twisted_action(b, ob.tau(a, AI2), AI2))
+            rhs = ob.rank_control(twisted_action(b, ob.tau(a, AI2), AI2))
             assert lhs == rhs
 
 

@@ -8,6 +8,7 @@ import dataclasses
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -60,18 +61,9 @@ def _records():
     a2, ai2 = rw.root_system("A", 2), iv.involution_spec("AI", 2)
     return {
         rn.RookElement((2, 0, 1)): ("map",),
-        rn.cross_section(2): ("chain",),
         rw.weight([1, Fraction(1, 2)]): ("coords",),
         a2: ("family", "rank", "ambient_dim", "simple_roots", "cartan", "coroots"),
         ai2: ("family", "params", "theta_star", "theta0"),
-        iv.restricted_simple_roots(ai2.root_system(), ai2): (
-            "phi0",
-            "phi1",
-            "delta0",
-            "delta1",
-            "restricted_simples",
-            "rank_l",
-        ),
         ff.bruhat_factor(m): ("u", "t", "r", "v"),
         ob.rank_control(m): ("rho",),
         ob.twisted_orbit_census(2, 3, "skew"): (
@@ -156,3 +148,86 @@ def test_package_names_resolve_on_first_use():
         "symmon.rook",
         "symmon.root_weight",
     ]
+
+
+# -- dead-code guard -----------------------------------------------------------
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+ENTRY_MODULES = ("__init__", "cli", "verify")
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def _docstrings(tree) -> set[int]:
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+def _used(nodes, docstrings=frozenset()) -> set[str]:
+    """The identifiers the nodes use: names, attributes, imported names, and
+    the words of string constants other than docstrings (perfbench's tracer
+    names what it wraps in strings, and symmon's lazy table its exports)."""
+    out = set()
+    for node in (n for top in nodes for n in ast.walk(top)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            out.update(IDENTIFIER.findall(node.value))
+    return out
+
+
+def _definitions(src: Path):
+    """(roots, definitions): the identifiers used by the entry modules and by
+    every module-level statement that defines nothing, and each top-level
+    definition of src as (label, name, the nodes it uses, docstrings).  A
+    class is one definition, its methods included.  Imports use no name."""
+    roots, definitions = set(), []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        docs = _docstrings(tree)
+        if path.stem in ENTRY_MODULES:
+            roots |= _used([tree], docs)
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.ClassDef, ast.FunctionDef)):
+                definitions.append((f"{path.name}: {stmt.name}", stmt.name, [stmt], docs))
+            elif isinstance(stmt, ast.Assign) and all(isinstance(t, ast.Name) for t in stmt.targets):
+                for t in stmt.targets:
+                    definitions.append((f"{path.name}: {t.id}", t.id, [stmt.value], docs))
+            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                roots |= _used([stmt], docs)
+    return roots, definitions
+
+
+def _unreached(src: Path, perfbench: Path) -> list[str]:
+    """The definitions of src that no name reaches from the entry modules,
+    module-level statements and the identifiers of perfbench/*.py, closing
+    over the names each reached definition uses.  Names match by their last
+    component, whatever module they come from, so the closure errs towards
+    keeping code; dunder names run by protocol and always count as reached."""
+    reached, definitions = _definitions(src)
+    for path in sorted(perfbench.glob("*.py")):
+        reached |= _used([ast.parse(path.read_text())])
+    pending = list(definitions)
+    grew = True
+    while grew:
+        grew = False
+        for entry in list(pending):
+            _, name, nodes, docs = entry
+            if name in reached or name.startswith("__"):
+                reached |= _used(nodes, docs)
+                pending.remove(entry)
+                grew = True
+    return [label for label, *_ in pending]
+
+
+def test_every_src_definition_is_reached_from_the_cli_verify_or_perfbench():
+    assert _unreached(SRC, PERFBENCH) == []

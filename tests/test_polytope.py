@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import mat_mul, weight_orbit_points
 
 from symmon import involution as iv
 from symmon import linalg
@@ -59,7 +60,7 @@ class _FractionFrame:
         self.basis = tuple(diffs[i] for i in linalg.independent_rows(diffs))
         self.dim = len(self.basis)
         gram = linalg.mat([[linalg.dot(a, b) for b in self.basis] for a in self.basis])
-        self.h = linalg.mat_mul(linalg.mat_inv(gram), self.basis) if self.dim else ()
+        self.h = mat_mul(linalg.mat_inv(gram), self.basis) if self.dim else ()
 
     def coords(self, p):
         return linalg.mat_vec(self.h, linalg.vec_sub(p, self.origin)) if self.dim else ()
@@ -204,9 +205,10 @@ def test_weight_polytope_requires_dominant():
     a2 = rw.root_system("A", 2)
     with pytest.raises(PreconditionError):
         pt.weight_polytope(a2, -rw.fundamental_weights(a2)[0])
-    # the facet entry points too: for lambda = -omega_1 the three facet rows
-    # would have offset -1 and cut out the empty set
-    for f in (pt.facet_nodes, pt.weight_polytope_facets, pt.weight_polytope_dim, pt.weight_polytope_f_vector):
+    # and so does every entry point that reads supp(lambda), the facet nodes'
+    # among them: for lambda = -omega_1 the three facet rows would have offset
+    # -1 and cut out the empty set
+    for f in (pt._support_components, pt.weight_polytope_dim, pt.weight_polytope_f_vector):
         with pytest.raises(PreconditionError, match="requires a dominant weight"):
             f(a2, -rw.fundamental_weights(a2)[0])
 
@@ -241,7 +243,7 @@ def _admitted_01_labels():
     for family, rank in ROOT_SYSTEMS:
         rs = rw.root_system(family, rank)
         for labels in itertools.product((0, 1), repeat=rank):
-            points = pt.weight_orbit_points(rs, rw.from_fundamental(rs, labels))
+            points = weight_orbit_points(rs, rw.from_fundamental(rs, labels))
             if len(points) <= pt.HULL_POINT_GUARD:
                 yield family, rank, labels
 
@@ -339,7 +341,7 @@ def test_weight_polytope_matches_hull(family, rank):
     rs = rw.root_system(family, rank)
     for labels in itertools.product((0, 1, 2), repeat=rank):
         lam = rw.from_fundamental(rs, labels)
-        points = pt.weight_orbit_points(rs, lam)
+        points = weight_orbit_points(rs, lam)
         if len(points) <= 16:
             p, h = pt.weight_polytope(rs, lam), pt.hull(points)
             assert p == h, labels
@@ -351,7 +353,7 @@ def test_weight_polytope_matches_hull_large(family, labels):
     # the 24-cell and the rhombicuboctahedron
     rs = rw.root_system(family, len(labels))
     lam = rw.from_fundamental(rs, labels)
-    p, h = pt.weight_polytope(rs, lam), pt.hull(pt.weight_orbit_points(rs, lam))
+    p, h = pt.weight_polytope(rs, lam), pt.hull(weight_orbit_points(rs, lam))
     assert p == h
     assert pt._face_lattice(p) == _face_lattice_oracle(h)
 
@@ -380,7 +382,7 @@ def _admitted_off_polytopes():
         rs = rw.root_system(family, rank)
         for labels in itertools.product((0, 1, 2), repeat=rank):
             lam = rw.from_fundamental(rs, labels)
-            if pt.weight_polytope_dim(rs, lam) <= 3 and len(pt.weight_orbit_points(rs, lam)) <= pt.HULL_POINT_GUARD:
+            if pt.weight_polytope_dim(rs, lam) <= 3 and len(weight_orbit_points(rs, lam)) <= pt.HULL_POINT_GUARD:
                 yield family, rank, labels
 
 
@@ -421,7 +423,7 @@ def test_rows_are_fractions_not_ints():
         lam = rw.from_fundamental(rs, labels)
         p = pt.weight_polytope(rs, lam)
         polytopes.append(p)
-        rows += p.facets + p.span + pt.weight_polytope_facets(rs, lam)
+        rows += p.facets + p.span
     assert len(polytopes) > 40 and len(rows) > 1000
     for nrm, off in rows:
         assert type(off) is Fraction and all(type(c) is Fraction for c in nrm), (nrm, off)
@@ -435,26 +437,30 @@ def test_weight_polytope_dim_is_rank_of_orbit_span(family, rank):
     rs = rw.root_system(family, rank)
     for labels in itertools.product((0, 1), repeat=rank):
         lam = rw.from_fundamental(rs, labels)
-        pts = [p.coords for p in pt.weight_orbit_points(rs, lam)]
+        pts = [p.coords for p in weight_orbit_points(rs, lam)]
         span_rank = linalg.rank(tuple(linalg.vec_sub(p, pts[0]) for p in pts[1:]))
         assert pt.weight_polytope_dim(rs, lam) == span_rank, labels
     with pytest.raises(PreconditionError, match="requires a dominant weight"):
         pt.weight_polytope_dim(rs, rw.from_fundamental(rs, (-1,) + (0,) * (rank - 1)))
 
 
+def _facet_nodes(rs, labels):
+    return pt._facet_nodes(rs.cartan, *pt._support_components(rs, rw.from_fundamental(rs, labels)))
+
+
 def test_facet_nodes():
     a4 = rw.root_system("A", 4)
     # the 4-simplex: its five facets are the orbit of omega_4
-    assert pt.facet_nodes(a4, rw.from_fundamental(a4, (1, 0, 0, 0))) == (3,)
-    assert pt.facet_nodes(a4, rw.from_fundamental(a4, (1, 1, 1, 1))) == (0, 1, 2, 3)
-    assert pt.facet_nodes(a4, rw.from_fundamental(a4, (0, 0, 0, 0))) == ()
+    assert _facet_nodes(a4, (1, 0, 0, 0)) == (3,)
+    assert _facet_nodes(a4, (1, 1, 1, 1)) == (0, 1, 2, 3)
+    assert _facet_nodes(a4, (0, 0, 0, 0)) == ()
     b4 = rw.root_system("B", 4)
-    assert pt.facet_nodes(b4, rw.from_fundamental(b4, (0, 1, 0, 0))) == (0, 3)
+    assert _facet_nodes(b4, (0, 1, 0, 0)) == (0, 3)
     # D_2 is A_1 x A_1: a component missing supp(lambda) gives no facets
     d2 = rw.root_system("D", 2)
     assert d2.cartan == ((2, 0), (0, 2))
-    assert pt.facet_nodes(d2, rw.from_fundamental(d2, (1, 0))) == (0,)
-    assert pt.facet_nodes(d2, rw.from_fundamental(d2, (1, 1))) == (0, 1)
+    assert _facet_nodes(d2, (1, 0)) == (0,)
+    assert _facet_nodes(d2, (1, 1)) == (0, 1)
 
 
 def test_a4_permutohedron_frontier():
@@ -500,9 +506,9 @@ def test_f_vector_formula_past_face_lattice(family, rank, first):
         assert len(f) == d
         assert sum((-1) ** k * fk for k, fk in enumerate(f)) == 1 - (-1) ** d, labels
         if d:
-            assert f[-1] == len(pt.weight_polytope_facets(rs, lam)), labels
+            assert f[-1] == len(pt._facet_rows(rs, lam, _facet_nodes(rs, labels))), labels
         if f and f[0] <= 5040:
-            assert f[0] == len(pt.weight_orbit_points(rs, lam)), labels
+            assert f[0] == len(weight_orbit_points(rs, lam)), labels
 
 
 @pytest.mark.parametrize(
@@ -516,7 +522,7 @@ def test_weyl_group_order(family, rank, order):
     # the orbit of a regular weight is a regular orbit
     if order <= 5040:
         rho = rw.from_fundamental(rs, (1,) * rank)
-        assert len(pt.weight_orbit_points(rs, rho)) == order
+        assert len(weight_orbit_points(rs, rho)) == order
 
 
 def test_f_vector_formula_edge_cases():
@@ -625,7 +631,7 @@ def test_contains_cache_is_invisible():
         assert pt.contains(clone, x) and not pt.contains(clone, x.scale(2))
     # the other weight-side records round-trip too
     b3, ai2 = rw.root_system("B", 3), iv.involution_spec("AI", 2)
-    records = (x, weight([]), b3, ai2, iv.involution_spec("CI", 2), iv.restricted_simple_roots(ai2.root_system(), ai2))
+    records = (x, weight([]), b3, ai2, iv.involution_spec("CI", 2))
     for record in records:
         copies = [pickle.loads(pickle.dumps(record, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
         for clone in copies + [copy.copy(record), copy.deepcopy(record)]:

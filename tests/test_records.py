@@ -21,11 +21,9 @@ from symmon import root_weight as rw
 
 FIELDS = {
     "RookElement": ("map",),
-    "CrossSection": ("chain",),
     "Weight": ("coords",),
     "RootSystem": ("family", "rank", "ambient_dim", "simple_roots", "cartan", "coroots"),
     "InvolutionSpec": ("family", "params", "theta_star", "theta0"),
-    "RestrictedRootData": ("phi0", "phi1", "delta0", "delta1", "restricted_simples", "rank_l"),
     "BorelFactorization": ("u", "t", "r", "v"),
     "RankControl": ("rho",),
     "SymOrbitReport": (
@@ -54,11 +52,9 @@ def _samples():
     m2 = ff.fq_matrix(5, [[1, 2, 0], [0, 0, 3], [4, 0, 1]])
     return {
         "RookElement": [rn.RookElement(m) for m in ((2, 0, 1), (1, 2), (0, 1), ())],
-        "CrossSection": [rn.cross_section(1), rn.cross_section(2)],
         "Weight": [rw.weight([1, Fraction(1, 2)]), rw.weight([0, -1]), rw.weight([1, 0, -1]), rw.weight([])],
         "RootSystem": [a2, b2],
         "InvolutionSpec": [ai2, ci2, iv.involution_spec("AII", 2)],
-        "RestrictedRootData": [iv.restricted_simple_roots(inv.root_system(), inv) for inv in (ai2, ci2)],
         "BorelFactorization": [ff.bruhat_factor(m1), ff.bruhat_factor(m2)],
         "RankControl": [ob.rank_control(m1), ob.rank_control(m2)],
         "SymOrbitReport": [ob.twisted_orbit_census(1, 3, "sym"), ob.twisted_orbit_census(2, 3, "skew")],
@@ -79,10 +75,6 @@ REPRS = {
         "RookElement(map=(0, 1))",
         "RookElement(map=())",
     ],
-    "CrossSection": [
-        "CrossSection(chain=(RookElement(map=(0,)), RookElement(map=(1,))))",
-        "CrossSection(chain=(RookElement(map=(0, 0)), RookElement(map=(1, 0)), RookElement(map=(1, 2))))",
-    ],
     "Weight": [
         "(1, 1/2)",
         "(0, -1)",
@@ -97,10 +89,6 @@ REPRS = {
         "InvolutionSpec(family='AI', params=(2,), theta_star=((-1, 0), (0, -1)), theta0='transpose')",
         "InvolutionSpec(family='CI', params=(2,), theta_star=((-1, 0), (0, -1)), theta0=None)",
         "InvolutionSpec(family='AII', params=(2,), theta_star=((0, -1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, -1), (0, 0, -1, 0)), theta0='symplectic')",
-    ],
-    "RestrictedRootData": [
-        "RestrictedRootData(phi0=(), phi1=((-1, 1), (1, -1)), delta0=(), delta1=((1, -1),), restricted_simples=((1, -1),), rank_l=1)",
-        "RestrictedRootData(phi0=(), phi1=((-2, 0), (-1, -1), (-1, 1), (0, -2), (0, 2), (1, -1), (1, 1), (2, 0)), delta0=(), delta1=((1, -1), (0, 2)), restricted_simples=((1, -1), (0, 2)), rank_l=2)",
     ],
     "BorelFactorization": [
         "BorelFactorization(u=[1,0; 0,1] (mod 3), t=[1,0; 0,1] (mod 3), r=RookElement(map=(2, 1)), v=[1,2; 0,1] (mod 3))",
