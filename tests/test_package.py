@@ -1,7 +1,9 @@
 """Package-wide properties: the record types are plain tuples of their
 fields (no dataclass, whose generated methods cost about a millisecond per
-class on every start), and the package namespace and the CLI import a module
-only when it is used."""
+class on every start), the package namespace and the CLI import a module
+only when it is used, and every top-level definition in src/ is reached from
+the CLI, `symmon verify` or the benchmark (what only tests use lives in
+tests/oracles.py)."""
 
 import ast
 import dataclasses
