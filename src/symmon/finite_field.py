@@ -88,17 +88,21 @@ def primitive_root(q: int) -> int:
     return 1  # q == 2
 
 
-# kernel: row i of a b is the sum over k of a[i][k] times row k of b packed one
-# byte per entry (int.from_bytes(bytes(row), "little")), so byte j of that sum
-# is the unreduced dot product (a b)[i][j], as long as no byte reaches 256 and
-# carries into the next.  A term adds at most (q - 1)^2 to a byte, so a sum
-# takes at most _CHUNK[q] = 255 // (q - 1)^2 terms: n <= 255, 63, 15, 7 for
-# q = 2, 3, 5, 7 is one sum per row.  Past that, the first _CHUNK[q] terms are
-# summed, reduced, and carried as one more term (the reduced row times a
-# packed 1), until one sum is left.  bytes.translate(_MOD_TABLE[q]) reduces
-# every byte of a row mod q in one C call.
+# kernel: a b is one C-level sum over k of colpack_k(a) times rowpack_k(b).
+# rowpack_k(b) is row k of b packed one byte per entry,
+# int.from_bytes(bytes(row), "little"); colpack_k(a) is column k of a with
+# entry a[i][k] at byte n i, cut from the row-major bytes of a by a shift of
+# k bytes and the mask _COLUMN_MASK[n] (byte n i set for every i).  Byte
+# n i + j of the sum is then the unreduced (a b)[i][j], as long as no byte
+# reaches 256 and carries into the next.  A term adds at most (q - 1)^2 to a
+# byte, so a sum takes at most _CHUNK[q] = 255 // (q - 1)^2 terms: n <= 255,
+# 63, 15, 7 for q = 2, 3, 5, 7 is one sum.  Past that, the sum is reduced
+# after every chunk and carried as one more term of the next.
+# bytes.translate(_MOD_TABLE[q]) reduces every byte mod q in one C call, and
+# the n^2 reduced bytes, read n at a time, are the rows of the product.
 _MOD_TABLE = {q: bytes(b % q for b in range(256)) for q in SUPPORTED_PRIMES}
 _CHUNK = {q: 255 // (q - 1) ** 2 for q in SUPPORTED_PRIMES}
+_COLUMN_MASK = {}  # n -> the int whose byte n i is 0xff for each i < n, filled on first use
 
 
 class FqMatrix(tuple):
@@ -110,7 +114,8 @@ class FqMatrix(tuple):
     q = property(itemgetter(0))
     rows = property(itemgetter(1))
     _inverse = None  # the cached inverse
-    _packed = None  # the cached packed rows of a right operand
+    _packed = None  # the cached row packs of a right operand
+    _columns = None  # the cached column packs of a left operand
 
     def __new__(cls, q: int, rows: tuple[tuple[int, ...], ...]):
         self = tuple.__new__(cls, (q, rows))
@@ -120,11 +125,15 @@ class FqMatrix(tuple):
     def __post_init__(self):
         """Validate q and rows: once per FqMatrix(q, rows), never for the
         products and views built by _reduced."""
-        _check_prime(self.q)
-        n = len(self.rows)
-        for row in self.rows:
-            if len(row) != n or any(not 0 <= e < self.q for e in row):
-                raise PreconditionError("rows must be reduced residues of a square matrix")
+        q, rows = self
+        _check_prime(q)
+        n = len(rows)
+        try:  # bytes(row) takes only ints in range(256)
+            ok = all(len(row) == n and max(bytes(row)) < q for row in rows)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise PreconditionError("rows must be reduced residues of a square matrix")
 
     def __getnewargs__(self):  # pickle and copy rebuild through __new__(cls, q, rows)
         return tuple(self)
@@ -140,25 +149,28 @@ class FqMatrix(tuple):
             return NotImplemented
         q, rows = self
         n = len(rows)
-        if q != other.q or n != len(other.rows):
+        if q != other[0] or n != len(other[1]):
             raise PreconditionError("size or modulus mismatch")
-        # both operands are validated, so every entry is a residue below 256
-        table, step = _MOD_TABLE[q], _CHUNK[q]
+        # both operands are validated, so every entry is a residue below 256;
+        # the matrices are immutable, so the caches never go stale
+        columns = self._columns
+        if columns is None:
+            flat = int.from_bytes(b"".join(map(bytes, rows)), "little")
+            mask = _COLUMN_MASK.get(n)
+            if mask is None:
+                mask = _COLUMN_MASK[n] = int.from_bytes(b"\xff".ljust(n, b"\0") * n, "little")
+            columns = self._columns = tuple([flat >> s & mask for s in range(0, 8 * n, 8)])
         packed = other._packed
-        if packed is None:  # the matrix is immutable, so the cache never goes stale
-            packed = other._packed = [int.from_bytes(bytes(row), "little") for row in other.rows]
-        while len(packed) > step:  # rebinds packed, never mutates the cache
-            part = packed[:step]  # map(mul, row, part) stops after step terms
-            carry = [
-                int.from_bytes(sum(map(mul, row, part)).to_bytes(n, "little").translate(table), "little")
-                for row in rows
-            ]
-            rows = [row[step:] + (c,) for row, c in zip(rows, carry)]
-            packed = packed[step:] + [1]
-        return _reduced(
-            q,
-            tuple([tuple(sum(map(mul, row, packed)).to_bytes(n, "little").translate(table)) for row in rows]),
-        )
+        if packed is None:
+            packed = other._packed = tuple([int.from_bytes(bytes(row), "little") for row in other[1]])
+        table, step, size = _MOD_TABLE[q], _CHUNK[q], n * n
+        total, k = sum(map(mul, columns[:step], packed)), step
+        while k < n:  # the reduced sum is the first term of the next chunk
+            carry = int.from_bytes(total.to_bytes(size, "little").translate(table), "little")
+            total = carry + sum(map(mul, columns[k : k + step - 1], packed[k : k + step - 1]))
+            k += step - 1
+        out = total.to_bytes(size, "little").translate(table)
+        return tuple.__new__(FqMatrix, (q, tuple(zip(*[iter(out)] * n))))
 
     def transpose(self) -> "FqMatrix":
         return _reduced(self.q, tuple(zip(*self.rows)))
@@ -205,11 +217,15 @@ def _reduced(q: int, rows: tuple[tuple[int, ...], ...]) -> FqMatrix:
 
 def fq_matrix(q: int, rows) -> FqMatrix:
     _check_prime(q)  # before any entry is reduced mod q
-    return FqMatrix(q, tuple(tuple(e % q for e in row) for row in rows))
+    return FqMatrix(q, tuple([tuple([e % q for e in row]) for row in rows]))
+
+
+def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def identity_matrix(n: int, q: int) -> FqMatrix:
-    return FqMatrix(q, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+    return FqMatrix(q, _identity_rows(n))
 
 
 def from_rook(r: RookElement, q: int, diag=None) -> FqMatrix:

@@ -28,7 +28,7 @@ def tau(m: FqMatrix, inv: InvolutionSpec) -> FqMatrix:
 
 def is_in_symmetric_submonoid(m: FqMatrix, inv: InvolutionSpec) -> bool:
     """m . theta_an(m) = 1, the unit-fixed submonoid; for AI, m m^T = 1."""
-    return tau(m, inv) == ff.identity_matrix(m.n, m.q)
+    return tau(m, inv).rows == ff._identity_rows(m.n)
 
 
 class RankControl(NamedTuple):

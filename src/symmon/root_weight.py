@@ -115,13 +115,6 @@ class RootSystem(NamedTuple):
         """The W-invariant bilinear form (standard dot product in our coordinates)."""
         return linalg.dot(mu.coords, nu.coords)
 
-    def pairing(self, mu: Weight, alpha: Weight) -> Fraction:
-        """<mu, alpha> = 2(mu, alpha)/(alpha, alpha)."""
-        nn = self.form(alpha, alpha)
-        if nn == 0:
-            raise DegenerateRootError("zero-norm root in pairing")
-        return 2 * self.form(mu, alpha) / nn
-
     def labels(self, mu: Weight) -> tuple:
         """The Dynkin labels (<mu, alpha_j^vee>)_j: exact, and int where integral."""
         if len(mu.coords) != self.ambient_dim:

@@ -7,8 +7,8 @@ live with the tests, not in src/, where every start would compile them:
   the cross-section lattice), the oracles for views of the Renner monoid;
 * small F_q facts (the zero matrix, |B|, the twisted Borel action and the
   triangularity and skew predicates);
-* the dominance order, the Fraction matrix product and the Weyl orbit a weight
-  polytope is the hull of;
+* the Fraction pairing <mu, alpha>, the dominance order, the Fraction
+  matrix product and the Weyl orbit a weight polytope is the hull of;
 * the restricted-root layer (Phi_0 and Phi_1, the restricted simple roots and
   their cone), the oracle for deriving spherical weights from theta*.
 """
@@ -21,7 +21,7 @@ from symmon import involution as iv
 from symmon import linalg
 from symmon import polytope as pt
 from symmon import root_weight as rw
-from symmon.errors import PreconditionError
+from symmon.errors import DegenerateRootError, PreconditionError
 from symmon.rook import RookElement, enumerate_rook, from_permutation
 
 # -- the type-A rook monoid ---------------------------------------------------
@@ -150,6 +150,15 @@ def is_skew(m):
 
 
 # -- weights ------------------------------------------------------------------
+
+
+def pairing(rs, mu, alpha):
+    """<mu, alpha> = 2(mu, alpha)/(alpha, alpha) in Fractions: the oracle of
+    the integer Cartan matrix and Dynkin labels."""
+    nn = rs.form(alpha, alpha)
+    if nn == 0:
+        raise DegenerateRootError("zero-norm root in pairing")
+    return 2 * rs.form(mu, alpha) / nn
 
 
 def dominance_leq(rs, mu, lam):

@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+from fractions import Fraction
 from operator import mul
 
 import pytest
@@ -592,6 +593,17 @@ def test_constructor_validates():
         FqMatrix(4, ((1,),))
 
 
+@pytest.mark.parametrize(
+    "entry", [2.5, 1.0, Fraction(1, 2), Fraction(1), "1", None, 256], ids=repr
+)
+def test_constructor_rejects_entries_that_are_not_int_residues(entry):
+    with pytest.raises(PreconditionError, match="rows must be reduced residues of a square matrix"):
+        FqMatrix(7, ((entry, 1), (0, 1)))
+    if isinstance(entry, (float, Fraction)):  # fq_matrix reduces them mod q, to a float or Fraction
+        with pytest.raises(PreconditionError, match="rows must be reduced residues of a square matrix"):
+            ff.fq_matrix(7, [[entry, 1], [0, 1]])
+
+
 def test_post_init_runs_once_per_validated_matrix(monkeypatch):
     calls = []
     original = FqMatrix.__post_init__
@@ -639,6 +651,45 @@ def test_reused_right_operand_matches_naive_product(q, n):
     for _ in range(3):
         assert [a @ right for a in lefts] == want
     assert right @ right == _naive_product(right, right)
+
+
+@pytest.mark.parametrize(
+    "q,n", [(2, 3), (7, 2), (7, 7), (7, 8), (7, 13), (7, 14), (5, 15), (5, 16), (3, 63), (3, 64)]
+)
+def test_reused_left_operand_matches_oracle(q, n):
+    """One left operand, whose column packs are cached on its first product,
+    times many right operands, on both sides of the chunk boundaries (a sum
+    takes 7 terms at q = 7, then 6 more per chunk with the carry; 15 then 14
+    at q = 5; 63 at q = 3)."""
+    rng = random.Random(10 * q + n)
+    left = FqMatrix(q, tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n)))
+    rights = [FqMatrix(q, ((q - 1,) * n,) * n), ff.identity_matrix(n, q)]
+    rights += [FqMatrix(q, tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))) for _ in range(6)]
+    want = [_matmul_oracle(left, b) for b in rights]
+    for _ in range(3):
+        assert [left @ b for b in rights] == want
+    assert left @ left == _matmul_oracle(left, left)
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 5), (7, 3), (7, 8), (7, 14), (5, 16)])
+def test_product_matches_oracle_in_every_cache_state(q, n):
+    """a @ b with neither operand's packs cached, the left only, the right
+    only, and both; and a @ a, cold and warm."""
+    rng = random.Random(1000 * q + n)
+    rows_a, rows_b = (tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n)) for _ in range(2))
+    want = _matmul_oracle(FqMatrix(q, rows_a), FqMatrix(q, rows_b))
+    for warm_left, warm_right in itertools.product((False, True), repeat=2):
+        a, b = FqMatrix(q, rows_a), FqMatrix(q, rows_b)
+        if warm_left:
+            a @ ff.identity_matrix(n, q)
+        if warm_right:
+            ff.identity_matrix(n, q) @ b
+        assert (a._columns is not None, b._packed is not None) == (warm_left, warm_right)
+        assert a @ b == want
+        assert a._columns is not None and b._packed is not None
+    a = FqMatrix(q, rows_a)
+    square = _matmul_oracle(a, a)
+    assert a @ a == square and a @ a == square
 
 
 def _matmul_oracle(a, b):

@@ -2,8 +2,8 @@
 fields (no dataclass, whose generated methods cost about a millisecond per
 class on every start), the package namespace and the CLI import a module
 only when it is used, and every top-level definition in src/ is reached from
-the CLI, `symmon verify` or the benchmark (what only tests use lives in
-tests/oracles.py)."""
+the CLI, `symmon verify` or the benchmark, every method of a class included
+(what only tests use lives in tests/oracles.py)."""
 
 import ast
 import dataclasses
@@ -190,8 +190,10 @@ def _used(nodes, docstrings=frozenset()) -> set[str]:
 def _definitions(src: Path):
     """(roots, definitions): the identifiers used by the entry modules and by
     every module-level statement that defines nothing, and each top-level
-    definition of src as (label, name, the nodes it uses, docstrings).  A
-    class is one definition, its methods included.  Imports use no name."""
+    definition of src as (label, name, the nodes it uses, docstrings).  Each
+    method of a top-level class is a definition of its own; the class itself
+    uses its bases, decorators and other class-level statements.  Imports use
+    no name."""
     roots, definitions = set(), []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -199,7 +201,14 @@ def _definitions(src: Path):
         if path.stem in ENTRY_MODULES:
             roots |= _used([tree], docs)
         for stmt in tree.body:
-            if isinstance(stmt, (ast.ClassDef, ast.FunctionDef)):
+            if isinstance(stmt, ast.ClassDef):
+                methods = [s for s in stmt.body if isinstance(s, ast.FunctionDef)]
+                rest = [s for s in stmt.body if not isinstance(s, ast.FunctionDef)]
+                uses = stmt.bases + stmt.keywords + stmt.decorator_list + rest
+                definitions.append((f"{path.name}: {stmt.name}", stmt.name, uses, docs))
+                for m in methods:
+                    definitions.append((f"{path.name}: {stmt.name}.{m.name}", m.name, [m], docs))
+            elif isinstance(stmt, ast.FunctionDef):
                 definitions.append((f"{path.name}: {stmt.name}", stmt.name, [stmt], docs))
             elif isinstance(stmt, ast.Assign) and all(isinstance(t, ast.Name) for t in stmt.targets):
                 for t in stmt.targets:
@@ -233,3 +242,22 @@ def _unreached(src: Path, perfbench: Path) -> list[str]:
 
 def test_every_src_definition_is_reached_from_the_cli_verify_or_perfbench():
     assert _unreached(SRC, PERFBENCH) == []
+
+
+def test_dead_code_guard_sees_unused_methods(tmp_path):
+    src, perfbench = tmp_path / "src", tmp_path / "perfbench"
+    src.mkdir()
+    perfbench.mkdir()
+    (src / "cli.py").write_text("from .shapes import Square\n\nprint(Square(2).area())\n")
+    (src / "shapes.py").write_text(
+        "class Square:\n"
+        "    def __init__(self, side):\n"
+        "        self.side = side\n"
+        "    def area(self):\n"
+        "        return self.side * self.side\n"
+        "    def perimeter(self):\n"
+        "        return 4 * self.side\n"
+    )
+    assert _unreached(src, perfbench) == ["shapes.py: Square.perimeter"]
+    (perfbench / "workloads.py").write_text("print(Square(3).perimeter())\n")
+    assert _unreached(src, perfbench) == []
