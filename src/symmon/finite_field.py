@@ -20,7 +20,7 @@ SPACE_GUARD = 10**6
 
 
 def _check_prime(q: int):
-    if q not in SUPPORTED_PRIMES:
+    if not isinstance(q, int) or q not in SUPPORTED_PRIMES:
         raise PreconditionError(f"modulus {q} not supported (use one of {SUPPORTED_PRIMES})")
 
 

@@ -308,20 +308,26 @@ def spherical_generators(inv: InvolutionSpec, rs: RootSystem | None = None) -> t
 @functools.lru_cache(maxsize=None)
 def _neg_star_on_labels(rs: RootSystem, inv: InvolutionSpec) -> tuple[tuple[int, ...], ...]:
     """-theta* on Dynkin label vectors: the rank x rank integer matrix whose
-    column j is the labels of -theta* omega_j.
+    column j is the labels of -theta* omega_j, that is
+    -<theta*(d omega_j), alpha_i^vee> / d with d omega_j integral
+    (root_weight._scaled_fundamental).
 
     It is exact when theta* preserves the form and maps the simple roots to
     roots, as every catalog matrix does: theta* then preserves the root span
-    and its orthogonal complement, on which the labels vanish.
+    and its orthogonal complement, on which the labels vanish, and the
+    division by d is exact.
     """
+    if rs.ambient_dim != inv.ambient_dim:
+        raise PreconditionError("ambient dimension mismatch")
     theta = inv.theta_star
     orthogonal = all(sum(map(mul, r, s)) == int(i == j) for i, r in enumerate(theta) for j, s in enumerate(theta))
     positives = root_weight.positive_root_vectors(rs)
-    images = [_star_scaled(inv, alpha)[2] for alpha in rs.simple_roots]
+    images = [star_vector(inv, alpha) for alpha in root_weight._simple_roots(rs.family, rs.rank)]
     if not orthogonal or any(y not in positives and tuple(map(neg, y)) not in positives for y in images):
         raise PreconditionError("theta* must preserve the form and map the simple roots to roots")
-    scaled = (_star_scaled(inv, om) for om in root_weight.fundamental_weights(rs))
-    return tuple(zip(*(rs.labels(Weight(tuple(Fraction(-y, d) for y in image))) for d, _, image in scaled)))
+    d, rows = root_weight._scaled_fundamental(rs)
+    columns = [star_vector(inv, row) for row in rows]
+    return tuple(tuple(-sum(map(mul, coroot, y)) // d for y in columns) for coroot in rs.coroots)
 
 
 def check_weight_set_stability(rs: RootSystem, inv: InvolutionSpec, lam: Weight) -> bool:

@@ -1,7 +1,10 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra: Fraction vectors and row reduction, and integer
+determinants and adjugates.
 
 Vectors are tuples of Fraction, matrices are tuples of row tuples.
-Everything is immutable and hashable; no floating point anywhere.
+Everything is immutable and hashable; no floating point anywhere.  The
+determinant and adjugate of an integer matrix stay in integers, so
+adj(m) / det(m) = m^-1 is read without a Fraction.
 """
 
 from __future__ import annotations
@@ -15,14 +18,6 @@ Mat = tuple[Vec, ...]
 
 def vec(entries: Iterable) -> Vec:
     return tuple(Fraction(e) for e in entries)
-
-
-def mat(rows: Iterable[Iterable]) -> Mat:
-    return tuple(vec(r) for r in rows)
-
-
-def zero_vec(n: int) -> Vec:
-    return (Fraction(0),) * n
 
 
 def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
@@ -48,14 +43,6 @@ def identity_mat(n: int) -> Mat:
     return tuple(
         tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
     )
-
-
-def mat_vec(m: Mat, x: Vec) -> Vec:
-    return tuple(dot(row, x) for row in m)
-
-
-def transpose(m: Mat) -> Mat:
-    return tuple(zip(*m)) if m else ()
 
 
 def _row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -89,16 +76,6 @@ def rank(m: Mat) -> int:
     return len(pivots)
 
 
-def mat_inv(m: Mat) -> Mat:
-    """Inverse of a square matrix; raises ValueError if singular."""
-    n = len(m)
-    aug = [list(m[i]) + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    reduced, pivots = _row_reduce(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in reduced)
-
-
 def nullspace(m: Mat) -> tuple[Vec, ...]:
     """Basis of the right nullspace {x : m x = 0}."""
     nrows = len(m)
@@ -121,6 +98,42 @@ def independent_rows(rows: Sequence[Vec]) -> list[int]:
     """Indices of a maximal linearly independent subset, greedily from the front:
     the pivot columns of the matrix whose columns are the rows."""
     return _row_reduce([list(col) for col in zip(*rows)])[1]
+
+
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a small integer matrix by fraction-free elimination."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def adjugate(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """adj(m) = det(m) m^-1: entry (i, j) is the signed minor of m without
+    row j and column i."""
+    n = len(m)
+    if n == 1:
+        return ((1,),)
+    return tuple(
+        tuple((-1) ** (i + j) * int_det([r[:i] + r[i + 1 :] for k, r in enumerate(m) if k != j]) for j in range(n))
+        for i in range(n)
+    )
 
 
 def frac_str(x: Fraction) -> str:

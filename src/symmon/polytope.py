@@ -86,30 +86,6 @@ class RationalPolytope(
         return json.dumps(self.to_json())
 
 
-def _int_det(rows: list[tuple[int, ...]]) -> int:
-    """Determinant of a small integer matrix by fraction-free elimination."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def _int_hyperplane(points: list[tuple[int, ...]]) -> tuple[tuple[int, ...], int] | None:
     """The hyperplane a . x = beta through d affinely independent points in Z^d,
     found as the signed maximal minors of the d x (d+1) system [x | -1];
@@ -118,7 +94,7 @@ def _int_hyperplane(points: list[tuple[int, ...]]) -> tuple[tuple[int, ...], int
     rows = [tuple(p) + (-1,) for p in points]
     kernel = []
     for drop in range(d + 1):
-        minor = _int_det([tuple(r[c] for c in range(d + 1) if c != drop) for r in rows])
+        minor = linalg.int_det([tuple(r[c] for c in range(d + 1) if c != drop) for r in rows])
         kernel.append(minor if drop % 2 == 0 else -minor)
     if all(v == 0 for v in kernel):
         return None
@@ -159,18 +135,6 @@ def _span_rows(directions: Mat, denom: int, origin: tuple[int, ...]) -> list[tup
     return rows
 
 
-def _adjugate(m: list[list[int]]) -> list[list[int]]:
-    """adj(m) = det(m) m^-1: entry (i, j) is the signed minor of m without
-    row j and column i."""
-    n = len(m)
-    if n == 1:
-        return [[1]]
-    return [
-        [(-1) ** (i + j) * _int_det([r[:i] + r[i + 1 :] for k, r in enumerate(m) if k != j]) for j in range(n)]
-        for i in range(n)
-    ]
-
-
 class _AffineFrame:
     """Exact coordinates on the affine span of a point set, in integers: with
     the points scaled to X = denom * x, origin O the first, B the differences
@@ -185,9 +149,9 @@ class _AffineFrame:
         self.basis = [diffs[i] for i in linalg.independent_rows(diffs)]
         self.dim = len(self.basis)
         gram = [[sum(map(mul, a, b)) for b in self.basis] for a in self.basis]
-        self.det = _int_det(gram) if gram else 1
+        self.det = linalg.int_det(gram) if gram else 1
         columns = list(zip(*self.basis))
-        self.h = [tuple(sum(map(mul, row, col)) for col in columns) for row in _adjugate(gram)] if gram else []
+        self.h = [tuple(sum(map(mul, row, col)) for col in columns) for row in linalg.adjugate(gram)] if gram else []
 
     def scaled_coords(self, x: tuple[int, ...]) -> list[int]:
         """det * c(x), for x = denom * (a point of the span)."""

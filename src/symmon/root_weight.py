@@ -15,9 +15,15 @@ read by `RootSystem.labels` off the integer coroots and packed into one int
 (see the kernel note at `_LabelCode`).  The simple reflection is
 s_i(mu) = mu - mu_i * (row i of the Cartan matrix), and mu is dominant when
 every label is a nonnegative integer.  Orbits and weight sets leave the
-kernels as integer vectors over a common denominator (`_scaled_orbit`,
-`scaled_weight_set`, which `polytope` reads), and `Fraction`s are built only
+kernels as integer vectors over a common denominator (`_scaled_orbit`, which
+`polytope` reads, and `scaled_weight_set`), and `Fraction`s are built only
 where those become `Weight`s.
+
+The root datum is integral too.  The labels of mu = sum_i c_i alpha_i are
+c C, for C the Cartan matrix, so c = labels adj(C) / det C, with det C > 0
+and the adjugate adj(C) = det C * C^-1 computed once in integers
+(`_cartan_adjugate`).  Row j of adj(C) gives det C * omega_j, and the sign
+of labels adj(C) tells a positive root from a negative one.
 """
 
 from __future__ import annotations
@@ -189,31 +195,30 @@ def reflect(rs: RootSystem, alpha: Weight, mu: Weight) -> Weight:
     return mu - alpha.scale(c)
 
 
-def _combination(rs: RootSystem, coeffs, vectors) -> Weight:
-    """sum_k coeffs[k] * vectors[k]."""
-    w = Weight(linalg.zero_vec(rs.ambient_dim))
-    for c, v in zip(coeffs, vectors):
-        w = w + v.scale(c)
-    return w
+@functools.lru_cache(maxsize=None)
+def _cartan_adjugate(rs: RootSystem) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(det C, adj C) for the Cartan matrix C, so that C^-1 = adj C / det C
+    (det C > 0)."""
+    return linalg.int_det(rs.cartan), linalg.adjugate(rs.cartan)
 
 
 @functools.lru_cache(maxsize=None)
-def _cartan_inverse(rs: RootSystem) -> linalg.Mat:
-    return linalg.mat_inv(linalg.mat(rs.cartan))
+def _scaled_fundamental(rs: RootSystem) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, rows): the least d making every d * omega_j integral, and those
+    vectors.  det * omega_j = sum_i adj(C)[j][i] alpha_i is integral, so d is
+    det over the gcd of det and every entry of those vectors."""
+    det, adj = _cartan_adjugate(rs)
+    columns = list(zip(*_simple_roots(rs.family, rs.rank)))
+    scaled = [[sum(map(mul, row, col)) for col in columns] for row in adj]
+    g = math.gcd(det, *(x for v in scaled for x in v))
+    return det // g, tuple(tuple(x // g for x in v) for v in scaled)
 
 
 @functools.lru_cache(maxsize=None)
 def fundamental_weights(rs: RootSystem) -> tuple[Weight, ...]:
     """omega_1..omega_l with <omega_i, alpha_j> = delta_ij, inside the simple-root span."""
-    return tuple(_combination(rs, row, rs.simple_roots) for row in _cartan_inverse(rs))
-
-
-@functools.lru_cache(maxsize=None)
-def _scaled_fundamental(rs: RootSystem) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(d, rows): the least d making every d * omega_j integral, and those vectors."""
-    fw = fundamental_weights(rs)
-    d = math.lcm(*(c.denominator for om in fw for c in om.coords))
-    return d, tuple(tuple(int(c * d) for c in om.coords) for om in fw)
+    d, rows = _scaled_fundamental(rs)
+    return tuple(Weight(tuple(Fraction(x, d) for x in row)) for row in rows)
 
 
 def from_fundamental(rs: RootSystem, coeffs) -> Weight:
@@ -410,43 +415,40 @@ def weyl_orbit(rs: RootSystem, mu: Weight) -> tuple[Weight, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def all_roots(rs: RootSystem) -> tuple[Weight, ...]:
-    """The full root set: union of Weyl orbits of the simple roots."""
-    roots: set[Weight] = set()
-    for alpha in rs.simple_roots:
-        roots.update(weyl_orbit(rs, alpha))
-    return tuple(sorted(roots))
-
-
-def simple_root_coefficients(rs: RootSystem, mu: Weight) -> tuple[Fraction, ...] | None:
-    """Coefficients of mu in the simple-root basis, or None if outside the span.
-
-    The labels of mu = sum_k c_k alpha_k are c * cartan, so c = labels * cartan^-1;
-    the labels see only mu's projection onto the span, hence the reconstruction.
-    """
-    coeffs = linalg.mat_vec(linalg.transpose(_cartan_inverse(rs)), rs.labels(mu))
-    return coeffs if _combination(rs, coeffs, rs.simple_roots) == mu else None
+def _positive_root_data(rs: RootSystem) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The positive roots as (ambient integer vector, Dynkin labels), sorted
+    by vector: the codes of the W-orbits of the simple roots (whose labels are
+    the rows of C) where labels adj(C) >= 0.  The coefficients c of a root are
+    integers, so beta = sum_i c_i alpha_i is an integer vector."""
+    det, adj = _cartan_adjugate(rs)
+    code = _label_code(rs, 2 * max(sum(map(abs, row)) for row in rs.cartan))
+    codes: list = []
+    for dom in {_dominant(code, _plain(row, code.k) + code.top) for row in rs.cartan}:
+        _extend_by_orbit(code, dom, codes)
+    columns = list(zip(*adj))
+    simples = _simple_roots(rs.family, rs.rank)
+    out = []
+    for labels in map(code.labels, codes):
+        coeffs = [sum(map(mul, labels, col)) // det for col in columns]
+        if min(coeffs) >= 0:
+            out.append((tuple(sum(map(mul, coeffs, col)) for col in zip(*simples)), labels))
+    return tuple(sorted(out))
 
 
 @functools.lru_cache(maxsize=None)
 def positive_roots(rs: RootSystem) -> tuple[Weight, ...]:
-    out = []
-    for beta in all_roots(rs):
-        coeffs = simple_root_coefficients(rs, beta)
-        if coeffs is not None and all(c >= 0 for c in coeffs):
-            out.append(beta)
-    return tuple(out)
+    return tuple(weight(vector) for vector, _ in _positive_root_data(rs))
 
 
 @functools.lru_cache(maxsize=None)
 def positive_root_vectors(rs: RootSystem) -> frozenset[tuple[int, ...]]:
-    """The positive roots as integer ambient vectors: every root of A-D is integral."""
-    return frozenset(tuple(map(int, beta.coords)) for beta in positive_roots(rs))
+    """The positive roots as integer ambient vectors."""
+    return frozenset(vector for vector, _ in _positive_root_data(rs))
 
 
 @functools.lru_cache(maxsize=None)
 def _positive_root_codes(rs: RootSystem, k: int) -> tuple[int, ...]:
-    return tuple(_plain(rs.labels(beta), k) for beta in positive_roots(rs))
+    return tuple(_plain(labels, k) for _, labels in _positive_root_data(rs))
 
 
 def _dominant_codes_below(rs: RootSystem, lam: Weight, spread: int = 1):

@@ -7,12 +7,20 @@ live with the tests, not in src/, where every start would compile them:
   the cross-section lattice), the oracles for views of the Renner monoid;
 * small F_q facts (the zero matrix, |B|, the twisted Borel action and the
   triangularity and skew predicates);
-* the Fraction pairing <mu, alpha>, the dominance order, the Fraction
-  matrix product and the Weyl orbit a weight polytope is the hull of;
+* Fraction matrices: the matrix-vector and matrix products, the transpose
+  and the inverse by row reduction;
+* the Fraction root datum, the oracle of the integer one read off the
+  Cartan adjugate: the Cartan inverse, the fundamental weights as its rows
+  times the simple roots, the full root set as the W-orbits of the simple
+  roots, the simple-root coefficients of a weight and -theta* on labels
+  from Fraction weights;
+* the Fraction pairing <mu, alpha>, the dominance order and the Weyl orbit
+  a weight polytope is the hull of;
 * the restricted-root layer (Phi_0 and Phi_1, the restricted simple roots and
   their cone), the oracle for deriving spherical weights from theta*.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -149,7 +157,84 @@ def is_skew(m):
     )
 
 
+# -- Fraction linear algebra --------------------------------------------------
+
+
+def mat(rows):
+    return tuple(linalg.vec(r) for r in rows)
+
+
+def zero_vec(n):
+    return (Fraction(0),) * n
+
+
+def mat_vec(m, x):
+    return tuple(linalg.dot(row, x) for row in m)
+
+
+def transpose(m):
+    return tuple(zip(*m)) if m else ()
+
+
+def mat_mul(a, b):
+    bt = transpose(b)
+    return tuple(tuple(linalg.dot(row, col) for col in bt) for row in a)
+
+
+def mat_inv(m):
+    """Inverse of a square matrix by row reduction; raises ValueError if singular."""
+    n = len(m)
+    aug = [list(m[i]) + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    reduced, pivots = linalg._row_reduce(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in reduced)
+
+
 # -- weights ------------------------------------------------------------------
+
+
+def cartan_inverse(rs):
+    return mat_inv(mat(rs.cartan))
+
+
+def combination(rs, coeffs, vectors):
+    """sum_k coeffs[k] * vectors[k]."""
+    w = rw.Weight(zero_vec(rs.ambient_dim))
+    for c, v in zip(coeffs, vectors):
+        w = w + v.scale(c)
+    return w
+
+
+def fraction_fundamental_weights(rs):
+    """omega_j = sum_i (C^-1)[j][i] alpha_i, in Fractions."""
+    return tuple(combination(rs, row, rs.simple_roots) for row in cartan_inverse(rs))
+
+
+@functools.lru_cache(maxsize=None)
+def all_roots(rs):
+    """The full root set: union of Weyl orbits of the simple roots, sorted."""
+    roots = set()
+    for alpha in rs.simple_roots:
+        roots.update(rw.weyl_orbit(rs, alpha))
+    return tuple(sorted(roots))
+
+
+def simple_root_coefficients(rs, mu):
+    """Coefficients of mu in the simple-root basis, or None if outside the span.
+
+    The labels of mu = sum_k c_k alpha_k are c * cartan, so c = labels * cartan^-1;
+    the labels see only mu's projection onto the span, hence the reconstruction.
+    """
+    coeffs = mat_vec(transpose(cartan_inverse(rs)), rs.labels(mu))
+    return coeffs if combination(rs, coeffs, rs.simple_roots) == mu else None
+
+
+def fraction_neg_star_on_labels(rs, inv):
+    """-theta* on Dynkin labels, column j the labels of the Fraction weight
+    -theta* omega_j."""
+    columns = [rs.labels(-inv.apply_star(om)) for om in fraction_fundamental_weights(rs)]
+    return tuple(zip(*columns))
 
 
 def pairing(rs, mu, alpha):
@@ -163,15 +248,10 @@ def pairing(rs, mu, alpha):
 
 def dominance_leq(rs, mu, lam):
     """True iff lam - mu is a nonnegative integer combination of simple roots."""
-    coeffs = rw.simple_root_coefficients(rs, lam - mu)
+    coeffs = simple_root_coefficients(rs, lam - mu)
     if coeffs is None:
         return False
     return all(c >= 0 and c.denominator == 1 for c in coeffs)
-
-
-def mat_mul(a, b):
-    bt = linalg.transpose(b)
-    return tuple(tuple(linalg.dot(row, col) for col in bt) for row in a)
 
 
 def weight_orbit_points(rs, lam):
@@ -206,7 +286,7 @@ def phi_decomposition(rs, inv):
     if rs.ambient_dim != inv.ambient_dim:
         raise PreconditionError("ambient dimension mismatch")
     phi0, phi1 = [], []
-    for alpha in rw.all_roots(rs):
+    for alpha in all_roots(rs):
         (phi0 if inv.apply_star(alpha) == alpha else phi1).append(alpha)
     return tuple(phi0), tuple(phi1)
 
@@ -253,10 +333,10 @@ def in_restricted_cone(rs, inv, w):
     gens = [g.scale(2) for g in restricted_simple_roots(rs, inv)[4]]
     if not gens:
         return not any(w.coords)
-    rows = linalg.mat([g.coords for g in gens])
+    rows = mat([g.coords for g in gens])
     if linalg.rank(rows) != len(gens):
         raise PreconditionError("restricted simple roots are not independent")
-    sol = solve(linalg.transpose(rows), w.coords)
+    sol = solve(transpose(rows), w.coords)
     return sol is not None and all(c >= 0 for c in sol)
 
 

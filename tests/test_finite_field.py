@@ -42,6 +42,18 @@ def test_inv_mod():
         ff.inv_mod(1, 4)
 
 
+@pytest.mark.parametrize("q", [7.0, 3.0, Fraction(7), "7"], ids=repr)
+def test_a_modulus_that_is_not_an_int_is_rejected(q):
+    for call in (
+        lambda: FqMatrix(q, ((1, 2), (0, 1))).inverse(),
+        lambda: ff.inv_mod(3, q),
+        lambda: ff.borel_orbits(2, q, "sym"),
+        lambda: ff.primitive_root(q),
+    ):
+        with pytest.raises(PreconditionError, match=f"modulus {q} not supported"):
+            call()
+
+
 def test_matrix_basics():
     m = ff.fq_matrix(3, [[1, 2], [4, -1]])
     assert m.rows == ((1, 2), (1, 2))

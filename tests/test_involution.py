@@ -3,7 +3,10 @@ from operator import mul
 
 import pytest
 from oracles import (
+    all_roots,
+    fraction_neg_star_on_labels,
     in_restricted_cone,
+    mat,
     mat_mul,
     phi_decomposition,
     restricted_simple_roots,
@@ -39,9 +42,9 @@ def test_theta_star_is_involution_and_permutes_roots():
     for spec in iv.catalog(5):
         rs = spec.root_system()
         dim = spec.ambient_dim
-        m = linalg.mat([[Fraction(e) for e in row] for row in spec.theta_star])
+        m = mat([[Fraction(e) for e in row] for row in spec.theta_star])
         assert mat_mul(m, m) == linalg.identity_mat(dim), spec
-        roots = set(rw.all_roots(rs))
+        roots = set(all_roots(rs))
         assert {spec.apply_star(a) for a in roots} == roots, spec
         sample = list(rs.simple_roots) + list(rw.fundamental_weights(rs))
         for a in sample:
@@ -95,7 +98,7 @@ def test_restricted_simple_roots():
         phi0, phi1, _, _, restricted, rank_l = restricted_simple_roots(spec.root_system(), spec)
         assert len(set(restricted)) == rank_l
         assert all(any(a.coords) for a in restricted)
-        assert set(phi0) | set(phi1) == set(rw.all_roots(spec.root_system()))
+        assert set(phi0) | set(phi1) == set(all_roots(spec.root_system()))
         assert not set(phi0) & set(phi1)
 
 
@@ -183,12 +186,40 @@ def _stability_oracle(rs, inv, lam):
     return {tuple(-sum(map(mul, row, p)) for row in theta) for p in pi} == pi
 
 
+def test_neg_star_on_labels_matches_the_fraction_construction():
+    specs = iv.catalog(6)
+    assert len(specs) == 81
+    for spec in specs:
+        rs = spec.root_system()
+        star = iv._neg_star_on_labels(rs, spec)
+        assert star == fraction_neg_star_on_labels(rs, spec), spec
+        assert all(type(x) is int for row in star for x in row)
+
+
+def test_integer_root_datum_builds_no_fraction(monkeypatch):
+    specs = [(spec, spec.root_system()) for spec in iv.catalog(6)]
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    for module in (rw, iv, linalg):
+        monkeypatch.setattr(module, "Fraction", no_fraction)
+    datum = (rw._cartan_adjugate, rw._scaled_fundamental, rw._positive_root_data, rw.positive_root_vectors)
+    for cached in (*datum, rw._positive_root_codes, iv._neg_star_on_labels):
+        cached.cache_clear()
+    for spec, rs in specs:
+        iv._neg_star_on_labels(rs, spec)
+        rw._positive_root_codes(rs, 8)
+    # catalog(6) reaches every A-D root system of rank <= 6
+    assert all(cached.cache_info().currsize == len({rs for _, rs in specs}) == 23 for cached in datum)
+
+
 def test_weight_set_stability_matches_ambient_oracle():
     checked = 0
     for spec in iv.catalog(4):
         rs = spec.root_system()
         star = iv._neg_star_on_labels(rs, spec)
-        for mu in rw.all_roots(rs) + rw.fundamental_weights(rs):
+        for mu in all_roots(rs) + rw.fundamental_weights(rs):
             image = tuple(sum(map(mul, row, rs.labels(mu))) for row in star)
             assert image == rs.labels(-spec.apply_star(mu))
         for lam in iv.spherical_generators(spec, rs):
@@ -293,7 +324,7 @@ def test_integer_star_kernel_matches_fraction_oracle():
     for spec in iv.catalog(4):
         rs = spec.root_system()
         fw = rw.fundamental_weights(rs)
-        sample = list(rw.all_roots(rs)) + list(fw) + [om.scale(2) for om in fw]
+        sample = list(all_roots(rs)) + list(fw) + [om.scale(2) for om in fw]
         sample += list(iv.spherical_generators(spec, rs))
         if rs.family == "A":  # chi and the extended weights are non-integral
             sample += [rw.chi(rs), rw.chi(rs) + fw[0].scale(Fraction(1, 3))]

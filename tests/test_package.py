@@ -170,10 +170,11 @@ def _docstrings(tree) -> set[int]:
     }
 
 
-def _used(nodes, docstrings=frozenset()) -> set[str]:
-    """The identifiers the nodes use: names, attributes, imported names, and
-    the words of string constants other than docstrings (perfbench's tracer
-    names what it wraps in strings, and symmon's lazy table its exports)."""
+def _used(nodes, docstrings=frozenset(), strings=True) -> set[str]:
+    """The identifiers the nodes use: names, attributes, imported names, and,
+    with strings, the words of string constants other than docstrings
+    (perfbench's tracer names what it wraps in strings, and symmon's lazy
+    table its exports)."""
     out = set()
     for node in (n for top in nodes for n in ast.walk(top)):
         if isinstance(node, ast.Name):
@@ -182,7 +183,7 @@ def _used(nodes, docstrings=frozenset()) -> set[str]:
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.name.rpartition(".")[2])
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
             out.update(IDENTIFIER.findall(node.value))
     return out
 
@@ -193,7 +194,9 @@ def _definitions(src: Path):
     definition of src as (label, name, the nodes it uses, docstrings).  Each
     method of a top-level class is a definition of its own; the class itself
     uses its bases, decorators and other class-level statements.  Imports use
-    no name."""
+    no name.  Only the roots count the words of their strings: a definition's
+    strings are messages and formats, and an error message that names a
+    function does not reach it."""
     roots, definitions = set(), []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -234,7 +237,7 @@ def _unreached(src: Path, perfbench: Path) -> list[str]:
         for entry in list(pending):
             _, name, nodes, docs = entry
             if name in reached or name.startswith("__"):
-                reached |= _used(nodes, docs)
+                reached |= _used(nodes, docs, strings=False)
                 pending.remove(entry)
                 grew = True
     return [label for label, *_ in pending]
@@ -260,4 +263,25 @@ def test_dead_code_guard_sees_unused_methods(tmp_path):
     )
     assert _unreached(src, perfbench) == ["shapes.py: Square.perimeter"]
     (perfbench / "workloads.py").write_text("print(Square(3).perimeter())\n")
+    assert _unreached(src, perfbench) == []
+
+
+def test_dead_code_guard_reads_no_names_from_messages(tmp_path):
+    src, perfbench = tmp_path / "src", tmp_path / "perfbench"
+    src.mkdir()
+    perfbench.mkdir()
+    (src / "cli.py").write_text("from .shapes import area\n\nprint(area(2))\n")
+    (src / "shapes.py").write_text(
+        "def area(side):\n"
+        "    if side < 0:\n"
+        "        raise ValueError('area and perimeter need a nonnegative side')\n"
+        "    return side * side\n"
+        "\n"
+        "\n"
+        "def perimeter(side):\n"
+        "    return 4 * side\n"
+    )
+    assert _unreached(src, perfbench) == ["shapes.py: perimeter"]
+    # the words of an entry module's strings still count: a lazy export table names its exports
+    (src / "cli.py").write_text("from .shapes import area\n\nEXPORTS = {'perimeter': 'shapes'}\nprint(area(2))\n")
     assert _unreached(src, perfbench) == []

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import mat_mul, weight_orbit_points
+from oracles import mat, mat_inv, mat_mul, mat_vec, weight_orbit_points
 
 from symmon import involution as iv
 from symmon import linalg
@@ -44,7 +44,7 @@ def _face_lattice_oracle(p):
     for f in faces:
         pts = [verts[i].coords for i in f]
         dim = 0 if len(pts) == 1 else linalg.rank(
-            linalg.mat([linalg.vec_sub(q, pts[0]) for q in pts[1:]])
+            mat([linalg.vec_sub(q, pts[0]) for q in pts[1:]])
         )
         graded.setdefault(dim, set()).add(f)
     return graded
@@ -59,11 +59,11 @@ class _FractionFrame:
         diffs = [linalg.vec_sub(p, self.origin) for p in pts[1:]]
         self.basis = tuple(diffs[i] for i in linalg.independent_rows(diffs))
         self.dim = len(self.basis)
-        gram = linalg.mat([[linalg.dot(a, b) for b in self.basis] for a in self.basis])
-        self.h = mat_mul(linalg.mat_inv(gram), self.basis) if self.dim else ()
+        gram = mat([[linalg.dot(a, b) for b in self.basis] for a in self.basis])
+        self.h = mat_mul(mat_inv(gram), self.basis) if self.dim else ()
 
     def coords(self, p):
-        return linalg.mat_vec(self.h, linalg.vec_sub(p, self.origin)) if self.dim else ()
+        return mat_vec(self.h, linalg.vec_sub(p, self.origin)) if self.dim else ()
 
     def lift_halfspace(self, a, beta):
         normal = tuple(sum((a[k] * self.h[k][i] for k in range(self.dim)), Fraction(0)) for i in range(len(self.origin)))
@@ -102,7 +102,7 @@ def _hull_oracle(points):
     vertices = []
     for p, c in zip(pts, coords):
         tight = [a for a, beta in local if linalg.dot(a, c) == beta]
-        if tight and linalg.rank(linalg.mat(tight)) == d:
+        if tight and linalg.rank(mat(tight)) == d:
             vertices.append(rw.Weight(p))
     facets = tuple(sorted({frame.lift_halfspace(a, beta) for a, beta in local}))
     return pt.RationalPolytope(tuple(vertices), facets, span, d)

@@ -1,10 +1,22 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import dominance_leq, mat_mul, pairing
+from oracles import (
+    all_roots,
+    dominance_leq,
+    fraction_fundamental_weights,
+    mat,
+    mat_inv,
+    mat_mul,
+    mat_vec,
+    pairing,
+    simple_root_coefficients,
+    zero_vec,
+)
 
 from symmon import linalg
 from symmon import root_weight as rw
@@ -45,7 +57,7 @@ def test_root_system_hash_agrees_with_eq_and_caches_hit():
 def test_form_positive_definite_on_root_span():
     for fam, rank in (("A", 3), ("B", 2), ("C", 3), ("D", 4)):
         rs = rw.root_system(fam, rank)
-        gram = linalg.mat(
+        gram = mat(
             [[rs.form(a, b) for b in rs.simple_roots] for a in rs.simple_roots]
         )
         assert linalg.rank(gram) == rank
@@ -71,7 +83,7 @@ def test_reflect_involutive_on_roots_and_weights():
     for fam, rank in (("A", 3), ("B", 2), ("C", 3), ("D", 4)):
         rs = rw.root_system(fam, rank)
         sample = list(rs.simple_roots) + list(rw.fundamental_weights(rs))
-        for alpha in rw.all_roots(rs):
+        for alpha in all_roots(rs):
             for mu in sample:
                 assert rw.reflect(rs, alpha, rw.reflect(rs, alpha, mu)) == mu
 
@@ -240,18 +252,18 @@ def test_dominance_leq():
     assert not dominance_leq(a2, fw[0], fw[1])
     assert not dominance_leq(a2, fw[1], fw[0])
     # difference of 0 <= w1 + w2 is exactly a1 + a2
-    coeffs = rw.simple_root_coefficients(a2, fw[0] + fw[1])
+    coeffs = simple_root_coefficients(a2, fw[0] + fw[1])
     assert coeffs == (1, 1)
 
 
 def _coefficients_oracle(rs, mu):
     """Coefficients of mu in the simple-root basis through the Gram inverse, or
     None when a normal of the simple-root span pairs nonzero with mu."""
-    basis = linalg.mat([a.coords for a in rs.simple_roots])
+    basis = mat([a.coords for a in rs.simple_roots])
     if any(linalg.dot(nu, mu.coords) != 0 for nu in linalg.nullspace(basis)):
         return None
-    gram = linalg.mat([[linalg.dot(a, b) for b in basis] for a in basis])
-    return linalg.mat_vec(mat_mul(linalg.mat_inv(gram), basis), mu.coords)
+    gram = mat([[linalg.dot(a, b) for b in basis] for a in basis])
+    return mat_vec(mat_mul(mat_inv(gram), basis), mu.coords)
 
 
 def _below_oracle(rs, mu, lam):
@@ -292,7 +304,7 @@ def test_weight_set_examples_and_oracle():
     assert rw.weight_set(a3, zero) == (zero,)
     adjoint = rw.weight_set(a3, fw[0] + fw[2])
     assert len(adjoint) == 13
-    assert set(adjoint) == set(rw.all_roots(a3)) | {zero}
+    assert set(adjoint) == set(all_roots(a3)) | {zero}
     # agreement with the independent box-saturation oracle
     for rs, lam in (
         (a1, two_w1),
@@ -479,14 +491,44 @@ def test_integer_datum_matches_pairings(fam, rank):
         for j, b in enumerate(rs.simple_roots):
             assert rs.cartan[i][j] == int(pairing(rs, a, b))
     fw = rw.fundamental_weights(rs)
-    sample = list(rs.simple_roots) + list(rw.all_roots(rs)) + list(fw)
-    sample += [sum(fw, Weight(linalg.zero_vec(rs.ambient_dim))), fw[0].scale(frac(1, 2)), fw[-1] - rs.simple_roots[0]]
+    sample = list(rs.simple_roots) + list(all_roots(rs)) + list(fw)
+    sample += [sum(fw, Weight(zero_vec(rs.ambient_dim))), fw[0].scale(frac(1, 2)), fw[-1] - rs.simple_roots[0]]
     if fam == "A":
         sample += [rw.chi(rs), rw.chi(rs) + fw[0]]
     for mu in sample:
         _check_labels(rs, mu)
-        assert rw.simple_root_coefficients(rs, mu) == _coefficients_oracle(rs, mu)
+        assert simple_root_coefficients(rs, mu) == _coefficients_oracle(rs, mu)
     assert all(rs.is_dominant(om) for om in fw)
+
+
+@pytest.mark.parametrize("fam,rank", ALL_ROOT_SYSTEMS)
+def test_fundamental_weights_match_the_cartan_inverse(fam, rank):
+    rs = rw.root_system(fam, rank)
+    expected = fraction_fundamental_weights(rs)
+    fw = rw.fundamental_weights(rs)
+    assert fw == expected and repr(fw) == repr(expected)
+    assert all(type(c) is Fraction for om in fw for c in om.coords)
+    d, rows = rw._scaled_fundamental(rs)
+    assert d == math.lcm(*(c.denominator for om in expected for c in om.coords))
+    assert rows == tuple(tuple(int(d * c) for c in om.coords) for om in expected)
+
+
+def _positive_root_count(fam, rank):
+    """|Phi+|: l(l+1)/2 for A_l, l^2 for B_l and C_l, l(l-1) for D_l."""
+    return {"A": rank * (rank + 1) // 2, "B": rank * rank, "C": rank * rank, "D": rank * (rank - 1)}[fam]
+
+
+@pytest.mark.parametrize("fam,rank", ALL_ROOT_SYSTEMS)
+def test_positive_roots_match_the_gram_coefficients(fam, rank):
+    rs = rw.root_system(fam, rank)
+    roots = all_roots(rs)
+    expected = tuple(beta for beta in roots if min(_coefficients_oracle(rs, beta)) >= 0)
+    assert len(expected) == _positive_root_count(fam, rank) and len(roots) == 2 * len(expected)
+    assert rw.positive_roots(rs) == expected
+    assert all(type(c) is Fraction for beta in rw.positive_roots(rs) for c in beta.coords)
+    assert rw.positive_root_vectors(rs) == {tuple(map(int, beta.coords)) for beta in expected}
+    for k in (8, 64):
+        assert rw._positive_root_codes(rs, k) == tuple(rw._plain(rs.labels(beta), k) for beta in expected)
 
 
 @st.composite
@@ -501,14 +543,14 @@ def half_integer_weights(draw):
 def test_labels_and_coefficients_match_oracles(case):
     rs, mu = case
     _check_labels(rs, mu)
-    assert rw.simple_root_coefficients(rs, mu) == _coefficients_oracle(rs, mu)
+    assert simple_root_coefficients(rs, mu) == _coefficients_oracle(rs, mu)
 
 
 def test_simple_root_coefficients_outside_span():
     a3 = rw.root_system("A", 3)
-    assert rw.simple_root_coefficients(a3, rw.chi(a3)) is None
+    assert simple_root_coefficients(a3, rw.chi(a3)) is None
     assert _coefficients_oracle(a3, rw.chi(a3)) is None
-    assert rw.simple_root_coefficients(a3, weight([1, 0, 0, 0])) is None
+    assert simple_root_coefficients(a3, weight([1, 0, 0, 0])) is None
     assert not dominance_leq(a3, weight([0, 0, 0, 0]), weight([1, 0, 0, 0]))
 
 
@@ -644,7 +686,7 @@ def test_weight_set_is_stable_rejects_bad_input():
 def test_orbit_sizes_from_parabolic_orders(fam, rank):
     rs = rw.root_system(fam, rank)
     fw = rw.fundamental_weights(rs)
-    rho = sum(fw, Weight(linalg.zero_vec(rs.ambient_dim)))
+    rho = sum(fw, Weight(zero_vec(rs.ambient_dim)))
     order = rw._weyl_group_order(rs.cartan, range(rank))
     assert rw._orbit_size(rs, rs.labels(rho)) == order
     if rank <= 5:  # |W(B_6)| = 46080 points would take the test most of a second
