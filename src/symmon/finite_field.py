@@ -105,6 +105,49 @@ _CHUNK = {q: 255 // (q - 1) ** 2 for q in SUPPORTED_PRIMES}
 _COLUMN_MASK = {}  # n -> the int whose byte n i is 0xff for each i < n, filled on first use
 
 
+def _row_packs(rows) -> tuple[int, ...]:
+    return tuple([int.from_bytes(bytes(row), "little") for row in rows])
+
+
+def _column_packs(rows, n: int) -> tuple[int, ...]:
+    flat = int.from_bytes(b"".join(map(bytes, rows)), "little")
+    mask = _COLUMN_MASK.get(n)
+    if mask is None:
+        mask = _COLUMN_MASK[n] = int.from_bytes(b"\xff".ljust(n, b"\0") * n, "little")
+    return tuple([flat >> s & mask for s in range(0, 8 * n, 8)])
+
+
+def _packed_product(q: int, n: int, columns, packed) -> tuple[tuple[int, ...], ...]:
+    """The rows of a b from the column packs of a and the row packs of b."""
+    table, step, size = _MOD_TABLE[q], _CHUNK[q], n * n
+    total, k = sum(map(mul, columns[:step], packed)), step
+    while k < n:  # the reduced sum is the first term of the next chunk
+        carry = int.from_bytes(total.to_bytes(size, "little").translate(table), "little")
+        total = carry + sum(map(mul, columns[k : k + step - 1], packed[k : k + step - 1]))
+        k += step - 1
+    out = total.to_bytes(size, "little").translate(table)
+    return tuple(zip(*[iter(out)] * n))
+
+
+# Reuse: a matrix b that keeps meeting the packed kernel as a right factor
+# gets a row table, v -> v b over all q^n row vectors v, and a b becomes one
+# lookup per row of a.  A reused left factor a looks up the columns of its
+# right factor in the row table of its transpose: a x = (x^T a^T)^T.  A table
+# costs about q^n / n products to build (the kernel on n x n blocks of row
+# vectors), so it is built on the use at which uses * n reaches q^n (ski
+# rental: within about twice the cost of the best choice in hindsight).
+# Counting starts at the first pack-cache hit, so a matrix used once pays
+# nothing, and n = 0 never reaches q^0 = 1.  It counts reuse within one
+# computation: _CLOCK numbers the kernel's products, and a use that comes more
+# than q^n of them after the operand's previous use on that side starts the
+# count again at 2, so a long-lived operand that takes part in one product per
+# pass of a long loop (spread that thin, its q^n rows would sit idle) never
+# earns a table.  Tables and counts stay with the instance that earned them:
+# pickles and copies leave them out.
+_CLOCK = itertools.count()
+_REUSE_STATE = {"_table", "_left", "_right_uses", "_left_uses", "_right_at", "_left_at"}
+
+
 class FqMatrix(tuple):
     """A dense square matrix of residues mod q: the pair (q, rows), rows a
     tuple of residue tuples.  Equality, hashing and the (q, rows) order are
@@ -114,8 +157,13 @@ class FqMatrix(tuple):
     q = property(itemgetter(0))
     rows = property(itemgetter(1))
     _inverse = None  # the cached inverse
+    _transpose = None  # the cached transpose
     _packed = None  # the cached row packs of a right operand
     _columns = None  # the cached column packs of a left operand
+    _table = None  # the row table v -> v self, once reuse has paid for it
+    _left = None  # the row table of the transpose (the same dict), for a reused left operand
+    _right_uses = _left_uses = 1  # products on each side, counted from the first pack-cache hit
+    _right_at = _left_at = 0  # the _CLOCK of the last pack-cache hit on each side
 
     def __new__(cls, q: int, rows: tuple[tuple[int, ...], ...]):
         self = tuple.__new__(cls, (q, rows))
@@ -127,9 +175,10 @@ class FqMatrix(tuple):
         products and views built by _reduced."""
         q, rows = self
         _check_prime(q)
-        n = len(rows)
-        try:  # bytes(row) takes only ints in range(256)
-            ok = all(len(row) == n and max(bytes(row)) < q for row in rows)
+        try:  # bytes(row) takes only ints in range(256); rows must hash, as set members and table keys
+            ok = isinstance(rows, tuple) and all(
+                isinstance(row, tuple) and len(row) == len(rows) and max(bytes(row)) < q for row in rows
+            )
         except (TypeError, ValueError):
             ok = False
         if not ok:
@@ -137,6 +186,9 @@ class FqMatrix(tuple):
 
     def __getnewargs__(self):  # pickle and copy rebuild through __new__(cls, q, rows)
         return tuple(self)
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k not in _REUSE_STATE}
 
     __add__ = __mul__ = __rmul__ = no_tuple_arithmetic
 
@@ -151,29 +203,58 @@ class FqMatrix(tuple):
         n = len(rows)
         if q != other[0] or n != len(other[1]):
             raise PreconditionError("size or modulus mismatch")
+        table = other._table
+        if table is not None:
+            return tuple.__new__(FqMatrix, (q, tuple(map(table.__getitem__, rows))))
+        table = self._left
+        if table is not None:
+            return tuple.__new__(FqMatrix, (q, tuple(zip(*map(table.__getitem__, zip(*other[1]))))))
+        now = next(_CLOCK)
         # both operands are validated, so every entry is a residue below 256;
         # the matrices are immutable, so the caches never go stale
         columns = self._columns
         if columns is None:
-            flat = int.from_bytes(b"".join(map(bytes, rows)), "little")
-            mask = _COLUMN_MASK.get(n)
-            if mask is None:
-                mask = _COLUMN_MASK[n] = int.from_bytes(b"\xff".ljust(n, b"\0") * n, "little")
-            columns = self._columns = tuple([flat >> s & mask for s in range(0, 8 * n, 8)])
+            columns = self._columns = _column_packs(rows, n)
+        else:
+            last, self._left_at, size = self._left_at, now, q**n
+            uses = self._left_uses = self._left_uses + 1 if now - last <= size else 2
+            if uses * n >= size:
+                self._left = self.transpose()._row_table()
+                return self @ other
         packed = other._packed
         if packed is None:
-            packed = other._packed = tuple([int.from_bytes(bytes(row), "little") for row in other[1]])
-        table, step, size = _MOD_TABLE[q], _CHUNK[q], n * n
-        total, k = sum(map(mul, columns[:step], packed)), step
-        while k < n:  # the reduced sum is the first term of the next chunk
-            carry = int.from_bytes(total.to_bytes(size, "little").translate(table), "little")
-            total = carry + sum(map(mul, columns[k : k + step - 1], packed[k : k + step - 1]))
-            k += step - 1
-        out = total.to_bytes(size, "little").translate(table)
-        return tuple.__new__(FqMatrix, (q, tuple(zip(*[iter(out)] * n))))
+            packed = other._packed = _row_packs(other[1])
+        else:
+            last, other._right_at, size = other._right_at, now, q**n
+            uses = other._right_uses = other._right_uses + 1 if now - last <= size else 2
+            if uses * n >= size:
+                other._row_table()
+                return self @ other
+        return tuple.__new__(FqMatrix, (q, _packed_product(q, n, columns, packed)))
+
+    def _row_table(self) -> dict:
+        """The row table v -> v self, built once: the packed kernel on the
+        q^n row vectors stacked n at a time (the missing rows of a short
+        last block read as zero bytes)."""
+        table = self._table
+        if table is None:
+            q, rows = self
+            n = len(rows)
+            packed = self._packed or _row_packs(rows)
+            vectors = list(itertools.product(range(q), repeat=n))
+            table = {}
+            for i in range(0, len(vectors), n):
+                block = vectors[i : i + n]
+                table.update(zip(block, _packed_product(q, n, _column_packs(block, n), packed)))
+            self._table = table
+        return table
 
     def transpose(self) -> "FqMatrix":
-        return _reduced(self.q, tuple(zip(*self.rows)))
+        """The transpose, computed once per instance and then cached."""
+        cached = self._transpose
+        if cached is None:
+            cached = self._transpose = _reduced(self.q, tuple(zip(*self.rows)))
+        return cached
 
     def __neg__(self) -> "FqMatrix":
         return _reduced(self.q, tuple(tuple(-e % self.q for e in row) for row in self.rows))
@@ -385,19 +466,22 @@ def orbit_enumerate(act, space, generators, guard: int = SPACE_GUARD):
     for start in points:
         if start in seen_orbit:
             continue
+        room = guard - len(seen_orbit)  # the points this orbit may still hold
         orbit = {start}
+        add = orbit.add
         frontier = [start]
         while frontier:
             nxt = []
+            append = nxt.append
             for x in frontier:
                 for g in generators:
                     y = act(g, x)
                     if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-                        if len(seen_orbit) + len(orbit) > guard:
+                        add(y)
+                        append(y)
+                        if len(orbit) > room:
                             raise ResourceLimitError(
-                                f"orbit enumeration: {len(seen_orbit) + len(orbit)} points "
+                                f"orbit enumeration: {guard - room + len(orbit)} points "
                                 f"exceed the limit {guard}"
                             )
             frontier = nxt

@@ -283,12 +283,13 @@ def _congruence_orbits_oracle(n, q, form):
     return ff.orbit_enumerate(lambda b, a: b @ a @ b.transpose(), space, ff.borel_generators(n, q))
 
 
-# every (action, n, q) with n <= 3 whose BFS oracle finishes in well under a second
+# every (action, n, q) with n <= 3 whose BFS oracle finishes in under about a
+# second (Mat_3(F_3), 34 cells, and Sym_3(F_5), 36 orbits, are the largest)
 ORACLE_CASES = (
     [("bxb", n, q) for n in (1, 2) for q in (2, 3, 5, 7)]
-    + [("bxb", 3, 2)]
+    + [("bxb", 3, 2), ("bxb", 3, 3)]
     + [("sym", n, q) for n in (1, 2) for q in (2, 3, 5, 7)]
-    + [("sym", 3, 2), ("sym", 3, 3)]
+    + [("sym", 3, 2), ("sym", 3, 3), ("sym", 3, 5)]
     + [("skew", n, q) for n in (1, 2, 3) for q in (2, 3, 5, 7)]
     + [("skew", 4, 3)]
 )
@@ -616,6 +617,17 @@ def test_constructor_rejects_entries_that_are_not_int_residues(entry):
             ff.fq_matrix(7, [[entry, 1], [0, 1]])
 
 
+@pytest.mark.parametrize(
+    "rows", [[[1, 2], [2, 4]], [(1, 2), (2, 4)], ([1, 2], [2, 4]), ((1, 2), [2, 4])], ids=repr
+)
+def test_constructor_rejects_rows_that_are_not_tuples(rows):
+    """A list would make the matrix unequal to its tuple form and unhashable,
+    so neither a set of orbit points nor a row table could hold it."""
+    with pytest.raises(PreconditionError, match="rows must be reduced residues of a square matrix"):
+        FqMatrix(7, rows)
+    assert ff.fq_matrix(7, rows) == FqMatrix(7, ((1, 2), (2, 4)))
+
+
 def test_post_init_runs_once_per_validated_matrix(monkeypatch):
     calls = []
     original = FqMatrix.__post_init__
@@ -702,6 +714,139 @@ def test_product_matches_oracle_in_every_cache_state(q, n):
     a = FqMatrix(q, rows_a)
     square = _matmul_oracle(a, a)
     assert a @ a == square and a @ a == square
+
+
+def _random_matrix(rng, n, q):
+    return FqMatrix(q, tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n)))
+
+
+def _has_table(m, side):
+    """Whether m multiplies by table lookup as the right or left factor."""
+    return (m._table if side == "right" else m._left) is not None
+
+
+def _drive(m, side, rng):
+    """Multiply m on one side by fresh matrices, each used once so that none
+    of them earns a table, up to the first use u with u n >= q^n (100 uses
+    for n = 0), checking every product and that m has a table only from
+    that use on."""
+    q, n = m.q, m.n
+    for use in range(1, -(-(q**n) // n) + 1 if n else 101):
+        assert not _has_table(m, side)
+        x = _random_matrix(rng, n, q)
+        got = x @ m if side == "right" else m @ x
+        assert got == (_matmul_oracle(x, m) if side == "right" else _matmul_oracle(m, x))
+        assert _has_table(m, side) == (use * n >= q**n)
+
+
+@pytest.mark.parametrize("q", ff.SUPPORTED_PRIMES)
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_product_matches_oracle_in_every_table_state(q, n):
+    """a @ b with no table, a right table on b, a left table on a, and both,
+    each operand driven past its threshold (never reached at n = 0); and
+    a @ a, b @ b, b @ a."""
+    rng = random.Random(100 * q + n)
+    rows_a, rows_b = _random_matrix(rng, n, q).rows, _random_matrix(rng, n, q).rows
+    want = {
+        (x, y): _matmul_oracle(FqMatrix(q, x), FqMatrix(q, y))
+        for x, y in itertools.product((rows_a, rows_b), repeat=2)
+    }
+    for left, right in itertools.product((False, True), repeat=2):
+        a, b = FqMatrix(q, rows_a), FqMatrix(q, rows_b)
+        if left:
+            _drive(a, "left", rng)
+        if right:
+            _drive(b, "right", rng)
+        assert (_has_table(a, "left"), _has_table(b, "right")) == (left and n > 0, right and n > 0)
+        assert a @ b == want[rows_a, rows_b] and b @ a == want[rows_b, rows_a]
+        assert a @ a == want[rows_a, rows_a] and b @ b == want[rows_b, rows_b]
+    if n:  # one table serves both sides: the left table of a is the row table of a^T
+        assert a._left is a.transpose()._table
+        assert len(b._table) == len(a._left) == q**n
+        assert all(b._table[v] == _matmul_oracle(FqMatrix(q, (v,) * n), b).rows[0] for v in b._table)
+        x = _random_matrix(rng, n, q)
+        assert x @ a.transpose() == _matmul_oracle(x, a.transpose())
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 3), (7, 1), (7, 2), (2, 7)])
+def test_a_table_is_built_on_the_use_that_pays_for_it(q, n):
+    """The counts are per side: right uses build no left table."""
+    rng = random.Random(q + 10 * n)
+    m = _random_matrix(rng, n, q)
+    _drive(m, "right", rng)
+    assert _has_table(m, "right") and not _has_table(m, "left")
+    _drive(m, "left", rng)
+    assert _has_table(m, "left")
+
+
+def test_uses_spread_thinner_than_the_table_restart_the_count():
+    """A use more than q^n kernel products after the previous one on that
+    side starts the count again at 2: an operand used once per pass of a
+    long loop earns no table, and dense uses then earn it on schedule."""
+    rng = random.Random(7)
+    m = _random_matrix(rng, 2, 3)  # q^n = 9: a table at the use u with 2 u >= 9
+    for _ in range(50):
+        for _ in range(10):  # ten products of fresh, cold operands
+            _random_matrix(rng, 2, 3) @ _random_matrix(rng, 2, 3)
+        x = _random_matrix(rng, 2, 3)
+        assert x @ m == _matmul_oracle(x, m) and m @ x == _matmul_oracle(m, x)
+    assert not _has_table(m, "right") and not _has_table(m, "left")
+    assert (m._right_uses, m._left_uses) == (2, 2)
+    for _ in range(3):  # uses 3, 4 and 5
+        assert not _has_table(m, "right") and not _has_table(m, "left")
+        x = _random_matrix(rng, 2, 3)
+        assert x @ m == _matmul_oracle(x, m) and m @ x == _matmul_oracle(m, x)
+    assert _has_table(m, "right") and _has_table(m, "left")
+
+
+def test_tables_are_never_built_for_n_zero_or_few_uses_of_a_large_space():
+    for q in ff.SUPPORTED_PRIMES:
+        empty = FqMatrix(q, ())
+        for _ in range(100):
+            assert empty @ empty == empty
+        assert not _has_table(empty, "right") and not _has_table(empty, "left")
+    rng = random.Random(6)
+    m = _random_matrix(rng, 6, 7)  # a table would cost 7^6 / 6, about 19,600 products
+    for _ in range(10):
+        x = _random_matrix(rng, 6, 7)
+        assert m @ x == _matmul_oracle(m, x) and x @ m == _matmul_oracle(x, m)
+    assert not _has_table(m, "right") and not _has_table(m, "left")
+    assert m._transpose is None
+
+
+def test_size_or_modulus_mismatch_raises_with_a_table():
+    rng = random.Random(3)
+    b = _random_matrix(rng, 2, 5)
+    _drive(b, "right", rng)
+    _drive(b, "left", rng)
+    for other in (ff.identity_matrix(2, 7), ff.identity_matrix(3, 5), ff.identity_matrix(1, 5), FqMatrix(5, ())):
+        with pytest.raises(PreconditionError, match="size or modulus mismatch"):
+            other @ b
+        with pytest.raises(PreconditionError, match="size or modulus mismatch"):
+            b @ other
+
+
+def test_copies_of_a_matrix_with_tables_build_their_own():
+    rng = random.Random(4)
+    m = _random_matrix(rng, 2, 3)
+    _drive(m, "right", rng)
+    _drive(m, "left", rng)
+    copies = [pickle.loads(pickle.dumps(m, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for c in copies + [copy.copy(m), copy.deepcopy(m)]:
+        assert type(c) is FqMatrix and c == m and hash(c) == hash(m)
+        assert not _has_table(c, "right") and not _has_table(c, "left")
+        assert not {"_table", "_left", "_right_uses", "_left_uses", "_right_at", "_left_at"} & vars(c).keys()
+        x = _random_matrix(rng, 2, 3)
+        assert c @ x == _matmul_oracle(m, x) and x @ c == _matmul_oracle(x, m)
+    assert _has_table(m, "right") and _has_table(m, "left")
+
+
+def test_transpose_is_cached_without_a_link_back():
+    m = ff.fq_matrix(5, [[1, 2, 3], [4, 0, 1], [2, 2, 4]])
+    t = m.transpose()
+    assert m.transpose() is t and t.rows == tuple(zip(*m.rows)) == ((1, 4, 2), (2, 0, 2), (3, 1, 4))
+    assert t == FqMatrix(5, t.rows) and "_transpose" not in vars(t)
+    assert t.transpose() == m and t.transpose() is not m
 
 
 def _matmul_oracle(a, b):
