@@ -131,21 +131,26 @@ def _packed_product(q: int, n: int, columns, packed) -> tuple[tuple[int, ...], .
 
 # Reuse: a matrix b that keeps meeting the packed kernel as a right factor
 # gets a row table, v -> v b over all q^n row vectors v, and a b becomes one
-# lookup per row of a.  A reused left factor a looks up the columns of its
-# right factor in the row table of its transpose: a x = (x^T a^T)^T.  A table
-# costs about q^n / n products to build (the kernel on n x n blocks of row
-# vectors), so it is built on the use at which uses * n reaches q^n (ski
-# rental: within about twice the cost of the best choice in hindsight).
-# Counting starts at the first pack-cache hit, so a matrix used once pays
-# nothing, and n = 0 never reaches q^0 = 1.  It counts reuse within one
-# computation: _CLOCK numbers the kernel's products, and a use that comes more
-# than q^n of them after the operand's previous use on that side starts the
-# count again at 2, so a long-lived operand that takes part in one product per
-# pass of a long loop (spread that thin, its q^n rows would sit idle) never
-# earns a table.  Tables and counts stay with the instance that earned them:
-# pickles and copies leave them out.
-_CLOCK = itertools.count()
-_REUSE_STATE = {"_table", "_left", "_right_uses", "_left_uses", "_right_at", "_left_at"}
+# lookup per row of a.  A reused left factor a keeps its transpose, with the
+# row table of that transpose, and looks up the columns of its right factor
+# there: a x = (x^T a^T)^T.  A table costs about q^n / n products to build
+# (the kernel on n x n blocks of row vectors), so it is built on the use at
+# which uses * n reaches q^n (ski rental: within about twice the cost of the
+# best choice in hindsight).  Counting starts at the first pack-cache hit, so
+# a matrix used once pays nothing, and n = 0 never reaches q^0 = 1.  No table
+# is built when q^n n^2 exceeds SPACE_GUARD, so one holds at most about
+# 3.5 MB (n = 6 over F_5, n = 5 over F_7), and n = 6 over F_7 (26 MB a table)
+# or n >= 7 over F_5 and F_7 never builds one.  Tables, counts and the kept
+# transpose stay with the instance that earned them: pickles and copies leave
+# them out.
+_REUSE_STATE = {"_table", "_transpose", "_right_uses", "_left_uses"}
+
+
+def _earns_table(uses: int, q: int, n: int) -> bool:
+    """Whether the use numbered `uses` of an n x n operand over F_q, on
+    one side, pays for the row table of that side."""
+    size = q**n
+    return uses * n >= size and size * n * n <= SPACE_GUARD
 
 
 class FqMatrix(tuple):
@@ -157,13 +162,11 @@ class FqMatrix(tuple):
     q = property(itemgetter(0))
     rows = property(itemgetter(1))
     _inverse = None  # the cached inverse
-    _transpose = None  # the cached transpose
+    _transpose = None  # the transpose, with its row table, of a reused left operand
     _packed = None  # the cached row packs of a right operand
     _columns = None  # the cached column packs of a left operand
     _table = None  # the row table v -> v self, once reuse has paid for it
-    _left = None  # the row table of the transpose (the same dict), for a reused left operand
     _right_uses = _left_uses = 1  # products on each side, counted from the first pack-cache hit
-    _right_at = _left_at = 0  # the _CLOCK of the last pack-cache hit on each side
 
     def __new__(cls, q: int, rows: tuple[tuple[int, ...], ...]):
         self = tuple.__new__(cls, (q, rows))
@@ -206,28 +209,27 @@ class FqMatrix(tuple):
         table = other._table
         if table is not None:
             return tuple.__new__(FqMatrix, (q, tuple(map(table.__getitem__, rows))))
-        table = self._left
-        if table is not None:
-            return tuple.__new__(FqMatrix, (q, tuple(zip(*map(table.__getitem__, zip(*other[1]))))))
-        now = next(_CLOCK)
+        t = self._transpose
+        if t is not None:
+            return tuple.__new__(FqMatrix, (q, tuple(zip(*map(t._table.__getitem__, zip(*other[1]))))))
         # both operands are validated, so every entry is a residue below 256;
         # the matrices are immutable, so the caches never go stale
         columns = self._columns
         if columns is None:
             columns = self._columns = _column_packs(rows, n)
         else:
-            last, self._left_at, size = self._left_at, now, q**n
-            uses = self._left_uses = self._left_uses + 1 if now - last <= size else 2
-            if uses * n >= size:
-                self._left = self.transpose()._row_table()
+            uses = self._left_uses = self._left_uses + 1
+            if _earns_table(uses, q, n):
+                t = _reduced(q, tuple(zip(*rows)))
+                t._row_table()
+                self._transpose = t
                 return self @ other
         packed = other._packed
         if packed is None:
             packed = other._packed = _row_packs(other[1])
         else:
-            last, other._right_at, size = other._right_at, now, q**n
-            uses = other._right_uses = other._right_uses + 1 if now - last <= size else 2
-            if uses * n >= size:
+            uses = other._right_uses = other._right_uses + 1
+            if _earns_table(uses, q, n):
                 other._row_table()
                 return self @ other
         return tuple.__new__(FqMatrix, (q, _packed_product(q, n, columns, packed)))
@@ -250,11 +252,10 @@ class FqMatrix(tuple):
         return table
 
     def transpose(self) -> "FqMatrix":
-        """The transpose, computed once per instance and then cached."""
-        cached = self._transpose
-        if cached is None:
-            cached = self._transpose = _reduced(self.q, tuple(zip(*self.rows)))
-        return cached
+        """The transpose: the one a reused left operand keeps with its row
+        table, else a fresh one."""
+        t = self._transpose
+        return _reduced(self.q, tuple(zip(*self.rows))) if t is None else t
 
     def __neg__(self) -> "FqMatrix":
         return _reduced(self.q, tuple(tuple(-e % self.q for e in row) for row in self.rows))

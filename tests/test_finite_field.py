@@ -722,7 +722,7 @@ def _random_matrix(rng, n, q):
 
 def _has_table(m, side):
     """Whether m multiplies by table lookup as the right or left factor."""
-    return (m._table if side == "right" else m._left) is not None
+    return (m._table if side == "right" else m._transpose) is not None
 
 
 def _drive(m, side, rng):
@@ -760,9 +760,9 @@ def test_product_matches_oracle_in_every_table_state(q, n):
         assert (_has_table(a, "left"), _has_table(b, "right")) == (left and n > 0, right and n > 0)
         assert a @ b == want[rows_a, rows_b] and b @ a == want[rows_b, rows_a]
         assert a @ a == want[rows_a, rows_a] and b @ b == want[rows_b, rows_b]
-    if n:  # one table serves both sides: the left table of a is the row table of a^T
-        assert a._left is a.transpose()._table
-        assert len(b._table) == len(a._left) == q**n
+    if n:  # one kind of table serves both sides: the left table of a is the row table of a^T
+        assert a.transpose() is a._transpose and a._transpose.rows == tuple(zip(*rows_a))
+        assert len(b._table) == len(a._transpose._table) == q**n
         assert all(b._table[v] == _matmul_oracle(FqMatrix(q, (v,) * n), b).rows[0] for v in b._table)
         x = _random_matrix(rng, n, q)
         assert x @ a.transpose() == _matmul_oracle(x, a.transpose())
@@ -777,26 +777,6 @@ def test_a_table_is_built_on_the_use_that_pays_for_it(q, n):
     assert _has_table(m, "right") and not _has_table(m, "left")
     _drive(m, "left", rng)
     assert _has_table(m, "left")
-
-
-def test_uses_spread_thinner_than_the_table_restart_the_count():
-    """A use more than q^n kernel products after the previous one on that
-    side starts the count again at 2: an operand used once per pass of a
-    long loop earns no table, and dense uses then earn it on schedule."""
-    rng = random.Random(7)
-    m = _random_matrix(rng, 2, 3)  # q^n = 9: a table at the use u with 2 u >= 9
-    for _ in range(50):
-        for _ in range(10):  # ten products of fresh, cold operands
-            _random_matrix(rng, 2, 3) @ _random_matrix(rng, 2, 3)
-        x = _random_matrix(rng, 2, 3)
-        assert x @ m == _matmul_oracle(x, m) and m @ x == _matmul_oracle(m, x)
-    assert not _has_table(m, "right") and not _has_table(m, "left")
-    assert (m._right_uses, m._left_uses) == (2, 2)
-    for _ in range(3):  # uses 3, 4 and 5
-        assert not _has_table(m, "right") and not _has_table(m, "left")
-        x = _random_matrix(rng, 2, 3)
-        assert x @ m == _matmul_oracle(x, m) and m @ x == _matmul_oracle(m, x)
-    assert _has_table(m, "right") and _has_table(m, "left")
 
 
 def test_tables_are_never_built_for_n_zero_or_few_uses_of_a_large_space():
@@ -814,6 +794,25 @@ def test_tables_are_never_built_for_n_zero_or_few_uses_of_a_large_space():
     assert m._transpose is None
 
 
+@pytest.mark.parametrize(
+    "q,n,fits", [(7, 5, True), (5, 6, True), (3, 8, True), (2, 12, True), (7, 6, False), (2, 13, False), (7, 7, False)]
+)
+def test_no_table_is_built_past_the_space_guard(q, n, fits):
+    """However often it is used, an operand earns no table when q^n n^2
+    exceeds SPACE_GUARD: at n = 6 over F_7 one table would hold 26 MB."""
+    assert (q**n * n * n <= ff.SPACE_GUARD) == fits
+    rng = random.Random(q + 100 * n)
+    m = _random_matrix(rng, n, q)
+    pool = [_random_matrix(rng, n, q).rows for _ in range(8)]
+    for use in range(-(-(q**n) // n) + 1):  # fresh partners, so that none of them earns a table
+        ff._reduced(q, pool[use % 8]) @ m
+        m @ ff._reduced(q, pool[use % 8])
+    assert m._right_uses * n >= q**n and m._left_uses * n >= q**n
+    assert _has_table(m, "right") == _has_table(m, "left") == fits
+    x = FqMatrix(q, pool[0])
+    assert x @ m == _matmul_oracle(x, m) and m @ x == _matmul_oracle(m, x)
+
+
 def test_size_or_modulus_mismatch_raises_with_a_table():
     rng = random.Random(3)
     b = _random_matrix(rng, 2, 5)
@@ -826,7 +825,9 @@ def test_size_or_modulus_mismatch_raises_with_a_table():
             b @ other
 
 
-def test_copies_of_a_matrix_with_tables_build_their_own():
+def test_copies_of_a_matrix_with_tables_carry_none():
+    """Copies keep the inverse and the packs, but not the tables, the use
+    counts or the transpose kept with the left table."""
     rng = random.Random(4)
     m = _random_matrix(rng, 2, 3)
     _drive(m, "right", rng)
@@ -835,17 +836,25 @@ def test_copies_of_a_matrix_with_tables_build_their_own():
     for c in copies + [copy.copy(m), copy.deepcopy(m)]:
         assert type(c) is FqMatrix and c == m and hash(c) == hash(m)
         assert not _has_table(c, "right") and not _has_table(c, "left")
-        assert not {"_table", "_left", "_right_uses", "_left_uses", "_right_at", "_left_at"} & vars(c).keys()
+        assert vars(c).keys() == vars(m).keys() - {"_table", "_transpose", "_right_uses", "_left_uses"}
+        assert c.transpose() == m.transpose() and c.transpose() is not m.transpose()
         x = _random_matrix(rng, 2, 3)
         assert c @ x == _matmul_oracle(m, x) and x @ c == _matmul_oracle(x, m)
     assert _has_table(m, "right") and _has_table(m, "left")
 
 
-def test_transpose_is_cached_without_a_link_back():
+def test_transpose_is_kept_only_with_a_left_table():
+    """transpose() is fresh until a left table is built, then the transpose
+    that holds it, with no link back to the matrix."""
+    rng = random.Random(5)
     m = ff.fq_matrix(5, [[1, 2, 3], [4, 0, 1], [2, 2, 4]])
     t = m.transpose()
-    assert m.transpose() is t and t.rows == tuple(zip(*m.rows)) == ((1, 4, 2), (2, 0, 2), (3, 1, 4))
-    assert t == FqMatrix(5, t.rows) and "_transpose" not in vars(t)
+    assert t.rows == tuple(zip(*m.rows)) == ((1, 4, 2), (2, 0, 2), (3, 1, 4))
+    assert m.transpose() is not t and m._transpose is None
+    _drive(m, "left", rng)
+    t = m.transpose()
+    assert m.transpose() is t and t == FqMatrix(5, ((1, 4, 2), (2, 0, 2), (3, 1, 4)))
+    assert len(t._table) == 5**3 and "_transpose" not in vars(t)
     assert t.transpose() == m and t.transpose() is not m
 
 
