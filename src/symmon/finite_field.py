@@ -283,9 +283,6 @@ class FqMatrix(tuple):
     def is_diagonal(self) -> bool:
         return all(self.rows[i][j] == 0 for i in range(self.n) for j in range(self.n) if i != j)
 
-    def is_symmetric(self) -> bool:
-        return self.rows == tuple(zip(*self.rows))
-
     def __repr__(self) -> str:
         body = "; ".join(",".join(str(e) for e in row) for row in self.rows)
         return f"[{body}] (mod {self.q})"
@@ -310,17 +307,9 @@ def identity_matrix(n: int, q: int) -> FqMatrix:
     return FqMatrix(q, _identity_rows(n))
 
 
-def from_rook(r: RookElement, q: int, diag=None) -> FqMatrix:
-    """The rook element as an F_q matrix, optionally with scaled pivot rows.
-
-    diag, when given, is a length-n sequence; row i is scaled by diag[i].
-    """
-    n = r.n
-    rows = [list(row) for row in r.zero_one_rows()]
-    if diag is not None:
-        for i in range(n):
-            rows[i] = [e * (diag[i] % q) % q for e in rows[i]]
-    return fq_matrix(q, rows)
+def from_rook(r: RookElement, q: int) -> FqMatrix:
+    """The rook element as a 0/1 matrix over F_q."""
+    return fq_matrix(q, r.zero_one_rows())
 
 
 def enumerate_matrices(n: int, q: int):

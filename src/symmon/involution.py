@@ -24,7 +24,6 @@ CII        Sp_{2n} / (Sp_{2p} x Sp_{2q}), n = p+q  p, q          C_n
 from __future__ import annotations
 
 import functools
-import json
 from fractions import Fraction
 from operator import add, mul, neg
 from typing import NamedTuple
@@ -57,16 +56,6 @@ class InvolutionSpec(NamedTuple):
     def apply_star(self, w: Weight) -> Weight:
         d, _, image = _star_scaled(self, w)
         return Weight(tuple(Fraction(y, d) for y in image))
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "params": list(self.params),
-            "theta_star": [e for row in self.theta_star for e in row],
-        }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json())
 
 
 def star_vector(inv: InvolutionSpec, x) -> tuple[int, ...]:

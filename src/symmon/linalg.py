@@ -1,19 +1,23 @@
-"""Exact linear algebra: Fraction vectors and row reduction, and integer
-determinants and adjugates.
+"""Exact linear algebra: Fraction vectors, and one fraction-free integer
+echelon behind rank, nullspace, independent rows and determinants.
 
 Vectors are tuples of Fraction, matrices are tuples of row tuples.
 Everything is immutable and hashable; no floating point anywhere.  The
-determinant and adjugate of an integer matrix stay in integers, so
-adj(m) / det(m) = m^-1 is read without a Fraction.
+matrix routines take integer rows (a caller scales rational rows over a
+common denominator first) and all run through `_echelon`, Bareiss
+elimination with exact integer division, so no Fraction is built.  Nullspace
+normals are content-free integer vectors, and they depend only on the row
+space.  The determinant and adjugate of an integer matrix stay in integers,
+so adj(m) / det(m) = m^-1 is read without a Fraction.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
-Mat = tuple[Vec, ...]
 
 
 def vec(entries: Iterable) -> Vec:
@@ -39,97 +43,93 @@ def vec_scale(c, x: Vec) -> Vec:
     return tuple(c * a for a in x)
 
 
-def identity_mat(n: int) -> Mat:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free row echelon form of an integer matrix (Bareiss): returns
+    (rows, pivot columns, sign of the row swaps).
 
-
-def _row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column indices)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    Zero columns are skipped.  Each step replaces every row i below the pivot
+    row r by (p * row_i - row_i[c] * row_r) / prev, p the new pivot and prev
+    the one before it (1 at first).  By Sylvester's identity every entry is a
+    minor of the row-swapped input, so the division is exact, and the last
+    pivot of a square matrix of full rank is its determinant up to the sign."""
+    m = [list(r) for r in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
     pivots: list[int] = []
-    r = 0
+    sign = prev = 1
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
+        r = len(pivots)
+        for i in range(r, nrows):
+            if m[i][c]:
+                break
+        else:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [inv * e for e in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[c]
+        for i in range(r + 1, nrows):
+            row = m[i]
+            f, row[c] = row[c], 0
+            for j in range(c + 1, ncols):
+                row[j] = (p * row[j] - f * top[j]) // prev
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if r + 1 == nrows:
             break
-    return rows, pivots
+    return m, pivots, sign
 
 
-def rank(m: Mat) -> int:
-    if not m:
-        return 0
-    _, pivots = _row_reduce([list(row) for row in m])
-    return len(pivots)
+def rank(m: Sequence[Sequence[int]]) -> int:
+    return len(_echelon(m)[1])
 
 
-def nullspace(m: Mat) -> tuple[Vec, ...]:
-    """Basis of the right nullspace {x : m x = 0}."""
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    if nrows == 0:
-        return tuple(identity_mat(ncols))
-    reduced, pivots = _row_reduce([list(row) for row in m])
-    free = [c for c in range(ncols) if c not in pivots]
+def nullspace(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Basis of the right nullspace {x : m x = 0} of a nonempty integer matrix:
+    for each free column f the content-free integer x with x_f > 0, zero on
+    the other free columns, by back-substitution through the echelon form.
+    x is a positive multiple of the reduced-row-echelon basis vector of f, so
+    it depends only on the row space of m."""
+    reduced, pivots, _ = _echelon(m)
+    ncols = len(m[0])
     basis = []
-    for f in free:
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            x[c] = -reduced[r][f]
-        basis.append(tuple(x))
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = [0] * ncols
+        x[f] = 1
+        for r in reversed(range(len(pivots))):
+            c, row = pivots[r], reduced[r]
+            s = -sum(row[j] * x[j] for j in range(c + 1, ncols))
+            # scale x by |p| / gcd(s, p) > 0, so that p divides the scaled s
+            t = abs(row[c]) // math.gcd(s, row[c])
+            if t != 1:
+                x = [t * e for e in x]
+            x[c] = t * s // row[c]
+        g = math.gcd(*x)
+        basis.append(tuple(e // g for e in x))
     return tuple(basis)
 
 
-def independent_rows(rows: Sequence[Vec]) -> list[int]:
+def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
     """Indices of a maximal linearly independent subset, greedily from the front:
     the pivot columns of the matrix whose columns are the rows."""
-    return _row_reduce([list(col) for col in zip(*rows)])[1]
+    return _echelon(list(zip(*rows)))[1]
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a small integer matrix by fraction-free elimination."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    """Determinant of a square integer matrix: the last pivot of its echelon
+    form times the swap sign, 1 for the empty matrix."""
+    m, pivots, sign = _echelon(rows)
+    if len(pivots) < len(m):
+        return 0
+    return sign * m[-1][-1] if m else 1
 
 
 def adjugate(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """adj(m) = det(m) m^-1: entry (i, j) is the signed minor of m without
     row j and column i."""
     n = len(m)
-    if n == 1:
-        return ((1,),)
     return tuple(
         tuple((-1) ** (i + j) * int_det([r[:i] + r[i + 1 :] for k, r in enumerate(m) if k != j]) for j in range(n))
         for i in range(n)

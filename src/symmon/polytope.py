@@ -27,7 +27,6 @@ correspondence is background here and is not materialized as a map.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from fractions import Fraction
 from operator import mul
@@ -36,7 +35,7 @@ from typing import NamedTuple
 from . import linalg, root_weight
 from ._record import no_tuple_arithmetic
 from .errors import PreconditionError, ResourceLimitError
-from .linalg import Mat, Vec
+from .linalg import Vec
 from .root_weight import RootSystem, Weight, _dynkin_components, _weyl_group_order
 
 HULL_POINT_GUARD = 200
@@ -82,9 +81,6 @@ class RationalPolytope(
             ],
         }
 
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json())
-
 
 def _int_hyperplane(points: list[tuple[int, ...]]) -> tuple[tuple[int, ...], int] | None:
     """The hyperplane a . x = beta through d affinely independent points in Z^d,
@@ -123,16 +119,13 @@ def _fraction_rows(rows) -> tuple[tuple[Vec, Fraction], ...]:
     return tuple((tuple(map(frac.__getitem__, a)), frac[b]) for a, b in rows)
 
 
-def _span_rows(directions: Mat, denom: int, origin: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+def _span_rows(directions: tuple[tuple[int, ...], ...], denom: int, origin: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
     """The rows nu . x = nu . o of o + span(directions), o = origin / denom, with
-    nu the integer normals of the span.  They come from a reduced row echelon
-    form, which depends only on the row space, so any spanning set gives them."""
-    normals = linalg.nullspace(directions) if directions else linalg.identity_mat(len(origin))
-    rows = []
-    for nu in normals:
-        a = _int_halfspace(nu, 0)[0]
-        rows.append(_reduce_int_halfspace(tuple(denom * c for c in a), sum(map(mul, a, origin))))
-    return rows
+    nu the content-free integer normals of the span that linalg.nullspace reads
+    off the integer echelon of the directions.  They depend only on the row
+    space, so any spanning set gives them; no directions give the unit normals."""
+    normals = linalg.nullspace(directions or ((0,) * len(origin),))
+    return [_reduce_int_halfspace(tuple(denom * c for c in nu), sum(map(mul, nu, origin))) for nu in normals]
 
 
 class _AffineFrame:
@@ -149,9 +142,9 @@ class _AffineFrame:
         self.basis = [diffs[i] for i in linalg.independent_rows(diffs)]
         self.dim = len(self.basis)
         gram = [[sum(map(mul, a, b)) for b in self.basis] for a in self.basis]
-        self.det = linalg.int_det(gram) if gram else 1
+        self.det = linalg.int_det(gram)
         columns = list(zip(*self.basis))
-        self.h = [tuple(sum(map(mul, row, col)) for col in columns) for row in linalg.adjugate(gram)] if gram else []
+        self.h = [tuple(sum(map(mul, row, col)) for col in columns) for row in linalg.adjugate(gram)]
 
     def scaled_coords(self, x: tuple[int, ...]) -> list[int]:
         """det * c(x), for x = denom * (a point of the span)."""
@@ -360,11 +353,12 @@ def weight_polytope_f_vector(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
     return tuple(f)
 
 
-def _span_roots(rs: RootSystem, components: list[set[int]]) -> Mat:
-    """The simple roots of the Dynkin components that meet supp(lam): they span
-    the directions of the affine hull of W.lam, since the other components fix
-    lam (and the type-A shift chi)."""
-    return tuple(rs.simple_roots[i].coords for comp in components for i in sorted(comp))
+def _span_roots(rs: RootSystem, components: list[set[int]]) -> tuple[tuple[int, ...], ...]:
+    """The integer simple roots of the Dynkin components that meet supp(lam):
+    they span the directions of the affine hull of W.lam, since the other
+    components fix lam (and the type-A shift chi)."""
+    simples = root_weight._simple_roots(rs.family, rs.rank)
+    return tuple(simples[i] for comp in components for i in sorted(comp))
 
 
 def weight_polytope_dim(rs: RootSystem, lam: Weight) -> int:

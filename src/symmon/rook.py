@@ -49,10 +49,6 @@ class RookElement(NamedTuple("RookElement", [("map", tuple[int, ...])])):
     def n(self) -> int:
         return len(self.map)
 
-    @property
-    def rank(self) -> int:
-        return sum(1 for j in self.map if j != 0)
-
     def transpose(self) -> "RookElement":
         m = [0] * self.n
         for i, j in enumerate(self.map):

@@ -29,7 +29,6 @@ of labels adj(C) tells a positive root from a negative one.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import struct
 from fractions import Fraction
@@ -138,9 +137,6 @@ class RootSystem(NamedTuple):
 
     def to_json(self) -> dict:
         return {"family": self.family, "rank": self.rank}
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json())
 
 
 def _simple_roots(family: str, rank: int) -> tuple[tuple[int, ...], ...]:

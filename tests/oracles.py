@@ -3,12 +3,15 @@
 No command, `symmon verify` criterion or benchmark job reaches these, so they
 live with the tests, not in src/, where every start would compile them:
 
-* the type-A rook-monoid helpers (products, idempotents, Green's relations,
-  the cross-section lattice), the oracles for views of the Renner monoid;
+* the type-A rook-monoid helpers (the rank, products, idempotents, Green's
+  relations, the cross-section lattice), the oracles for views of the Renner
+  monoid;
 * small F_q facts (the zero matrix, |B|, the twisted Borel action and the
-  triangularity and skew predicates);
-* Fraction matrices: the matrix-vector and matrix products, the transpose
-  and the inverse by row reduction;
+  triangularity, symmetry and skew predicates);
+* Fraction matrices: Gauss-Jordan row reduction over Q (the oracle of the
+  integer echelon in linalg) with the rank, the nullspace basis and the
+  independent rows read off it, the identity, the matrix-vector and matrix
+  products, the transpose, the inverse and one solution of a x = b;
 * the Fraction root datum, the oracle of the integer one read off the
   Cartan adjugate: the Cartan inverse, the fundamental weights as its rows
   times the simple roots, the full root set as the W-orbits of the simple
@@ -33,6 +36,11 @@ from symmon.errors import DegenerateRootError, PreconditionError
 from symmon.rook import RookElement, enumerate_rook, from_permutation
 
 # -- the type-A rook monoid ---------------------------------------------------
+
+
+def rook_rank(r):
+    """The number of 1s of the partial permutation matrix r."""
+    return sum(1 for j in r.map if j != 0)
 
 
 def identity_rook(n):
@@ -82,7 +90,7 @@ def green_relation(r, s, rel):
     if rel == "R":
         return _rows(r) == _rows(s)
     if rel == "J":
-        return r.rank == s.rank
+        return rook_rank(r) == rook_rank(s)
     if rel == "H":
         return _columns(r) == _columns(s) and _rows(r) == _rows(s)
     raise PreconditionError(f"unknown Green relation {rel!r}")
@@ -122,7 +130,7 @@ def w_e_w_decomposition(n):
     """Partition of the rook monoid into the classes W e_k W, indexed by rank k."""
     classes = [[] for _ in range(n + 1)]
     for r in enumerate_rook(n):
-        classes[r.rank].append(r)
+        classes[rook_rank(r)].append(r)
     return tuple(tuple(sorted(c)) for c in classes)
 
 
@@ -148,6 +156,10 @@ def is_upper_triangular(m):
 
 def is_upper_unitriangular(m):
     return is_upper_triangular(m) and all(m.rows[i][i] == 1 for i in range(m.n))
+
+
+def is_symmetric(m):
+    return m.rows == tuple(zip(*m.rows))
 
 
 def is_skew(m):
@@ -181,11 +193,64 @@ def mat_mul(a, b):
     return tuple(tuple(linalg.dot(row, col) for col in bt) for row in a)
 
 
+def identity_mat(n):
+    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
+
+
+def _row_reduce(rows):
+    """In-place reduced row echelon form over Q; returns (rows, pivot column
+    indices).  The oracle of the integer echelon linalg._echelon."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [inv * e for e in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def rank(m):
+    return len(_row_reduce([list(map(Fraction, row)) for row in m])[1])
+
+
+def nullspace(m):
+    """The reduced-row-echelon basis of {x : m x = 0}: one vector per free
+    column f, with x_f = 1 and 0 on the other free columns."""
+    ncols = len(m[0]) if m else 0
+    reduced, pivots = _row_reduce([list(map(Fraction, row)) for row in m])
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            x[c] = -reduced[r][f]
+        basis.append(tuple(x))
+    return tuple(basis)
+
+
+def independent_rows(rows):
+    """Indices of a maximal linearly independent subset, greedily from the front."""
+    return _row_reduce([list(map(Fraction, col)) for col in zip(*rows)])[1]
+
+
 def mat_inv(m):
     """Inverse of a square matrix by row reduction; raises ValueError if singular."""
     n = len(m)
     aug = [list(m[i]) + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    reduced, pivots = linalg._row_reduce(aug)
+    reduced, pivots = _row_reduce(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in reduced)
@@ -272,7 +337,7 @@ def solve(a, b):
     nrows = len(a)
     ncols = len(a[0]) if a else 0
     aug = [list(a[i]) + [b[i]] for i in range(nrows)]
-    reduced, pivots = linalg._row_reduce(aug)
+    reduced, pivots = _row_reduce(aug)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
@@ -334,7 +399,7 @@ def in_restricted_cone(rs, inv, w):
     if not gens:
         return not any(w.coords)
     rows = mat([g.coords for g in gens])
-    if linalg.rank(rows) != len(gens):
+    if rank(rows) != len(gens):
         raise PreconditionError("restricted simple roots are not independent")
     sol = solve(transpose(rows), w.coords)
     return sol is not None and all(c >= 0 for c in sol)

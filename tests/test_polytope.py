@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import mat, mat_inv, mat_mul, mat_vec, weight_orbit_points
+from oracles import identity_mat, independent_rows, mat, mat_inv, mat_mul, mat_vec, nullspace, weight_orbit_points
+from oracles import rank as fraction_rank
 
 from symmon import involution as iv
 from symmon import linalg
@@ -43,7 +44,7 @@ def _face_lattice_oracle(p):
     graded = {}
     for f in faces:
         pts = [verts[i].coords for i in f]
-        dim = 0 if len(pts) == 1 else linalg.rank(
+        dim = 0 if len(pts) == 1 else fraction_rank(
             mat([linalg.vec_sub(q, pts[0]) for q in pts[1:]])
         )
         graded.setdefault(dim, set()).add(f)
@@ -57,7 +58,7 @@ class _FractionFrame:
     def __init__(self, pts):
         self.origin = pts[0]
         diffs = [linalg.vec_sub(p, self.origin) for p in pts[1:]]
-        self.basis = tuple(diffs[i] for i in linalg.independent_rows(diffs))
+        self.basis = tuple(diffs[i] for i in independent_rows(diffs))
         self.dim = len(self.basis)
         gram = mat([[linalg.dot(a, b) for b in self.basis] for a in self.basis])
         self.h = mat_mul(mat_inv(gram), self.basis) if self.dim else ()
@@ -82,7 +83,7 @@ def _hull_oracle(points):
     pts = sorted({linalg.vec(x) for x in points})
     frame = _FractionFrame(pts)
     d = frame.dim
-    normals = linalg.nullspace(frame.basis) if frame.basis else linalg.identity_mat(len(pts[0]))
+    normals = nullspace(frame.basis) if frame.basis else identity_mat(len(pts[0]))
     span = tuple(_fraction_halfspace(nu, linalg.dot(nu, frame.origin)) for nu in normals)
     if d == 0:
         return pt.RationalPolytope((rw.Weight(pts[0]),), (), span, 0)
@@ -102,7 +103,7 @@ def _hull_oracle(points):
     vertices = []
     for p, c in zip(pts, coords):
         tight = [a for a, beta in local if linalg.dot(a, c) == beta]
-        if tight and linalg.rank(mat(tight)) == d:
+        if tight and fraction_rank(mat(tight)) == d:
             vertices.append(rw.Weight(p))
     facets = tuple(sorted({frame.lift_halfspace(a, beta) for a, beta in local}))
     return pt.RationalPolytope(tuple(vertices), facets, span, d)
@@ -276,7 +277,7 @@ def test_facets_have_integer_normal_form():
 
 def test_json_export():
     p = pt.hull([weight([0, 0]), weight([1, 0]), weight([0, 1])])
-    data = json.loads(p.to_json_str())
+    data = json.loads(json.dumps(p.to_json()))
     assert data["affine_dim"] == 2
     assert len(data["vertices"]) == 3
     assert len(data["facets"]) == 3
@@ -438,7 +439,7 @@ def test_weight_polytope_dim_is_rank_of_orbit_span(family, rank):
     for labels in itertools.product((0, 1), repeat=rank):
         lam = rw.from_fundamental(rs, labels)
         pts = [p.coords for p in weight_orbit_points(rs, lam)]
-        span_rank = linalg.rank(tuple(linalg.vec_sub(p, pts[0]) for p in pts[1:]))
+        span_rank = fraction_rank(tuple(linalg.vec_sub(p, pts[0]) for p in pts[1:]))
         assert pt.weight_polytope_dim(rs, lam) == span_rank, labels
     with pytest.raises(PreconditionError, match="requires a dominant weight"):
         pt.weight_polytope_dim(rs, rw.from_fundamental(rs, (-1,) + (0,) * (rank - 1)))
