@@ -102,6 +102,7 @@ def primitive_root(q: int) -> int:
 # the n^2 reduced bytes, read n at a time, are the rows of the product.
 _MOD_TABLE = {q: bytes(b % q for b in range(256)) for q in SUPPORTED_PRIMES}
 _CHUNK = {q: 255 // (q - 1) ** 2 for q in SUPPORTED_PRIMES}
+_NEGATE_TABLE = {q: bytes(-b % q for b in range(256)) for q in SUPPORTED_PRIMES}
 _COLUMN_MASK = {}  # n -> the int whose byte n i is 0xff for each i < n, filled on first use
 
 
@@ -130,19 +131,19 @@ def _packed_product(q: int, n: int, columns, packed) -> tuple[tuple[int, ...], .
 
 
 # Reuse: a matrix b that keeps meeting the packed kernel as a right factor
-# gets a row table, v -> v b over all q^n row vectors v, and a b becomes one
-# lookup per row of a.  A reused left factor a keeps its transpose, with the
-# row table of that transpose, and looks up the columns of its right factor
-# there: a x = (x^T a^T)^T.  A table costs about q^n / n products to build
-# (the kernel on n x n blocks of row vectors), so it is built on the use at
-# which uses * n reaches q^n (ski rental: within about twice the cost of the
-# best choice in hindsight).  Counting starts at the first pack-cache hit, so
-# a matrix used once pays nothing, and n = 0 never reaches q^0 = 1.  No table
-# is built when q^n n^2 exceeds SPACE_GUARD, so one holds at most about
-# 3.5 MB (n = 6 over F_5, n = 5 over F_7), and n = 6 over F_7 (26 MB a table)
-# or n >= 7 over F_5 and F_7 never builds one.  Tables, counts and the kept
-# transpose stay with the instance that earned them: pickles and copies leave
-# them out.
+# gets a row table, v -> v b, and a b becomes one lookup per row of a.  A
+# reused left factor a keeps its transpose, with the row table of that
+# transpose, and looks up the columns of its right factor there:
+# a x = (x^T a^T)^T.  A table fills on demand, so it holds only the rows it
+# has met.  All q^n rows cost about q^n / n products, so a table is started
+# on the use at which uses * n reaches q^n (ski rental: within about twice
+# the cost of the best choice in hindsight).  Counting starts at the first
+# pack-cache hit, so a matrix used once pays nothing, and n = 0 never
+# reaches q^0 = 1.  No table is started when q^n n^2 exceeds SPACE_GUARD,
+# so a full one holds at most about 3.5 MB (n = 6 over F_5, n = 5 over
+# F_7), and n = 6 over F_7 (26 MB) or n >= 7 over F_5 and F_7 never gets
+# one.  Tables, counts and the kept transpose stay with the instance that
+# earned them: pickles and copies leave them out.
 _REUSE_STATE = {"_table", "_transpose", "_right_uses", "_left_uses"}
 
 
@@ -221,7 +222,7 @@ class FqMatrix(tuple):
             uses = self._left_uses = self._left_uses + 1
             if _earns_table(uses, q, n):
                 t = _reduced(q, tuple(zip(*rows)))
-                t._row_table()
+                t._table = _RowTable(t)
                 self._transpose = t
                 return self @ other
         packed = other._packed
@@ -230,26 +231,9 @@ class FqMatrix(tuple):
         else:
             uses = other._right_uses = other._right_uses + 1
             if _earns_table(uses, q, n):
-                other._row_table()
+                other._table = _RowTable(other)
                 return self @ other
         return tuple.__new__(FqMatrix, (q, _packed_product(q, n, columns, packed)))
-
-    def _row_table(self) -> dict:
-        """The row table v -> v self, built once: the packed kernel on the
-        q^n row vectors stacked n at a time (the missing rows of a short
-        last block read as zero bytes)."""
-        table = self._table
-        if table is None:
-            q, rows = self
-            n = len(rows)
-            packed = self._packed or _row_packs(rows)
-            vectors = list(itertools.product(range(q), repeat=n))
-            table = {}
-            for i in range(0, len(vectors), n):
-                block = vectors[i : i + n]
-                table.update(zip(block, _packed_product(q, n, _column_packs(block, n), packed)))
-            self._table = table
-        return table
 
     def transpose(self) -> "FqMatrix":
         """The transpose: the one a reused left operand keeps with its row
@@ -286,6 +270,21 @@ class FqMatrix(tuple):
     def __repr__(self) -> str:
         body = "; ".join(",".join(str(e) for e in row) for row in self.rows)
         return f"[{body}] (mod {self.q})"
+
+
+class _RowTable(dict):
+    """v -> v b for the row vectors v met so far.  b has q^n n^2 <=
+    SPACE_GUARD, so n <= _CHUNK[q]: a missing row is one packed sum, the
+    v[k] times the row packs of b, its bytes reduced by one translate."""
+
+    __slots__ = ("_packed", "_n", "_mod")
+
+    def __init__(self, b: FqMatrix):
+        self._packed, self._n, self._mod = b._packed or _row_packs(b[1]), len(b[1]), _MOD_TABLE[b[0]]
+
+    def __missing__(self, v):
+        row = self[v] = tuple(sum(map(mul, v, self._packed)).to_bytes(self._n, "little").translate(self._mod))
+        return row
 
 
 def _reduced(q: int, rows: tuple[tuple[int, ...], ...]) -> FqMatrix:
@@ -371,18 +370,13 @@ class BorelFactorization(NamedTuple):
         """Check the uniqueness pattern: u is supported on (a, b) with b a pivot
         row and a not a pivot row of an earlier column; v on (a, b) with a a
         pivot column."""
-        u, v, rook_map = self.u.rows, self.v.rows, self.r.map
-        n = len(u)
-        col_of_row = {i + 1: j for i, j in enumerate(rook_map) if j != 0}
-        pivot_cols = set(rook_map) - {0}
-        for a in range(1, n + 1):
-            for b in range(a + 1, n + 1):
-                if u[a - 1][b - 1] != 0:
-                    if b not in col_of_row:
-                        return False
-                    if a in col_of_row and col_of_row[a] < col_of_row[b]:
-                        return False
-                if v[a - 1][b - 1] != 0 and a not in pivot_cols:
+        col = self.r.map  # col[a] is the pivot column of row a, or 0
+        n, pivot_cols = len(col), set(col)
+        for a, (urow, vrow) in enumerate(zip(self.u.rows, self.v.rows)):
+            if a + 1 not in pivot_cols and any(vrow[a + 1 :]):
+                return False
+            for b in range(a + 1, n):
+                if urow[b] and (not col[b] or 0 < col[a] < col[b]):
                     return False
         return True
 
@@ -397,48 +391,52 @@ def bruhat_factor(m: FqMatrix) -> BorelFactorization:
     invariant of the B x B orbit.
 
     The operations only copy values into u and v, so they are written
-    directly.  A used row is piv e_c, c its pivot column; unused rows are
-    zero left of the current column j.  With pivot piv = a[i0][j]:
+    directly.  Unused rows are zero left of the current column j.  With
+    pivot piv = a[i0][j] and f_i = a[i][j] / piv for the other unused rows
+    i nonzero in column j (all above i0), row j of v is row i0 of a times
+    piv^-1; column i0 of u is e_i0 + sum of the f_i e_i (their columns of u
+    are still unit columns); and the column and row operations add
+    (q - f_i) times row i0 to each row i.  Neither row i0 nor column j is
+    read again.
 
-    - rows k > j of v are still unit rows, so row j of v is
-      e_j + sum over k > j of (a[i0][k] / piv) e_k;
-    - the rows i < i0 nonzero in column j are unused, so their columns of u
-      are still unit columns, and column i0 of u is
-      e_i0 + sum over those i of (a[i][j] / piv) e_i;
-    - the column operations leave row i0 as piv e_j and subtract
-      (a[i][j] / piv) a[i0][k] from each a[i][k], k > j, of those rows i;
-      the row operations only clear a[i][j].  Neither row i0 nor column j
-      is read again.
+    a, u, t and v are each one int, entry (i, k) at byte n i + k, as in the
+    packed product.  Column j of the unused rows is one shift and one mask,
+    the f_i one multiply and one bytes.translate(_MOD_TABLE[q]) of it, and
+    the row operations of all the rows i one multiply-add and one translate:
+    no byte exceeds (q - 1)^2 + (q - 1) = 42 < 256.
     """
-    q, n = m.q, m.n
-    inverse = _INVERSE[q]
-    a = [list(row) for row in m.rows]
-    v = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]  # row j is set if column j has a pivot
-    u = [list(row) for row in v]
+    q, rows = m
+    n = len(rows)
+    size = n * n
+    reduce, negate, inverse, from_bytes = _MOD_TABLE[q], _NEGATE_TABLE[q], _INVERSE[q], int.from_bytes
+    unused = from_bytes(b"\xff".ljust(n, b"\0") * n, "little")  # byte n i: row i is not yet a pivot row
+    u = t = v = from_bytes(b"\x01".ljust(n + 1, b"\0") * n, "little")  # the identity: byte (n + 1) i
+    row_mask = (1 << 8 * n) - 1
+    a = from_bytes(b"".join(map(bytes, rows)), "little")
     rook_map = [0] * n
-    tdiag = [1] * n
-    unused = list(range(n))
     for j in range(n):
-        cand = [i for i in unused if a[i][j]]
-        if not cand:
+        column = a >> 8 * j & unused  # byte n i is a[i][j]
+        if not column:
             continue
-        i0 = cand.pop()  # lowest nonzero entry
-        unused.remove(i0)
-        piv = a[i0][j]
+        shift = (column.bit_length() - 1) >> 3 << 3  # the lowest nonzero entry: 8 n i0
+        i0 = shift // (8 * n)
+        piv = column >> shift
         piv_inv = inverse[piv]
-        right = a[i0][j + 1 :]
-        v[j] = (0,) * j + (1,) + tuple([e * piv_inv % q for e in right])
-        for i in cand:
-            row = a[i]
-            f = row[j] * piv_inv % q
-            u[i][i0] = f
-            row[j + 1 :] = [(e - f * p) % q for e, p in zip(row[j + 1 :], right)]
+        pivot_row = a >> shift & row_mask
+        rest = column - (piv << shift)  # the other rows i nonzero in column j
+        if rest:
+            f = (rest * piv_inv).to_bytes(size, "little")  # byte n i is f_i, unreduced
+            u += from_bytes(f.translate(reduce), "little") << 8 * i0
+            a += from_bytes(f.translate(negate), "little") * pivot_row
+            a = from_bytes(a.to_bytes(size, "little").translate(reduce), "little")
+        w = from_bytes((pivot_row * piv_inv).to_bytes(n, "little").translate(reduce), "little")
+        v += w - (1 << 8 * j) << 8 * n * j  # row j of v: w, whose byte j is 1
+        t += piv - 1 << 8 * (n + 1) * i0
+        unused -= 255 << shift
         rook_map[i0] = j + 1
-        tdiag[i0] = piv
-    r = _rook(tuple(rook_map))  # each row and column is used once
-    # every entry is already reduced mod q
-    t = _reduced(q, tuple([(0,) * i + (d,) + (0,) * (n - 1 - i) for i, d in enumerate(tdiag)]))
-    return BorelFactorization(u=_reduced(q, tuple(map(tuple, u))), t=t, r=r, v=_reduced(q, tuple(v)))
+    # every entry is already reduced mod q, and each row and column is used once in rook_map
+    u, t, v = [_reduced(q, tuple(zip(*[iter(x.to_bytes(size, "little"))] * n))) for x in (u, t, v)]
+    return BorelFactorization(u, t, _rook(tuple(rook_map)), v)
 
 
 def orbit_enumerate(act, space, generators, guard: int = SPACE_GUARD):

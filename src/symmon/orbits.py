@@ -9,8 +9,9 @@ involution parametrizing the orbit's closed-field class.
 
 from __future__ import annotations
 
+import functools
 import json
-from operator import sub
+from operator import add, sub
 from typing import NamedTuple
 
 from . import finite_field as ff
@@ -39,10 +40,6 @@ class RankControl(NamedTuple):
 
     __add__ = __mul__ = __rmul__ = no_tuple_arithmetic
 
-    @property
-    def n(self) -> int:
-        return len(self.rho) - 1
-
 
 # kernel: a row of A is packed one byte per entry, big-endian
 # (int.from_bytes(bytes(row), "big")), so byte c holds entry c of the
@@ -52,6 +49,13 @@ class RankControl(NamedTuple):
 # other byte is at most (q - 1) + (q - 1)^2 = 42 < 256 and never carries,
 # whatever n is.  bytes.translate(_MOD_TABLE[q]) reduces the bytes mod q in
 # one C call, as in the packed product.
+
+
+@functools.cache
+def _steps(n: int) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
+    """The steps (1,) * m + (0,) * (n + 1 - m), m = 0..n, and the dict step -> m."""
+    steps = tuple([(1,) * m + (0,) * (n + 1 - m) for m in range(n + 1)])
+    return steps, {step: m for m, step in enumerate(steps)}
 
 
 def rank_control(a: FqMatrix) -> RankControl:
@@ -64,21 +68,22 @@ def rank_control(a: FqMatrix) -> RankControl:
     one more than rho[i + 1][j] for every j < n - c, and equal to it for
     the other j."""
     n, q = a.n, a.q
-    table, inverse = ff._MOD_TABLE[q], ff._INVERSE[q]
+    table, inverse, from_bytes = ff._MOD_TABLE[q], ff._INVERSE[q], int.from_bytes
+    steps = _steps(n)[0]
     basis = [0] * n  # by leading position: a packed row with leading byte 1, or 0
-    below = (0,) * (n + 1)
+    below = steps[0]
     rho = [below]
     for row in reversed(a.rows):
-        v = int.from_bytes(bytes(row), "big")
+        v = from_bytes(bytes(row), "big")
         while v:
             c = ((v & -v).bit_length() - 1) >> 3
             lead = v >> (c << 3) & 255
             b = basis[c]
             if not b:
-                basis[c] = int.from_bytes((v * inverse[lead]).to_bytes(n, "little").translate(table), "little")
-                below = tuple([r + 1 for r in below[: n - c]]) + below[n - c :]
+                basis[c] = from_bytes((v * inverse[lead]).to_bytes(n, "little").translate(table), "little")
+                below = tuple(map(add, below, steps[n - c]))
                 break
-            v = int.from_bytes((v + (q - lead) * b).to_bytes(n, "little").translate(table), "little")
+            v = from_bytes((v + (q - lead) * b).to_bytes(n, "little").translate(table), "little")
         rho.append(below)
     rho.reverse()
     return RankControl(tuple(rho))
@@ -91,33 +96,30 @@ def invariant_to_partial_involution(rc: RankControl) -> RookElement:
     + rho[i + 1][j + 1] must be a symmetric 0/1 array with at most one 1 in
     each row; it is then the partial involution's matrix.  Otherwise (a bug
     or a characteristic-2 input) InvariantViolationError reports the first
-    of these tests that fails, in that order.  One pass over the rows makes
-    all three: a row of the array is compared with the column above it.
+    of these tests that fails, in that order.
+
+    Row i of the array is e_m (zero for m = 0) exactly when rho[i] - rho[i + 1]
+    is step m.  If every row is a step, the array is symmetric exactly when
+    i + 1 -> m is an involution; otherwise the tests run cell by cell.
     """
     rho = rc.rho
-    n = rc.n
-    cells: list[list[int]] = []
-    m = [0] * n
-    symmetric = partial = True
-    for i in range(n):
-        d = list(map(sub, rho[i], rho[i + 1]))
-        row = list(map(sub, d, d[1:]))
-        if row.count(0) + row.count(1) != n:
-            raise InvariantViolationError("rank control is not of rook type")
-        if symmetric and row[:i] != [r[i] for r in cells]:
-            symmetric = False
-        hits = row.count(1)
-        if hits > 1:
-            partial = False
-        elif hits:
-            m[i] = row.index(1) + 1
-        cells.append(row)
-    if not symmetric:
+    n = len(rho) - 1
+    step_of = _steps(n)[1]
+    try:
+        m = tuple([step_of[tuple(map(sub, x, y))] for x, y in zip(rho, rho[1:])])
+    except KeyError:
+        cells = [list(map(sub, d, d[1:])) for d in (list(map(sub, x, y)) for x, y in zip(rho, rho[1:]))]
+        if any(row.count(0) + row.count(1) != n for row in cells):
+            raise InvariantViolationError("rank control is not of rook type") from None
+        if cells != list(map(list, zip(*cells))):
+            raise InvariantViolationError("recovered array is not symmetric") from None
+        if any(row.count(1) > 1 for row in cells):
+            raise InvariantViolationError("recovered array is not a partial permutation") from None
+        # a symmetric 0/1 array with at most one 1 in each row is an involution
+        return _rook(tuple([row.index(1) + 1 if 1 in row else 0 for row in cells]))
+    if any(m[j - 1] != i for i, j in enumerate(m, 1) if j):
         raise InvariantViolationError("recovered array is not symmetric")
-    if not partial:
-        raise InvariantViolationError("recovered array is not a partial permutation")
-    # a symmetric 0/1 array with at most one 1 in each row is an involution
-    return _rook(tuple(m))
+    return _rook(m)
 
 
 def invariant_to_partial_fpf(rc: RankControl) -> RookElement:

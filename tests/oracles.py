@@ -8,6 +8,8 @@ live with the tests, not in src/, where every start would compile them:
   monoid;
 * small F_q facts (the zero matrix, |B|, the twisted Borel action and the
   triangularity, symmetry and skew predicates);
+* the partial involution of a rank control, read cell by cell off the
+  inclusion-exclusion array, the oracle of the step lookup in orbits;
 * Fraction matrices: Gauss-Jordan row reduction over Q (the oracle of the
   integer echelon in linalg) with the rank, the nullspace basis and the
   independent rows read off it, the identity, the matrix-vector and matrix
@@ -26,13 +28,14 @@ live with the tests, not in src/, where every start would compile them:
 import functools
 import itertools
 from fractions import Fraction
+from operator import sub
 
 from symmon import finite_field as ff
 from symmon import involution as iv
 from symmon import linalg
 from symmon import polytope as pt
 from symmon import root_weight as rw
-from symmon.errors import DegenerateRootError, PreconditionError
+from symmon.errors import DegenerateRootError, InvariantViolationError, PreconditionError
 from symmon.rook import RookElement, enumerate_rook, from_permutation
 
 # -- the type-A rook monoid ---------------------------------------------------
@@ -167,6 +170,36 @@ def is_skew(m):
     return all(m.rows[i][i] == 0 for i in range(n)) and all(
         m.rows[i][j] == -m.rows[j][i] % m.q for i in range(n) for j in range(n)
     )
+
+
+def partial_involution_of_rank_control(rc):
+    """invariant_to_partial_involution cell by cell: one pass over the rows
+    of the inclusion-exclusion array makes all three tests, each row
+    compared with the column above it, and the first that fails, in the
+    order rook type, symmetry, partial permutation, is raised."""
+    rho = rc.rho
+    n = len(rho) - 1
+    cells = []
+    m = [0] * n
+    symmetric = partial = True
+    for i in range(n):
+        d = list(map(sub, rho[i], rho[i + 1]))
+        row = list(map(sub, d, d[1:]))
+        if row.count(0) + row.count(1) != n:
+            raise InvariantViolationError("rank control is not of rook type")
+        if symmetric and row[:i] != [r[i] for r in cells]:
+            symmetric = False
+        hits = row.count(1)
+        if hits > 1:
+            partial = False
+        elif hits:
+            m[i] = row.index(1) + 1
+        cells.append(row)
+    if not symmetric:
+        raise InvariantViolationError("recovered array is not symmetric")
+    if not partial:
+        raise InvariantViolationError("recovered array is not a partial permutation")
+    return RookElement(tuple(m))
 
 
 # -- Fraction linear algebra --------------------------------------------------

@@ -197,6 +197,46 @@ def test_bruhat_factor_exhaustive(n, q):
     assert len(rooks) == len(enumerate_rook(n))
 
 
+def _pattern_ok_oracle(fac):
+    """pattern_ok pair by pair: u[a][b] != 0, a < b (1-based), needs b a
+    pivot row and a no pivot row of an earlier column; v[a][b] != 0 needs a
+    a pivot column."""
+    u, v, rook_map = fac.u.rows, fac.v.rows, fac.r.map
+    n = len(u)
+    col_of_row = {i + 1: j for i, j in enumerate(rook_map) if j != 0}
+    pivot_cols = set(rook_map) - {0}
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            if u[a - 1][b - 1] != 0:
+                if b not in col_of_row:
+                    return False
+                if a in col_of_row and col_of_row[a] < col_of_row[b]:
+                    return False
+            if v[a - 1][b - 1] != 0 and a not in pivot_cols:
+                return False
+    return True
+
+
+def test_pattern_ok_matches_oracle_off_the_pattern():
+    """Factorizations with one entry of u or v above the diagonal set to a
+    random value, inside the pattern or not."""
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(3000):
+        n, q = rng.randint(1, 5), rng.choice((2, 3, 5))
+        fac = ff.bruhat_factor(_random_matrix(rng, n, q))
+        if n > 1:
+            name = rng.choice("uv")
+            rows = [list(row) for row in getattr(fac, name).rows]
+            a = rng.randrange(n - 1)
+            rows[a][rng.randrange(a + 1, n)] = rng.randrange(q)
+            fac = fac._replace(**{name: ff.fq_matrix(q, rows)})
+        verdict = fac.pattern_ok()
+        assert verdict == _pattern_ok_oracle(fac), fac
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def _bruhat_factor_oracle(m):
     """bruhat_factor as the elimination that accumulates every row and column
     operation into U and V, maintaining m = U . a . V."""
@@ -738,14 +778,31 @@ def _drive(m, side, rng):
     """Multiply m on one side by fresh matrices, each used once so that none
     of them earns a table, up to the first use u with u n >= q^n (100 uses
     for n = 0), checking every product and that m has a table only from
-    that use on."""
+    that use on.  Returns the last of those matrices."""
     q, n = m.q, m.n
+    x = None
     for use in range(1, -(-(q**n) // n) + 1 if n else 101):
         assert not _has_table(m, side)
         x = _random_matrix(rng, n, q)
         got = x @ m if side == "right" else m @ x
         assert got == (_matmul_oracle(x, m) if side == "right" else _matmul_oracle(m, x))
         assert _has_table(m, side) == (use * n >= q**n)
+    return x
+
+
+def _check_table(m, met):
+    """The row table of m holds exactly the vectors met, each with its
+    product v m."""
+    q, n, met = m.q, m.n, set(met)
+    assert set(m._table) == met
+    assert all(m._table[v] == _matmul_oracle(FqMatrix(q, (v,) * n), m).rows[0] for v in met)
+
+
+def _vector_blocks(q, n):
+    """n x n matrices whose rows, together, are all q^n row vectors."""
+    vectors = list(itertools.product(range(q), repeat=n))
+    vectors += vectors[: -len(vectors) % n]
+    return [FqMatrix(q, tuple(vectors[i : i + n])) for i in range(0, len(vectors), n)]
 
 
 @pytest.mark.parametrize("q", ff.SUPPORTED_PRIMES)
@@ -763,18 +820,46 @@ def test_product_matches_oracle_in_every_table_state(q, n):
     for left, right in itertools.product((False, True), repeat=2):
         a, b = FqMatrix(q, rows_a), FqMatrix(q, rows_b)
         if left:
-            _drive(a, "left", rng)
+            xa = _drive(a, "left", rng)
         if right:
-            _drive(b, "right", rng)
+            xb = _drive(b, "right", rng)
         assert (_has_table(a, "left"), _has_table(b, "right")) == (left and n > 0, right and n > 0)
         assert a @ b == want[rows_a, rows_b] and b @ a == want[rows_b, rows_a]
         assert a @ a == want[rows_a, rows_a] and b @ b == want[rows_b, rows_b]
     if n:  # one kind of table serves both sides: the left table of a is the row table of a^T
-        assert a.transpose() is a._transpose and a._transpose.rows == tuple(zip(*rows_a))
-        assert len(b._table) == len(a._transpose._table) == q**n
-        assert all(b._table[v] == _matmul_oracle(FqMatrix(q, (v,) * n), b).rows[0] for v in b._table)
+        t = a.transpose()
+        assert t is a._transpose and t.rows == tuple(zip(*rows_a))
+        # the tables hold the rows they were looked up at since they were
+        # started, and no other: a right table serves first, so a @ b looks
+        # up the rows of a in the table of b, not the columns of b in that of a
+        _check_table(b, {*xb.rows, *rows_a, *rows_b})
+        _check_table(t, {*zip(*xa.rows), *zip(*rows_a)})
+        for x in _vector_blocks(q, n):
+            assert x @ b == _matmul_oracle(x, b) and a @ x.transpose() == _matmul_oracle(a, x.transpose())
+        assert len(b._table) == len(t._table) == q**n
+        _check_table(b, b._table.keys())
+        _check_table(t, t._table.keys())
         x = _random_matrix(rng, n, q)
         assert x @ a.transpose() == _matmul_oracle(x, a.transpose())
+
+
+def test_a_table_holds_only_the_rows_it_met():
+    """The congruence b a b^T of the same two 4 x 4 matrices over F_5,
+    repeated: b earns its left table on use 157 (157 * 4 >= 5^4).  From then
+    on b a is a lookup of the columns of a in the row table of b^T, so a
+    counts no more right uses and earns no table, and the kept b^T, a
+    right factor with that same table, looks up the rows of b a there.  The
+    table holds those 8 vectors out of 625."""
+    rng = random.Random(9)
+    a, b = _random_matrix(rng, 4, 5), _random_matrix(rng, 4, 5)
+    want = _matmul_oracle(_matmul_oracle(b, a), b.transpose())
+    for _ in range(200):
+        assert b @ a @ b.transpose() == want
+    t = b._transpose
+    assert t is b.transpose() and a._table is None
+    met = {*zip(*a.rows), *_matmul_oracle(b, a).rows}
+    assert len(met) == 8
+    _check_table(t, met)
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 3), (7, 1), (7, 2), (2, 7)])
@@ -860,10 +945,11 @@ def test_transpose_is_kept_only_with_a_left_table():
     t = m.transpose()
     assert t.rows == tuple(zip(*m.rows)) == ((1, 4, 2), (2, 0, 2), (3, 1, 4))
     assert m.transpose() is not t and m._transpose is None
-    _drive(m, "left", rng)
+    x = _drive(m, "left", rng)
     t = m.transpose()
     assert m.transpose() is t and t == FqMatrix(5, ((1, 4, 2), (2, 0, 2), (3, 1, 4)))
-    assert len(t._table) == 5**3 and "_transpose" not in vars(t)
+    _check_table(t, zip(*x.rows))
+    assert "_transpose" not in vars(t)
     assert t.transpose() == m and t.transpose() is not m
 
 

@@ -10,6 +10,7 @@ from oracles import (
     identity_rook,
     is_symmetric,
     is_upper_triangular,
+    partial_involution_of_rank_control,
     rook_rank,
     twisted_action,
     zero_matrix,
@@ -287,6 +288,64 @@ def test_invariant_violation_messages(cells, message):
     with pytest.raises(InvariantViolationError) as exc:
         ob.invariant_to_partial_involution(_rank_control_with_cells(cells))
     assert str(exc.value) == message
+
+
+def _outcome(recover, rc):
+    """The rook element recover(rc) returns, or the class and message of
+    the InvariantViolationError it raises."""
+    try:
+        return recover(rc)
+    except InvariantViolationError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("form", ["sym", "skew"])
+def test_invariant_matches_cell_oracle_on_every_rank_control(form):
+    """Every rank control of Sym_n(F_3) or Skew_n(F_3), n <= 4: the step
+    lookup and the cell-by-cell oracle recover the same rook element."""
+    for n in range(5):
+        space = ff.enumerate_symmetric(n, 3) if form == "sym" else ff.enumerate_skew(n, 3)
+        for rc in {ob.rank_control(a) for a in space}:
+            want = partial_involution_of_rank_control(rc)
+            assert ob.invariant_to_partial_involution(rc) == want and want.is_symmetric()
+
+
+def _malformed_rank_control(rng, involutions):
+    """The rank control of a partial involution's array, with a seeded
+    fault: an entry outside {0, 1}, a flipped cell (an asymmetric array, or
+    two 1s in a row), a symmetric pair of cells set to 1 (two 1s in a row
+    when it had one), or none; and then, half the time, each row of rho
+    raised by its own constant, so that the differences are no longer zero
+    at j = n."""
+    n = rng.randint(1, 5)
+    cells = [list(row) for row in rng.choice(involutions[n]).zero_one_rows()]
+    i, j = rng.randrange(n), rng.randrange(n)
+    fault = rng.choice(("entry", "flip", "pair", "none"))
+    if fault == "entry":
+        cells[i][j] = rng.choice((-1, 2, 3))
+    elif fault == "flip":
+        cells[i][j] ^= 1
+    elif fault == "pair":
+        cells[i][j] = cells[j][i] = 1
+    rho = _rank_control_with_cells(cells).rho
+    if rng.random() < 0.5:
+        rho = tuple(tuple(r + k for r in row) for row, k in zip(rho, [rng.randrange(3) for _ in range(n)] + [0]))
+    return ob.RankControl(rho)
+
+
+def test_invariant_matches_cell_oracle_on_malformed_rank_controls():
+    rng = random.Random(26)
+    involutions = [rn.symmetric_rook_elements(n) for n in range(6)]
+    outcomes = set()
+    for _ in range(2000):
+        rc = _malformed_rank_control(rng, involutions)
+        got = _outcome(ob.invariant_to_partial_involution, rc)
+        assert got == _outcome(partial_involution_of_rank_control, rc), rc
+        d_at_n = any(x[-1] != y[-1] for x, y in zip(rc.rho, rc.rho[1:]))
+        outcomes.add(("recovered" if isinstance(got, RookElement) else got[1], d_at_n))
+    messages = ("rank control is not of rook type", "recovered array is not symmetric")
+    messages += ("recovered array is not a partial permutation", "recovered")
+    assert outcomes == {(message, d_at_n) for message in messages for d_at_n in (False, True)}
 
 
 def test_invariant_to_partial_fpf_examples():

@@ -227,6 +227,26 @@ def test_symmetric_rook_elements():
         assert r == r.transpose()
 
 
+def test_symmetric_rook_elements_guard():
+    """n = 8 is the largest size enumerated: 7,193 partial involutions."""
+    eight = rn.symmetric_rook_elements(8)
+    assert len(eight) == len(set(eight)) == 7193
+    assert all(r.is_symmetric() for r in eight)
+    with pytest.raises(ResourceLimitError, match="symmetric_rook_elements guard is n <= 8"):
+        rn.symmetric_rook_elements(9)
+
+
+def test_is_symmetric():
+    """A rook element is symmetric exactly when its 0/1 matrix is: the
+    partial involutions, and none of the other elements of R_3."""
+    involutions = set(rn.symmetric_rook_elements(3))
+    for r in rn.enumerate_rook(3):
+        rows = r.zero_one_rows()
+        assert r.is_symmetric() == (r in involutions) == (rows == tuple(zip(*rows)))
+    assert zero_rook(0).is_symmetric() and E11.is_symmetric() and RookElement((2, 1)).is_symmetric()
+    assert not E12.is_symmetric() and not E21.is_symmetric() and not RookElement((2, 3, 1)).is_symmetric()
+
+
 def test_diagram_and_exports():
     assert E12.diagram() == "2 0"
     assert zero_rook(3).diagram() == "0 0 0"
@@ -337,6 +357,18 @@ def test_hasse_edges_counts_one_comparison_per_ordered_pair():
 def test_hasse_edges_work_guard():
     with pytest.raises(ResourceLimitError, match="2001\\^2 = 4004001 order comparisons exceeds the limit 4000000"):
         rn.hasse_edges(range(2001), lambda a, b: a <= b)
+
+
+def test_hasse_edges_work_guard_boundary(monkeypatch):
+    """N elements make N^2 comparisons: a guard of N^2 admits them, N^2 - 1
+    does not."""
+    elems = rn.symmetric_rook_elements(3)
+    n = len(elems)
+    monkeypatch.setattr(rn, "HASSE_WORK_GUARD", n * n)
+    assert rn.hasse_edges(elems, rn.bruhat_leq) == _hasse_edges_oracle(elems, rn.bruhat_leq)
+    monkeypatch.setattr(rn, "HASSE_WORK_GUARD", n * n - 1)
+    with pytest.raises(ResourceLimitError, match=f"{n}\\^2 = {n * n} order comparisons exceeds the limit {n * n - 1}"):
+        rn.hasse_edges(elems, rn.bruhat_leq)
 
 
 def test_southwest_rank_table_matches_definition():
