@@ -130,28 +130,27 @@ def _packed_product(q: int, n: int, columns, packed) -> tuple[tuple[int, ...], .
     return tuple(zip(*[iter(out)] * n))
 
 
-# Reuse: a matrix b that keeps meeting the packed kernel as a right factor
-# gets a row table, v -> v b, and a b becomes one lookup per row of a.  A
-# reused left factor a keeps its transpose, with the row table of that
-# transpose, and looks up the columns of its right factor there:
-# a x = (x^T a^T)^T.  A table fills on demand, so it holds only the rows it
-# has met.  All q^n rows cost about q^n / n products, so a table is started
-# on the use at which uses * n reaches q^n (ski rental: within about twice
-# the cost of the best choice in hindsight).  Counting starts at the first
-# pack-cache hit, so a matrix used once pays nothing, and n = 0 never
-# reaches q^0 = 1.  No table is started when q^n n^2 exceeds SPACE_GUARD,
-# so a full one holds at most about 3.5 MB (n = 6 over F_5, n = 5 over
-# F_7), and n = 6 over F_7 (26 MB) or n >= 7 over F_5 and F_7 never gets
-# one.  Tables, counts and the kept transpose stay with the instance that
-# earned them: pickles and copies leave them out.
-_REUSE_STATE = {"_table", "_transpose", "_right_uses", "_left_uses"}
+# Reuse: the Borel generators, their inverses and their transposes are
+# multiplied by every point of a space, so _reusable gives each a row table,
+# v -> v b, and a b becomes one lookup per row of a.  It also keeps the
+# transpose of b, with the row table of that transpose, and b x looks up the
+# columns of x there: b x = (x^T b^T)^T.  A table fills on demand, so it
+# holds only the rows it has met.  No table is built when q^n n^2 exceeds
+# SPACE_GUARD, so a full one holds at most about 3.5 MB (n = 6 over F_5,
+# n = 5 over F_7), and n = 6 over F_7 (26 MB) or n >= 7 over F_5 and F_7
+# never gets one.  Tables and the kept transpose stay with their instance:
+# pickles and copies leave them out.
+_REUSE_STATE = {"_table", "_transpose"}
 
 
-def _earns_table(uses: int, q: int, n: int) -> bool:
-    """Whether the use numbered `uses` of an n x n operand over F_q, on
-    one side, pays for the row table of that side."""
-    size = q**n
-    return uses * n >= size and size * n * n <= SPACE_GUARD
+def _reusable(m: "FqMatrix") -> "FqMatrix":
+    """m, with a row table on each side when they fit under SPACE_GUARD."""
+    q, rows = m
+    n = len(rows)
+    if q**n * n * n <= SPACE_GUARD:
+        t = _reduced(q, tuple(zip(*rows)))
+        t._table, m._table, m._transpose = _RowTable(t), _RowTable(m), t
+    return m
 
 
 class FqMatrix(tuple):
@@ -163,11 +162,10 @@ class FqMatrix(tuple):
     q = property(itemgetter(0))
     rows = property(itemgetter(1))
     _inverse = None  # the cached inverse
-    _transpose = None  # the transpose, with its row table, of a reused left operand
+    _transpose = None  # the transpose, with its row table, of a reusable matrix
     _packed = None  # the cached row packs of a right operand
     _columns = None  # the cached column packs of a left operand
-    _table = None  # the row table v -> v self, once reuse has paid for it
-    _right_uses = _left_uses = 1  # products on each side, counted from the first pack-cache hit
+    _table = None  # the row table v -> v self of a reusable matrix
 
     def __new__(cls, q: int, rows: tuple[tuple[int, ...], ...]):
         self = tuple.__new__(cls, (q, rows))
@@ -218,25 +216,13 @@ class FqMatrix(tuple):
         columns = self._columns
         if columns is None:
             columns = self._columns = _column_packs(rows, n)
-        else:
-            uses = self._left_uses = self._left_uses + 1
-            if _earns_table(uses, q, n):
-                t = _reduced(q, tuple(zip(*rows)))
-                t._table = _RowTable(t)
-                self._transpose = t
-                return self @ other
         packed = other._packed
         if packed is None:
             packed = other._packed = _row_packs(other[1])
-        else:
-            uses = other._right_uses = other._right_uses + 1
-            if _earns_table(uses, q, n):
-                other._table = _RowTable(other)
-                return self @ other
         return tuple.__new__(FqMatrix, (q, _packed_product(q, n, columns, packed)))
 
     def transpose(self) -> "FqMatrix":
-        """The transpose: the one a reused left operand keeps with its row
+        """The transpose: the one a reusable matrix keeps with its row
         table, else a fresh one."""
         t = self._transpose
         return _reduced(self.q, tuple(zip(*self.rows))) if t is None else t
@@ -251,7 +237,8 @@ class FqMatrix(tuple):
         return self.rank() == self.n
 
     def inverse(self) -> "FqMatrix":
-        """The inverse, computed once per instance and then cached."""
+        """The inverse, computed once per instance and then cached; reusable
+        when self is."""
         cached = self._inverse
         if cached is not None:
             return cached
@@ -261,6 +248,8 @@ class FqMatrix(tuple):
         if pivots != list(range(n)):
             raise PreconditionError("matrix is singular")
         inverse = _reduced(q, tuple(tuple(row[n:]) for row in reduced))
+        if self._table is not None:
+            _reusable(inverse)
         self._inverse, inverse._inverse = inverse, self
         return inverse
 
@@ -319,7 +308,13 @@ def enumerate_matrices(n: int, q: int):
 
 def borel_generators(n: int, q: int) -> tuple[FqMatrix, ...]:
     """A small generating set of the Borel subgroup: one diagonal generator per
-    slot (a primitive root) and the elementary unipotents E_ij(1), i < j."""
+    slot (a primitive root) and the elementary unipotents E_ij(1), i < j.
+    Each is reusable: it carries row tables for both sides."""
+    return tuple(map(_reusable, _borel_generators(n, q)))
+
+
+def _borel_generators(n: int, q: int) -> list[FqMatrix]:
+    """The generators of borel_generators, without row tables."""
     _check_prime(q)
     gens = []
     g = primitive_root(q)
@@ -333,7 +328,7 @@ def borel_generators(n: int, q: int) -> tuple[FqMatrix, ...]:
             rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
             rows[i][j] = 1
             gens.append(fq_matrix(q, rows))
-    return tuple(gens)
+    return gens
 
 
 def enumerate_symmetric(n: int, q: int):
@@ -439,13 +434,14 @@ def bruhat_factor(m: FqMatrix) -> BorelFactorization:
     return BorelFactorization(u, t, _rook(tuple(rook_map)), v)
 
 
-def orbit_enumerate(act, space, generators, guard: int = SPACE_GUARD):
+def orbit_enumerate(act, space, generators):
     """Partition a finite space into orbits of the group generated by generators.
 
     act(g, x) -> x applies one generator.  Orbits are sorted tuples; the
     partition is sorted by the orbit representatives (minimal elements), so
-    output is deterministic.
+    output is deterministic.  At most SPACE_GUARD points are held.
     """
+    guard = SPACE_GUARD
     points = list(space)
     if len(points) > guard:
         raise ResourceLimitError(f"orbit space: {len(points)} points exceed the limit {guard}")
@@ -485,9 +481,10 @@ BOREL_ACTIONS = ("bxb", "sym", "skew")
 def _simple_borel_generators(n: int, q: int) -> tuple[FqMatrix, ...]:
     """The diagonal generators and the E_i,i+1(1).  They generate the Borel
     subgroup too: the torus conjugates E_i,i+1(1) to every E_i,i+1(t), t != 0,
-    and commutators of those give the other E_ij(t)."""
+    and commutators of those give the other E_ij(t).  The orbit engine reads
+    their rows into its own tables, so they carry no row tables."""
     return tuple(
-        b for b in borel_generators(n, q) if not any(any(row[i + 2 :]) for i, row in enumerate(b.rows))
+        b for b in _borel_generators(n, q) if not any(any(row[i + 2 :]) for i, row in enumerate(b.rows))
     )
 
 

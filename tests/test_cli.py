@@ -289,6 +289,7 @@ GOLDEN_STDOUT = {
     "census --form sym --n 3 --q 5 --format json": "43cbca510fc23bbb4d1de94407fb818b48ae7b67fec15154723f960770850d41",
     "census --form sym --n 3 --q 7 --format json": "21657593b60cbe45f97b861a7332298c2e0e42049afb16f6467ec9f915ce85cd",
     "census --form skew --n 4 --q 5 --format json": "f5bc966de575f2afdf1b70071ae6c6d93424222c2c0f9940d8f129763e46e7ba",
+    "census --form skew --n 3 --q 3 --format csv": "85832ba311a4f1e90c2d0f0e79623735efa9e985808260b9d565f0f6886fd926",
     "factor --q 5 --matrix 1,2,0;3,4,1;0,1,1 --format json": "2840f01ff65acc79056c6a9092558e9ee06c817ad38d7c5cdc0861c9ec94b990",
     "factor --q 2 --matrix 1,1,0;0,1,1;1,0,1": "9fdb735aa3fe70c2f1262db5605069a2cd1eac2ce33ca0de8a27911ed53ce95e",
     "factor --q 2 --matrix 1,1,0;0,1,1;1,0,1 --format json": "e11ccb21a35744991fc1780cae168cc1f2af149a8a77a4490b86313f91622250",

@@ -445,7 +445,7 @@ def test_products_skip_validation_but_stay_reduced():
             assert g @ inv == ff.identity_matrix(3, q)
 
 
-def test_orbit_enumerate_trivial_group_and_determinism():
+def test_orbit_enumerate_trivial_group_and_determinism(monkeypatch):
     space = tuple(ff.enumerate_matrices(1, 3))
     orbits = ff.orbit_enumerate(lambda g, x: x, space, [None])
     assert all(len(o) == 1 for o in orbits)
@@ -460,11 +460,13 @@ def test_orbit_enumerate_trivial_group_and_determinism():
         tuple(reversed(ff.borel_generators(2, 3))),
     )
     assert a == b
+    monkeypatch.setattr(ff, "SPACE_GUARD", 1)  # read at call time
     with pytest.raises(ResourceLimitError) as exc:
-        ff.orbit_enumerate(lambda g, x: x, space, [None], guard=1)
+        ff.orbit_enumerate(lambda g, x: x, space, [None])
     assert str(exc.value) == "orbit space: 3 points exceed the limit 1"
+    monkeypatch.setattr(ff, "SPACE_GUARD", 5)
     with pytest.raises(ResourceLimitError) as exc:
-        ff.orbit_enumerate(lambda g, x: x + 1, [0], [None], guard=5)
+        ff.orbit_enumerate(lambda g, x: x + 1, [0], [None])
     assert str(exc.value) == "orbit enumeration: 6 points exceed the limit 5"
 
 
@@ -774,20 +776,17 @@ def _has_table(m, side):
     return (m._table if side == "right" else m._transpose) is not None
 
 
-def _drive(m, side, rng):
-    """Multiply m on one side by fresh matrices, each used once so that none
-    of them earns a table, up to the first use u with u n >= q^n (100 uses
-    for n = 0), checking every product and that m has a table only from
-    that use on.  Returns the last of those matrices."""
-    q, n = m.q, m.n
-    x = None
-    for use in range(1, -(-(q**n) // n) + 1 if n else 101):
-        assert not _has_table(m, side)
-        x = _random_matrix(rng, n, q)
-        got = x @ m if side == "right" else m @ x
-        assert got == (_matmul_oracle(x, m) if side == "right" else _matmul_oracle(m, x))
-        assert _has_table(m, side) == (use * n >= q**n)
-    return x
+def _with_tables(q, rows, right, left):
+    """FqMatrix(q, rows) with the row tables that _reusable gives it, less
+    those of the sides not asked for."""
+    m = FqMatrix(q, rows)
+    if right or left:
+        ff._reusable(m)
+        if not right:
+            del m._table
+        if not left:
+            del m._transpose
+    return m
 
 
 def _check_table(m, met):
@@ -808,9 +807,9 @@ def _vector_blocks(q, n):
 @pytest.mark.parametrize("q", ff.SUPPORTED_PRIMES)
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_product_matches_oracle_in_every_table_state(q, n):
-    """a @ b with no table, a right table on b, a left table on a, and both,
-    each operand driven past its threshold (never reached at n = 0); and
-    a @ a, b @ b, b @ a."""
+    """a @ b with no table, a right table on b only, a left table on a
+    only, and both; and a @ a, b @ b, b @ a.  Then tables filled with every
+    row vector hold all q^n of them."""
     rng = random.Random(100 * q + n)
     rows_a, rows_b = _random_matrix(rng, n, q).rows, _random_matrix(rng, n, q).rows
     want = {
@@ -818,119 +817,112 @@ def test_product_matches_oracle_in_every_table_state(q, n):
         for x, y in itertools.product((rows_a, rows_b), repeat=2)
     }
     for left, right in itertools.product((False, True), repeat=2):
-        a, b = FqMatrix(q, rows_a), FqMatrix(q, rows_b)
-        if left:
-            xa = _drive(a, "left", rng)
-        if right:
-            xb = _drive(b, "right", rng)
-        assert (_has_table(a, "left"), _has_table(b, "right")) == (left and n > 0, right and n > 0)
+        a, b = _with_tables(q, rows_a, False, left), _with_tables(q, rows_b, right, False)
+        assert (_has_table(a, "right"), _has_table(a, "left")) == (False, left)
+        assert (_has_table(b, "right"), _has_table(b, "left")) == (right, False)
         assert a @ b == want[rows_a, rows_b] and b @ a == want[rows_b, rows_a]
         assert a @ a == want[rows_a, rows_a] and b @ b == want[rows_b, rows_b]
-    if n:  # one kind of table serves both sides: the left table of a is the row table of a^T
-        t = a.transpose()
-        assert t is a._transpose and t.rows == tuple(zip(*rows_a))
-        # the tables hold the rows they were looked up at since they were
-        # started, and no other: a right table serves first, so a @ b looks
-        # up the rows of a in the table of b, not the columns of b in that of a
-        _check_table(b, {*xb.rows, *rows_a, *rows_b})
-        _check_table(t, {*zip(*xa.rows), *zip(*rows_a)})
+    # one kind of table serves both sides: the left table of a is the row table of a^T
+    t = a.transpose()
+    assert t is a._transpose and t.rows == tuple(zip(*rows_a))
+    # a right table serves first, so a @ b looked up the rows of a in the
+    # table of b, not the columns of b in that of a; b @ a used neither
+    _check_table(b, {*rows_a, *rows_b})
+    _check_table(t, zip(*rows_a))
+    if n:  # no product meets the one row vector of n = 0, the empty one
         for x in _vector_blocks(q, n):
             assert x @ b == _matmul_oracle(x, b) and a @ x.transpose() == _matmul_oracle(a, x.transpose())
         assert len(b._table) == len(t._table) == q**n
         _check_table(b, b._table.keys())
         _check_table(t, t._table.keys())
-        x = _random_matrix(rng, n, q)
-        assert x @ a.transpose() == _matmul_oracle(x, a.transpose())
+    x = _random_matrix(rng, n, q)
+    assert x @ a.transpose() == _matmul_oracle(x, a.transpose())
 
 
 def test_a_table_holds_only_the_rows_it_met():
-    """The congruence b a b^T of the same two 4 x 4 matrices over F_5,
-    repeated: b earns its left table on use 157 (157 * 4 >= 5^4).  From then
-    on b a is a lookup of the columns of a in the row table of b^T, so a
-    counts no more right uses and earns no table, and the kept b^T, a
-    right factor with that same table, looks up the rows of b a there.  The
-    table holds those 8 vectors out of 625."""
+    """The congruence b a b^T of a 4 x 4 Borel generator b over F_5 and a
+    plain a, repeated: b a looks up the columns of a in the row table of the
+    kept b^T, and that b^T, as a right factor, looks up the rows of b a in
+    the same table.  The table holds those 8 vectors out of 625; neither a
+    nor the right table of b meets any."""
     rng = random.Random(9)
-    a, b = _random_matrix(rng, 4, 5), _random_matrix(rng, 4, 5)
+    a, b = _random_matrix(rng, 4, 5), ff.borel_generators(4, 5)[5]
+    assert b.rows == ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))  # E_13(1)
     want = _matmul_oracle(_matmul_oracle(b, a), b.transpose())
     for _ in range(200):
         assert b @ a @ b.transpose() == want
     t = b._transpose
-    assert t is b.transpose() and a._table is None
+    assert t is b.transpose() and a._table is None and a._transpose is None and not b._table
     met = {*zip(*a.rows), *_matmul_oracle(b, a).rows}
     assert len(met) == 8
     _check_table(t, met)
 
 
-@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 3), (7, 1), (7, 2), (2, 7)])
-def test_a_table_is_built_on_the_use_that_pays_for_it(q, n):
-    """The counts are per side: right uses build no left table."""
-    rng = random.Random(q + 10 * n)
-    m = _random_matrix(rng, n, q)
-    _drive(m, "right", rng)
-    assert _has_table(m, "right") and not _has_table(m, "left")
-    _drive(m, "left", rng)
-    assert _has_table(m, "left")
-
-
-def test_tables_are_never_built_for_n_zero_or_few_uses_of_a_large_space():
-    for q in ff.SUPPORTED_PRIMES:
-        empty = FqMatrix(q, ())
-        for _ in range(100):
-            assert empty @ empty == empty
-        assert not _has_table(empty, "right") and not _has_table(empty, "left")
+def test_plain_operands_never_get_a_table():
+    """However often it is multiplied, on either side, a matrix that was not
+    declared reusable keeps the packed product, and so does its inverse."""
     rng = random.Random(6)
-    m = _random_matrix(rng, 6, 7)  # a table would cost 7^6 / 6, about 19,600 products
-    for _ in range(10):
-        x = _random_matrix(rng, 6, 7)
-        assert m @ x == _matmul_oracle(m, x) and x @ m == _matmul_oracle(x, m)
-    assert not _has_table(m, "right") and not _has_table(m, "left")
-    assert m._transpose is None
+    m = ff.fq_matrix(3, [[1, 2, 0], [0, 1, 1], [2, 0, 1]])
+    x = _random_matrix(rng, 3, 3)
+    want = _matmul_oracle(m, x), _matmul_oracle(x, m)
+    for _ in range(1000):
+        assert (m @ x, x @ m) == want
+    for y in (m, x, m.inverse()):
+        assert not _has_table(y, "right") and not _has_table(y, "left")
+    assert m._columns is not None and m._packed is not None
+    assert m.transpose() is not m.transpose()
 
 
 @pytest.mark.parametrize(
     "q,n,fits", [(7, 5, True), (5, 6, True), (3, 8, True), (2, 12, True), (7, 6, False), (2, 13, False), (7, 7, False)]
 )
 def test_no_table_is_built_past_the_space_guard(q, n, fits):
-    """However often it is used, an operand earns no table when q^n n^2
-    exceeds SPACE_GUARD: at n = 6 over F_7 one table would hold 26 MB."""
+    """Every Borel generator, its inverse and its transpose carry a row
+    table exactly when q^n n^2 <= SPACE_GUARD: at n = 6 over F_7 one table
+    would hold 26 MB.  The generator and its inverse keep their transposes
+    with those tables."""
     assert (q**n * n * n <= ff.SPACE_GUARD) == fits
+    gens = ff.borel_generators(n, q)
+    assert len(gens) == (n if q > 2 else 0) + n * (n - 1) // 2
+    for g in gens:
+        g_inv = g.inverse()
+        assert _has_table(g, "right") == _has_table(g_inv, "right") == _has_table(g.transpose(), "right") == fits
+        assert _has_table(g, "left") == _has_table(g_inv, "left") == fits
+        assert (g.transpose() is g.transpose()) == fits
     rng = random.Random(q + 100 * n)
-    m = _random_matrix(rng, n, q)
-    pool = [_random_matrix(rng, n, q).rows for _ in range(8)]
-    for use in range(-(-(q**n) // n) + 1):  # fresh partners, so that none of them earns a table
-        ff._reduced(q, pool[use % 8]) @ m
-        m @ ff._reduced(q, pool[use % 8])
-    assert m._right_uses * n >= q**n and m._left_uses * n >= q**n
-    assert _has_table(m, "right") == _has_table(m, "left") == fits
-    x = FqMatrix(q, pool[0])
-    assert x @ m == _matmul_oracle(x, m) and m @ x == _matmul_oracle(m, x)
+    g, x = gens[-1], _random_matrix(rng, n, q)
+    for y in (g, g.inverse(), g.transpose()):
+        assert x @ y == _matmul_oracle(x, y) and y @ x == _matmul_oracle(y, x)
 
 
 def test_size_or_modulus_mismatch_raises_with_a_table():
-    rng = random.Random(3)
-    b = _random_matrix(rng, 2, 5)
-    _drive(b, "right", rng)
-    _drive(b, "left", rng)
-    for other in (ff.identity_matrix(2, 7), ff.identity_matrix(3, 5), ff.identity_matrix(1, 5), FqMatrix(5, ())):
-        with pytest.raises(PreconditionError, match="size or modulus mismatch"):
-            other @ b
-        with pytest.raises(PreconditionError, match="size or modulus mismatch"):
-            b @ other
+    for b in ff.borel_generators(2, 5):
+        assert _has_table(b, "right") and _has_table(b, "left")
+        for other in (ff.identity_matrix(2, 7), ff.identity_matrix(3, 5), ff.identity_matrix(1, 5), FqMatrix(5, ())):
+            with pytest.raises(PreconditionError, match="size or modulus mismatch"):
+                other @ b
+            with pytest.raises(PreconditionError, match="size or modulus mismatch"):
+                b @ other
 
 
 def test_copies_of_a_matrix_with_tables_carry_none():
-    """Copies keep the inverse and the packs, but not the tables, the use
-    counts or the transpose kept with the left table."""
+    """Copies keep the inverse, but not the tables or the transpose kept
+    with the left table."""
     rng = random.Random(4)
-    m = _random_matrix(rng, 2, 3)
-    _drive(m, "right", rng)
-    _drive(m, "left", rng)
+    m = ff._reusable(_random_matrix(rng, 2, 3))
+    while not m.is_invertible():
+        m = ff._reusable(_random_matrix(rng, 2, 3))
+    for x in _vector_blocks(3, 2):
+        assert x @ m == _matmul_oracle(x, m) and m @ x.transpose() == _matmul_oracle(m, x.transpose())
+    assert len(m._table) == len(m.transpose()._table) == 9 and _has_table(m.inverse(), "right")
     copies = [pickle.loads(pickle.dumps(m, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
     for c in copies + [copy.copy(m), copy.deepcopy(m)]:
         assert type(c) is FqMatrix and c == m and hash(c) == hash(m)
+        assert vars(c).keys() == vars(m).keys() - {"_table", "_transpose"} == {"_inverse"}
         assert not _has_table(c, "right") and not _has_table(c, "left")
-        assert vars(c).keys() == vars(m).keys() - {"_table", "_transpose", "_right_uses", "_left_uses"}
+        # a shallow copy shares the inverse of m; the others copy it, without its tables
+        assert c.inverse() == m.inverse()
+        assert _has_table(c.inverse(), "right") == _has_table(c.inverse(), "left") == (c.inverse() is m.inverse())
         assert c.transpose() == m.transpose() and c.transpose() is not m.transpose()
         x = _random_matrix(rng, 2, 3)
         assert c @ x == _matmul_oracle(m, x) and x @ c == _matmul_oracle(x, m)
@@ -938,16 +930,18 @@ def test_copies_of_a_matrix_with_tables_carry_none():
 
 
 def test_transpose_is_kept_only_with_a_left_table():
-    """transpose() is fresh until a left table is built, then the transpose
-    that holds it, with no link back to the matrix."""
+    """transpose() is fresh until the matrix is made reusable, then the
+    transpose that holds its left table, with no link back to the matrix."""
     rng = random.Random(5)
     m = ff.fq_matrix(5, [[1, 2, 3], [4, 0, 1], [2, 2, 4]])
     t = m.transpose()
     assert t.rows == tuple(zip(*m.rows)) == ((1, 4, 2), (2, 0, 2), (3, 1, 4))
     assert m.transpose() is not t and m._transpose is None
-    x = _drive(m, "left", rng)
+    assert ff._reusable(m) is m
     t = m.transpose()
     assert m.transpose() is t and t == FqMatrix(5, ((1, 4, 2), (2, 0, 2), (3, 1, 4)))
+    x = _random_matrix(rng, 3, 5)
+    assert m @ x == _matmul_oracle(m, x)
     _check_table(t, zip(*x.rows))
     assert "_transpose" not in vars(t)
     assert t.transpose() == m and t.transpose() is not m
