@@ -8,7 +8,8 @@ so they hash and sort canonically (by modulus, then row-major).
 from __future__ import annotations
 
 import itertools
-from operator import getitem, itemgetter, mul
+from itertools import repeat
+from operator import add, floordiv, itemgetter, mod, mul
 from typing import NamedTuple
 
 from ._record import no_tuple_arithmetic
@@ -316,19 +317,13 @@ def borel_generators(n: int, q: int) -> tuple[FqMatrix, ...]:
 def _borel_generators(n: int, q: int) -> list[FqMatrix]:
     """The generators of borel_generators, without row tables."""
     _check_prime(q)
-    gens = []
+
+    def identity_with(i: int, j: int, e: int) -> FqMatrix:  # entry (i, j) set to the residue e
+        return _reduced(q, tuple([tuple([e if (a, b) == (i, j) else int(a == b) for b in range(n)]) for a in range(n)]))
+
     g = primitive_root(q)
-    if g != 1:
-        for i in range(n):
-            rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-            rows[i][i] = g
-            gens.append(fq_matrix(q, rows))
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-            rows[i][j] = 1
-            gens.append(fq_matrix(q, rows))
-    return gens
+    diagonal = [identity_with(i, i, g) for i in range(n)] if g != 1 else []
+    return diagonal + [identity_with(i, j, 1) for i in range(n) for j in range(i + 1, n)]
 
 
 def enumerate_symmetric(n: int, q: int):
@@ -355,11 +350,16 @@ class BorelFactorization(NamedTuple):
     __add__ = __mul__ = __rmul__ = no_tuple_arithmetic
 
     def product(self) -> FqMatrix:
-        q, t, v = self.t.q, self.t.rows, self.v.rows
-        zero = (0,) * len(v)
-        # (t r) v is monomial: its row i is t_ii times row r(i) of v, or zero when r(i) = 0
-        trv = tuple([tuple([t[i][i] * e % q for e in v[c - 1]]) if c else zero for i, c in enumerate(self.r.map)])
-        return self.u @ _reduced(q, trv)
+        u, (q, t), r, v = self
+        n = len(t)
+        reduce, packed = _MOD_TABLE[q], v._packed or _row_packs(v[1])
+        # (t r) v is monomial: its row i is t_ii times row r(i) of v, or zero when r(i) = 0;
+        # no byte of t_ii times a row pack exceeds (q - 1)^2
+        trv = [
+            int.from_bytes((t[i][i] * packed[c - 1]).to_bytes(n, "little").translate(reduce), "little") if c else 0
+            for i, c in enumerate(r.map)
+        ]
+        return _reduced(q, _packed_product(q, n, u._columns or _column_packs(u[1], n), trv))
 
     def pattern_ok(self) -> bool:
         """Check the uniqueness pattern: u is supported on (a, b) with b a pivot
@@ -545,15 +545,21 @@ def borel_orbits(n: int, q: int, action: str) -> tuple[tuple[FqMatrix, ...], ...
 
     A matrix is coded as the integer whose base-q digits are its entries read
     row-major, so integer order is FqMatrix order, and each row is a code
-    below Q = q^n.  A generator acts through tables over the Q row vectors:
-    m -> m c maps each row through v -> v c, and the transpose T(m c) is a sum
-    of one lookup per row.  Left multiplication is b m = T(T(m) b^T), and
-    congruence is b A b^T = T(T(A b^T) b^T).
+    below Q = q^n.  The engine works on the whole list of points at once.  It
+    splits their codes into row codes once, one list per row position.  A
+    generator c acts through its table v -> v c over the Q row codes, and the
+    images of all the points are a sum over the row positions of one C-level
+    lookup map each: m -> m c puts each row's image back as a row, and the
+    transpose T(m c) puts it down a column.  Left multiplication is
+    b m = T(T(m) b^T), and congruence is b A b^T = T(T(A b^T) b^T), whose
+    middle codes are split once more.  A symmetric or skew matrix is numbered
+    by its place among the codes of its space, and its last image is summed
+    as that number directly.
 
     B = T U, with U the unipotent subgroup, generated by the E_i,i+1(1), and
     T the torus of diagonal matrices.  A union-find whose roots are minimal
-    codes first merges every point with its images under the E_i,i+1(1),
-    which leaves the U-orbits (U x U for "bxb").  T normalizes U, so
+    points first merges every point with its image, one E_i,i+1(1) at a
+    time, which leaves the U-orbits (U x U for "bxb").  T normalizes U, so
     t (U x) = U (t x): the torus only permutes the U-orbits, and a second
     pass merges one point of each U-orbit, its root, with its images under
     the diagonal generators (T x T for "bxb").  Over F_2, T is trivial and
@@ -562,6 +568,27 @@ def borel_orbits(n: int, q: int, action: str) -> tuple[tuple[FqMatrix, ...], ...
     codes = _borel_orbit_codes(n, q, action)
     decode = _decoder(n, q)
     return tuple(tuple(map(decode, orbit)) for orbit in codes)
+
+
+def _linear_table(q: int, terms) -> list[int]:
+    """sum(v[k] * terms[k]) for every vector v over F_q, in row-code order:
+    the sums are extended one coordinate at a time."""
+    sums = [0]
+    for term in terms:
+        steps = [a * term for a in range(q)]
+        sums = [s + step for s in sums for step in steps]
+    return sums
+
+
+def _row_code_table(c: FqMatrix, code_of: dict[bytes, int]) -> list[int]:
+    """v -> v c on the row codes below q^n, where code_of maps the bytes of
+    each vector to its row code.  Byte j of the packed sum of the v[k] times
+    the row packs of c is the unreduced (v c)[j], at most n (q - 1)^2; every
+    space _check_orbit_work admits has n <= _CHUNK[q], so no byte carries,
+    and one translate reduces it."""
+    q, rows = c
+    n, reduce = len(rows), _MOD_TABLE[q]
+    return [code_of[s.to_bytes(n, "little").translate(reduce)] for s in _linear_table(q, _row_packs(rows))]
 
 
 def _borel_orbit_codes(n: int, q: int, action: str) -> list[list[int]]:
@@ -573,81 +600,92 @@ def _borel_orbit_codes(n: int, q: int, action: str) -> list[list[int]]:
         raise PreconditionError(f"action must be one of {BOREL_ACTIONS}, got {action!r}")
     _check_orbit_work(n, q, action)
     gens = _simple_borel_generators(n, q)
+    codes = range(q ** (n * n)) if action == "bxb" else _form_codes(n, q, action)
+    if not gens:  # n = 0, or n = 1 over F_2: B is trivial
+        return [[x] for x in codes]
     size = q**n
-    digit = [q ** (n - 1 - k) for k in range(n)]  # entry k of a row code is code // digit[k] % q
     place = [size ** (n - 1 - i) for i in range(n)]  # row i of a code is code // place[i] % size
-    vectors = list(itertools.product(range(q), repeat=n))  # indexed by row code
-    spread = [sum(map(mul, v, place)) for v in vectors]  # a row's digits put down column 0
+    code_of = {bytes(v): k for k, v in enumerate(itertools.product(range(q), repeat=n))}
+    # down[j][w]: the code of the matrix whose column j is the vector coded w, zero elsewhere
+    down = [_linear_table(q, [p * q ** (n - 1 - j) for p in place]) for j in range(n)]
 
-    def times(c: FqMatrix) -> list[int]:
-        """v -> v c on row codes."""
-        cols = list(zip(*c.rows))
-        return [sum(sum(map(mul, v, col)) % q * d for col, d in zip(cols, digit)) for v in vectors]
+    def split(xs) -> list[list[int]]:
+        """The row codes of the codes xs, one list per row position."""
+        rows = []
+        for _ in range(n - 1):  # peel the last row off, n - 1 times
+            rows.append(list(map(mod, xs, repeat(size))))
+            xs = list(map(floordiv, xs, repeat(size)))
+        rows.append(xs)
+        rows.reverse()
+        return rows
 
-    def placed(c: FqMatrix) -> list[list[int]]:
-        """Per row position i, the tables whose sum over the rows is m c."""
-        table = times(c)
-        return [[w * p for w in table] for p in place]
+    def image(tables, rows) -> list[int]:
+        """Per point, the sum over positions i of tables[i] at its row code i."""
+        total = map(tables[0].__getitem__, rows[0])
+        for table, row in zip(tables[1:], rows[1:]):
+            total = map(add, total, map(table.__getitem__, row))
+        return list(total)
 
-    def transposed(c: FqMatrix) -> list[list[int]]:
-        """Per row position i, the tables whose sum over the rows is T(m c)."""
-        table = times(c)
-        return [[spread[w] * d for w in table] for d in digit]
+    def through(c: FqMatrix, tables) -> list[list[int]]:
+        """Each of tables after v -> v c."""
+        times = _row_code_table(c, code_of)
+        return [list(map(table.__getitem__, times)) for table in tables]
 
     if action == "bxb":
-        points = range(q ** (n * n))
-        flip = transposed(identity_matrix(n, q))
+        across = [[w * p for w in range(size)] for p in place]  # across[i][w]: the vector coded w as row i
 
-        def tables_of(group):  # m -> m b, and m -> b m
-            return [placed(b) for b in group], [transposed(b.transpose()) for b in group]
+        def sides(xs):  # the row codes of the matrices xs and of their transposes
+            rows = split(xs)
+            return rows, split(image(down, rows))
 
-        def images(x, sides):
-            on_rows, on_cols = sides
-            rows = [x // p % size for p in place]
-            for tables in on_rows:
-                yield sum(map(getitem, tables, rows))
-            t = sum(map(getitem, flip, rows))
-            cols = [t // p % size for p in place]
-            for tables in on_cols:
-                yield sum(map(getitem, tables, cols))
+        def images(b, rows, cols):  # m -> m b, and m -> b m = T(T(m) b^T)
+            yield image(through(b, across), rows)
+            yield image(through(b.transpose(), down), cols)
 
     else:
-        points = _form_codes(n, q, action)
+        # the upper entries (on and above the diagonal, or above it for skew),
+        # read row-major, order a form, so its number is their base-q value
+        upper = [(i, j) for i in range(n) for j in range(i if action == "sym" else i + 1, n)]
+        weight = {entry: q**k for k, entry in enumerate(reversed(upper))}
+        # numbered[j][w]: the number of the upper entries of a column j coded w
+        numbered = [_linear_table(q, [weight.get((i, j), 0) for i in range(n)]) for j in range(n)]
 
-        def tables_of(group):  # A -> T(A b^T)
-            return [transposed(b.transpose()) for b in group]
+        def sides(xs):
+            return (split(xs),)
 
-        def images(x, moves):
-            rows = [x // p % size for p in place]
-            for tables in moves:
-                t = sum(map(getitem, tables, rows))
-                yield sum(map(getitem, tables, [t // p % size for p in place]))
+        def images(b, rows):  # A -> b A b^T = T(T(A b^T) b^T)
+            tables = through(b.transpose(), down + numbered)
+            yield image(tables[n:], split(image(tables[:n], rows)))
 
-    parent = list(points) if action == "bxb" else {x: x for x in points}
+    parent = list(range(len(codes)))  # by point number; parent[x] <= x, and a root is its orbit's minimum
 
-    def merge(xs, moves):
-        for x in xs:
-            root = x
-            while parent[root] != root:
-                parent[root] = root = parent[parent[root]]
-            for y in images(x, moves):
-                while parent[y] != y:
-                    parent[y] = y = parent[parent[y]]
-                if y < root:
-                    parent[root] = root = y
-                elif y > root:
-                    parent[y] = root
+    def merge(xs, ys):
+        for x, y in zip(xs, ys):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if y < x:
+                parent[x] = y
+            elif y > x:
+                parent[y] = x
 
+    def merge_images(group, xs):  # merge each point numbered in xs with its images under group
+        rows = sides([codes[x] for x in xs])
+        for b in group:
+            for ys in images(b, *rows):
+                merge(xs, ys)
+                del ys  # before the next image list is built
+
+    points = range(len(codes))
+    merge_images([b for b in gens if not b.is_diagonal()], points)
     torus = [b for b in gens if b.is_diagonal()]
-    merge(points, tables_of([b for b in gens if not b.is_diagonal()]))
     if torus:  # it permutes the U-orbits, so their roots suffice
-        merge([x for x in points if parent[x] == x], tables_of(torus))
+        merge_images(torus, [x for x in points if parent[x] == x])
     orbits: dict[int, list[int]] = {}
-    for x in points:  # increasing, so each orbit starts at its root
-        root = parent[x]
-        while parent[root] != root:
-            root = parent[root]
-        orbits.setdefault(root, []).append(x)
+    for x, code in zip(points, codes):  # increasing, and parent[x] <= x already points at its root
+        parent[x] = root = parent[parent[x]]
+        orbits.setdefault(root, []).append(code)
     return list(orbits.values())
 
 

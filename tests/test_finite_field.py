@@ -157,6 +157,14 @@ def test_borel_generators_generate():
         assert group == set(borel(n, q))
 
 
+def test_borel_generators_are_valid_matrices():
+    # they are built from residues without validation, so each must pass it
+    for q in ff.SUPPORTED_PRIMES:
+        for n in range(5):
+            for g in ff.borel_generators(n, q):
+                assert FqMatrix(q, g.rows) == g
+
+
 def test_bruhat_factor_fixes_rook_matrices():
     for r in enumerate_rook(2) + enumerate_rook(3):
         m = ff.from_rook(r, 3)
@@ -429,6 +437,44 @@ def test_borel_orbits_work_guard_admits_every_census_space():
             for form, dim in (("sym", n * (n + 1) // 2), ("skew", n * (n - 1) // 2)):
                 if q**dim <= ff.SPACE_GUARD:
                     ff._check_orbit_work(n, q, form)
+
+
+def _admits_some_action(n, q):
+    for action in ff.BOREL_ACTIONS:
+        try:
+            ff._check_orbit_work(n, q, action)
+        except ResourceLimitError:
+            continue
+        return True
+    return False
+
+
+# every (n, q) at which borel_orbits admits some action; the work grows with
+# n, so each q stops at its first n that no action admits
+ADMITTED_SPACES = [
+    (n, q)
+    for q in ff.SUPPORTED_PRIMES
+    for n in itertools.takewhile(lambda n: _admits_some_action(n, q), itertools.count())
+]
+
+
+def test_admitted_rows_fit_one_chunk_of_the_packed_sum():
+    # a row table's packed sum has n terms, each adding at most (q - 1)^2 to
+    # a byte, so no byte carries while n <= _CHUNK[q] = 255 // (q - 1)^2
+    assert {q for n, q in ADMITTED_SPACES} == set(ff.SUPPORTED_PRIMES)
+    assert all(n <= ff._CHUNK[q] for n, q in ADMITTED_SPACES)
+
+
+@pytest.mark.parametrize("n,q", ADMITTED_SPACES)
+def test_row_code_table_matches_row_by_row_oracle(n, q):
+    vectors = list(itertools.product(range(q), repeat=n))  # in row-code order
+    code_of = {bytes(v): k for k, v in enumerate(vectors)}
+    digits = [q ** (n - 1 - k) for k in range(n)]
+    gens = ff._borel_generators(n, q)
+    for c in gens + [g.transpose() for g in gens] + [ff.identity_matrix(n, q)]:
+        columns = list(zip(*c.rows))
+        oracle = [sum(sum(map(mul, v, col)) % q * d for col, d in zip(columns, digits)) for v in vectors]
+        assert ff._row_code_table(c, code_of) == oracle
 
 
 def test_products_skip_validation_but_stay_reduced():

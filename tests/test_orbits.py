@@ -386,6 +386,23 @@ def test_census_sym4_f3_frontier():
     assert report.match
 
 
+@pytest.mark.parametrize("n,q", [(n, 3) for n in (1, 2, 3, 4)] + [(n, q) for q in (5, 7) for n in (2, 3)])
+def test_rank_control_classes_split_into_two_to_the_fixed_points(n, q):
+    # over F_q the B-orbits of a rank-control class x are counted by H^1 of
+    # its stabilizer, one mu_2 per fixed point: 2^f(x) orbits of one size.
+    # An oracle on the engine past the BFS range (Sym_4(F_3), Sym_3(F_7)).
+    decode = ff._decoder(n, q)
+    sizes = {}
+    for orbit in ff._borel_orbit_codes(n, q, "sym"):
+        x = ob.invariant_to_partial_involution(ob.rank_control(decode(orbit[0])))
+        sizes.setdefault(x, []).append(len(orbit))
+    assert set(sizes) == set(rn.symmetric_rook_elements(n))
+    for x, class_sizes in sizes.items():
+        fixed = sum(1 for i, j in enumerate(x.map, 1) if i == j)
+        assert len(class_sizes) == 2**fixed and len(set(class_sizes)) == 1
+    assert sum(map(len, sizes.values())) == {1: 3, 2: 10, 3: 36, 4: 138}[n]
+
+
 def test_census_skew5_f3_frontier():
     report = ob.twisted_orbit_census(5, 3, "skew")
     assert report.orbit_count == 26 == report.expected_parametrizer_count
