@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from itertools import repeat
-from operator import add, floordiv, itemgetter, mod, mul
+from operator import add, eq, floordiv, itemgetter, mod, mul, sub
 from typing import NamedTuple
 
 from ._record import no_tuple_arithmetic
@@ -25,18 +25,36 @@ def _check_prime(q: int):
         raise PreconditionError(f"modulus {q} not supported (use one of {SUPPORTED_PRIMES})")
 
 
-def _check_space(what: str, n: int, q: int, dim: int):
-    """Bound an enumeration of q^dim n x n matrices by SPACE_GUARD."""
-    _check_prime(q)
+def _check_n(n: int):
+    if not isinstance(n, int):
+        raise PreconditionError(f"n must be an int, got {n!r}")
     if n < 0:
         raise PreconditionError(f"n must be nonnegative, got {n}")
+
+
+# The spaces: Mat_n ("bxb", acted on by B x B), Sym_n and Skew_n (acted on
+# by B through congruence).  A point has one base-q digit per stored entry
+# (_stored_entries), q^dim points in all.
+BOREL_ACTIONS = ("bxb", "sym", "skew")
+_SPACE_NAMES = {"bxb": "matrix", "sym": "symmetric", "skew": "skew"}
+
+
+def _dimension(n: int, action: str) -> int:
+    return {"bxb": n * n, "sym": n * (n + 1) // 2, "skew": n * (n - 1) // 2}[action]
+
+
+def _check_space(n: int, q: int, action: str):
+    """Bound an enumeration of the q^dim points of a space by SPACE_GUARD."""
+    _check_prime(q)
+    _check_n(n)
+    dim = _dimension(n, action)
     if dim > 64:  # q^dim alone is far beyond the limit; do not build the integer
         size = f"{q}^{dim}"
     elif q**dim <= SPACE_GUARD:
         return
     else:
         size = f"{q}^{dim} = {q**dim}"
-    raise ResourceLimitError(f"{what} space: {size} matrices exceed the limit {SPACE_GUARD}")
+    raise ResourceLimitError(f"{_SPACE_NAMES[action]} space: {size} matrices exceed the limit {SPACE_GUARD}")
 
 
 # _INVERSE[q][a] is the inverse of a mod q, and 0 for a = 0
@@ -254,9 +272,6 @@ class FqMatrix(tuple):
         self._inverse, inverse._inverse = inverse, self
         return inverse
 
-    def is_diagonal(self) -> bool:
-        return all(self.rows[i][j] == 0 for i in range(self.n) for j in range(self.n) if i != j)
-
     def __repr__(self) -> str:
         body = "; ".join(",".join(str(e) for e in row) for row in self.rows)
         return f"[{body}] (mod {self.q})"
@@ -303,7 +318,7 @@ def from_rook(r: RookElement, q: int) -> FqMatrix:
 
 def enumerate_matrices(n: int, q: int):
     """All of Mat_n(F_q), row-major lexicographic order."""
-    _check_space("matrix", n, q, n * n)
+    _check_space(n, q, "bxb")
     return map(_decoder(n, q), range(q ** (n * n)))
 
 
@@ -311,11 +326,6 @@ def borel_generators(n: int, q: int) -> tuple[FqMatrix, ...]:
     """A small generating set of the Borel subgroup: one diagonal generator per
     slot (a primitive root) and the elementary unipotents E_ij(1), i < j.
     Each is reusable: it carries row tables for both sides."""
-    return tuple(map(_reusable, _borel_generators(n, q)))
-
-
-def _borel_generators(n: int, q: int) -> list[FqMatrix]:
-    """The generators of borel_generators, without row tables."""
     _check_prime(q)
 
     def identity_with(i: int, j: int, e: int) -> FqMatrix:  # entry (i, j) set to the residue e
@@ -323,19 +333,19 @@ def _borel_generators(n: int, q: int) -> list[FqMatrix]:
 
     g = primitive_root(q)
     diagonal = [identity_with(i, i, g) for i in range(n)] if g != 1 else []
-    return diagonal + [identity_with(i, j, 1) for i in range(n) for j in range(i + 1, n)]
+    return tuple(map(_reusable, diagonal + [identity_with(i, j, 1) for i in range(n) for j in range(i + 1, n)]))
 
 
 def enumerate_symmetric(n: int, q: int):
     """All symmetric n x n matrices over F_q, in increasing order."""
-    _check_space("symmetric", n, q, n * (n + 1) // 2)
-    return map(_decoder(n, q), _form_codes(n, q, "sym"))
+    _check_space(n, q, "sym")
+    return map(_decoder(n, q), _codes(n, q, "sym"))
 
 
 def enumerate_skew(n: int, q: int):
     """All skew-symmetric n x n matrices (zero diagonal) over F_q, in increasing order."""
-    _check_space("skew", n, q, n * (n - 1) // 2)
-    return map(_decoder(n, q), _form_codes(n, q, "skew"))
+    _check_space(n, q, "skew")
+    return map(_decoder(n, q), _codes(n, q, "skew"))
 
 
 class BorelFactorization(NamedTuple):
@@ -475,25 +485,15 @@ def orbit_enumerate(act, space, generators):
 
 
 ORBIT_WORK_GUARD = 10**6
-BOREL_ACTIONS = ("bxb", "sym", "skew")
-
-
-def _simple_borel_generators(n: int, q: int) -> tuple[FqMatrix, ...]:
-    """The diagonal generators and the E_i,i+1(1).  They generate the Borel
-    subgroup too: the torus conjugates E_i,i+1(1) to every E_i,i+1(t), t != 0,
-    and commutators of those give the other E_ij(t).  The orbit engine reads
-    their rows into its own tables, so they carry no row tables."""
-    return tuple(
-        b for b in _borel_generators(n, q) if not any(any(row[i + 2 :]) for i, row in enumerate(b.rows))
-    )
 
 
 def _check_orbit_work(n: int, q: int, action: str):
     """Bound the work of borel_orbits by |space| x |generators| applications,
-    before any generator, table or decoder is built.  This is an upper bound:
-    the diagonal generators act once per U-orbit, not once per point."""
-    dim = {"bxb": n * n, "sym": n * (n + 1) // 2, "skew": n * (n - 1) // 2}[action]
-    gens = (n if q > 2 else 0) + max(n - 1, 0)  # len(_simple_borel_generators(n, q))
+    before any generator, table or decoder is built.  An application is the
+    point's number plus a few table lookups.  This is an upper bound: the
+    diagonal generators act once per U-orbit, not once per point."""
+    dim = _dimension(n, action)
+    gens = (n if q > 2 else 0) + max(n - 1, 0)  # the _simple_generators per side
     if action == "bxb":
         gens *= 2
     if dim > 64:  # q^dim alone is far beyond the limit; do not build the integer
@@ -508,32 +508,57 @@ def _check_orbit_work(n: int, q: int, action: str):
     )
 
 
-def _decoder(n: int, q: int):
-    """code -> FqMatrix, where a matrix's code is the integer whose base-q
-    digits are its entries read row-major (so integer order is FqMatrix order)."""
+def _stored_entries(n: int, action: str) -> list[tuple[int, int]]:
+    """The entries whose base-q digits, read in this order, are a point's
+    number: every entry of a matrix ("bxb"), where the number is the code,
+    and the entries on and above the diagonal ("sym") or above it ("skew"),
+    which determine a form.  Both are row-major, so number order is FqMatrix
+    order."""
+    return [(i, j) for i in range(n) for j in range(n) if action == "bxb" or j > i or (j == i and action == "sym")]
+
+
+def _decoder(n: int, q: int, action: str = "bxb"):
+    """number -> FqMatrix.  A matrix's code is the integer whose base-q
+    digits are its entries read row-major (so integer order is FqMatrix
+    order); a form's code is the sum, over its rows, of the code of the form
+    whose stored entries are that row's."""
     size = q**n
     vectors = list(itertools.product(range(q), repeat=n))  # indexed by row code
     place = [size ** (n - 1 - i) for i in range(n)]  # row i of a code is code // place[i] % size
-    return lambda x: _reduced(q, tuple([vectors[x // p % size] for p in place]))
+
+    def decode(x):
+        return _reduced(q, tuple([vectors[x // p % size] for p in place]))
+
+    if action == "bxb":
+        return decode
+    entries, blocks, after = _stored_entries(n, action), [], 0  # per row: its digits x // w % s, and their codes
+    for i in reversed(range(n)):
+        row = [e for e in entries if e[0] == i]
+        blocks.append((q**after, q ** len(row), _form_codes(n, q, action, row)))
+        after += len(row)
+    return lambda x: decode(sum([codes[x // w % s] for w, s, codes in blocks]))
 
 
-def _form_codes(n: int, q: int, action: str) -> list[int]:
-    """The codes of Sym_n(F_q) or Skew_n(F_q) in increasing order.  The entries
-    on and above the diagonal, read row-major, determine the matrix and order
-    it, so their lexicographic product is increasing."""
-    weight = [q ** (n * n - 1 - k) for k in range(n * n)]
+def _form_codes(n: int, q: int, action: str, entries) -> list[int]:
+    """The codes of the forms in Sym_n(F_q) or Skew_n(F_q) that are zero off
+    the stored entries `entries` and their mirrors, in increasing order of
+    the digits of `entries` (their lexicographic product)."""
     codes = [0]
-    for i in range(n):
-        for j in range(i if action == "sym" else i + 1, n):
-            up, down = weight[i * n + j], weight[j * n + i]
-            if i == j:
-                slot = [v * up for v in range(q)]
-            elif action == "sym":
-                slot = [v * (up + down) for v in range(q)]
-            else:
-                slot = [v * up + (-v % q) * down for v in range(q)]
-            codes = [c + d for c in codes for d in slot]
+    for i, j in entries:
+        up, down = q ** (n * n - 1 - i * n - j), q ** (n * n - 1 - j * n - i)
+        if i == j:
+            slot = [v * up for v in range(q)]
+        elif action == "sym":
+            slot = [v * (up + down) for v in range(q)]
+        else:
+            slot = [v * up + (-v % q) * down for v in range(q)]
+        codes = [c + d for c in codes for d in slot]
     return codes
+
+
+def _codes(n: int, q: int, action: str):
+    """The codes of a space's points, in number order."""
+    return range(q ** (n * n)) if action == "bxb" else _form_codes(n, q, action, _stored_entries(n, action))
 
 
 def borel_orbits(n: int, q: int, action: str) -> tuple[tuple[FqMatrix, ...], ...]:
@@ -543,22 +568,19 @@ def borel_orbits(n: int, q: int, action: str) -> tuple[tuple[FqMatrix, ...], ...
     what orbit_enumerate returns for the same action: sorted orbits, ordered
     by their minimal elements.
 
-    A matrix is coded as the integer whose base-q digits are its entries read
-    row-major, so integer order is FqMatrix order, and each row is a code
-    below Q = q^n.  The engine works on the whole list of points at once.  It
-    splits their codes into row codes once, one list per row position.  A
-    generator c acts through its table v -> v c over the Q row codes, and the
-    images of all the points are a sum over the row positions of one C-level
-    lookup map each: m -> m c puts each row's image back as a row, and the
-    transpose T(m c) puts it down a column.  Left multiplication is
-    b m = T(T(m) b^T), and congruence is b A b^T = T(T(A b^T) b^T), whose
-    middle codes are split once more.  A symmetric or skew matrix is numbered
-    by its place among the codes of its space, and its last image is summed
-    as that number directly.
+    A point is its number x, the base-q value of its stored entries
+    (_stored_entries).  A simple generator g = I + c E_ab moves a few
+    digits, each to a linear form in digits of its own row and of row b, so
+    its image of x is x plus one table lookup per block of rows
+    (_generator_blocks): rows k and k + 1 for E_k,k+1(1) on the left, and by
+    congruence also each row i < k (its entry (i, k)); row k for the
+    diagonal generator at k on the left, and each row up to k by
+    congruence; each row alone for every generator on the right.  Over all
+    points at once, a lookup is a table repeated in a fixed period.
 
-    B = T U, with U the unipotent subgroup, generated by the E_i,i+1(1), and
+    B = T U, with U the unipotent subgroup, generated by the E_k,k+1(1), and
     T the torus of diagonal matrices.  A union-find whose roots are minimal
-    points first merges every point with its image, one E_i,i+1(1) at a
+    points first merges every point with its image, one E_k,k+1(1) at a
     time, which leaves the U-orbits (U x U for "bxb").  T normalizes U, so
     t (U x) = U (t x): the torus only permutes the U-orbits, and a second
     pass merges one point of each U-orbit, its root, with its images under
@@ -570,9 +592,65 @@ def borel_orbits(n: int, q: int, action: str) -> tuple[tuple[FqMatrix, ...], ...
     return tuple(tuple(map(decode, orbit)) for orbit in codes)
 
 
+def _borel_orbit_codes(n: int, q: int, action: str) -> list[list[int]]:
+    """The orbits of borel_orbits as increasing lists of codes, in its order."""
+    parent = _borel_parents(n, q, action)
+    orbits: dict[int, list[int]] = {}
+    for x, code in enumerate(_codes(n, q, action)):  # parent[x] <= x already points at its root
+        parent[x] = root = parent[parent[x]]
+        orbits.setdefault(root, []).append(code)
+    return list(orbits.values())
+
+
+def _simple_generators(n: int, q: int, action: str) -> tuple[list, list]:
+    """The simple Borel generators g = I + c E_ab as (side, a, b, c), on the
+    left and on the right ("bxb") or by congruence: the E_k,k+1(1), and
+    diag(.., g, ..) at k with g a primitive root, c = g - 1 (none over F_2).
+    They generate B: the torus conjugates E_k,k+1(1) to every E_k,k+1(t),
+    t != 0, and commutators of those give the other E_ij(t)."""
+    sides = ("left", "right") if action == "bxb" else ("congruence",)
+    c = primitive_root(q) - 1
+    unipotent = [(side, k, k + 1, 1) for k in range(n - 1) for side in sides]
+    return unipotent, [(side, k, k, c) for k in range(n) for side in sides if c]
+
+
+def _generator_forms(n: int, q: int, action: str, generator) -> dict[tuple[int, int], dict[tuple[int, int], int]]:
+    """The stored entries that the generator (side, a, b, c) moves, each with
+    its new value as a linear form {stored entry: coefficient mod q} in the
+    old ones: row a of g m ("left"), column b of m g ("right"), or row and
+    column a of g A g^T ("congruence").  Only g's one off-identity entry
+    enters: at most n forms of at most three terms."""
+    side, a, b, c = generator
+    if side == "left":  # (g m)[a][j] = m[a][j] + c m[b][j]
+        moved = [((a, j), [((b, j), c)]) for j in range(n)]
+    elif side == "right":  # (m g)[i][b] = m[i][b] + c m[i][a]
+        moved = [((i, b), [((i, a), c)]) for i in range(n)]
+    else:  # (g A g^T)[i][j] = A[i][j] + c [i = a] A[b][j] + c [j = a] A[i][b] + c^2 [i = j = a] A[b][b]
+        # a <= b, so each entry read is on or above the diagonal, but for A[b][a] in
+        # entry (a, a): that is A[a][b] on Sym_n, and Skew_n stores no (a, a)
+        moved = [((i, a), [((i, b), c)]) for i in range(a)]
+        moved += [((a, a), [((a, b), 2 * c), ((b, b), c * c)])]
+        moved += [((a, j), [((b, j), c)]) for j in range(a + 1, n)]
+    stored = set(_stored_entries(n, action))
+    forms = {}
+    for out, terms in moved:
+        form = {out: 1}
+        for entry, f in terms:
+            form[entry] = (form.get(entry, 0) + f) % q
+        form = {entry: f for entry, f in form.items() if f and entry in stored}  # A[i][i] = 0 on Skew_n: not stored
+        if out in stored and form != {out: 1}:
+            forms[out] = form
+    return forms
+
+
+# _DIGITS[q] maps a byte b to the ASCII digit of b mod q, so that
+# int(packed.translate(_DIGITS[q]), q) reads reduced bytes as one base-q number
+_DIGITS = {q: bytes(48 + b % q for b in range(256)) for q in SUPPORTED_PRIMES}
+
+
 def _linear_table(q: int, terms) -> list[int]:
-    """sum(v[k] * terms[k]) for every vector v over F_q, in row-code order:
-    the sums are extended one coordinate at a time."""
+    """sum(v[k] * terms[k]) for every vector v over F_q, in base-q order of
+    v: the sums are extended one coordinate at a time."""
     sums = [0]
     for term in terms:
         steps = [a * term for a in range(q)]
@@ -580,84 +658,63 @@ def _linear_table(q: int, terms) -> list[int]:
     return sums
 
 
-def _row_code_table(c: FqMatrix, code_of: dict[bytes, int]) -> list[int]:
-    """v -> v c on the row codes below q^n, where code_of maps the bytes of
-    each vector to its row code.  Byte j of the packed sum of the v[k] times
-    the row packs of c is the unreduced (v c)[j], at most n (q - 1)^2; every
-    space _check_orbit_work admits has n <= _CHUNK[q], so no byte carries,
-    and one translate reduces it."""
-    q, rows = c
-    n, reduce = len(rows), _MOD_TABLE[q]
-    return [code_of[s.to_bytes(n, "little").translate(reduce)] for s in _linear_table(q, _row_packs(rows))]
+def _generator_blocks(n: int, q: int, action: str, generator) -> list[tuple[int, int, list[int]]]:
+    """The generator maps a point x to x + sum(delta[x // w % s]) over the
+    (w, s, delta) returned, one per block of whole rows: the rows of a moved
+    entry and of the entries its form reads.  A form reads its own row, and
+    only row a's forms read row b too, so these spans are disjoint.
+
+    delta comes from packed sums: byte t of the packed term of the block's
+    digit u is u's coefficient in the new digit t, so byte t of the sum over
+    the digits of a block value is the unreduced new digit t, at most three
+    terms of (q - 1)^2 each and so below 256 (no byte carries).  One
+    translate to digit characters and one int(.., q) read the new value."""
+    entries = _stored_entries(n, action)
+    position = {entry: k for k, entry in enumerate(entries)}
+    forms = _generator_forms(n, q, action, generator)
+    blocks = []
+    for low, high in sorted({(out[0], max(e[0] for e in form)) for out, form in forms.items()}):
+        digits = [k for k, (i, j) in enumerate(entries) if low <= i <= high]
+        first, end = digits[0], digits[-1] + 1
+        m = end - first
+        terms = [1 << 8 * (m - 1 - u) for u in range(m)]  # an unmoved digit is itself
+        for out, form in forms.items():
+            t = position[out] - first
+            if 0 <= t < m:
+                shift = 8 * (m - 1 - t)
+                terms[t] -= 1 << shift
+                for entry, f in form.items():
+                    terms[position[entry] - first] += f << shift
+        packed = map(int.to_bytes, _linear_table(q, terms), repeat(m), repeat("big"))
+        new = map(int, map(bytes.translate, packed, repeat(_DIGITS[q])), repeat(q))
+        w = q ** (len(entries) - end)
+        blocks.append((w, q**m, list(map(mul, map(sub, new, itertools.count()), repeat(w)))))
+    return blocks
 
 
-def _borel_orbit_codes(n: int, q: int, action: str) -> list[list[int]]:
-    """The orbits of borel_orbits as increasing lists of codes, in its order."""
+def _borel_parents(n: int, q: int, action: str) -> list[int]:
+    """The union-find forest of the orbits of borel_orbits on the point
+    numbers: each parent is at most its child, so a root, its own parent,
+    is its orbit's least point."""
     _check_prime(q)
-    if n < 0:
-        raise PreconditionError(f"n must be nonnegative, got {n}")
+    _check_n(n)
     if action not in BOREL_ACTIONS:
         raise PreconditionError(f"action must be one of {BOREL_ACTIONS}, got {action!r}")
     _check_orbit_work(n, q, action)
-    gens = _simple_borel_generators(n, q)
-    codes = range(q ** (n * n)) if action == "bxb" else _form_codes(n, q, action)
-    if not gens:  # n = 0, or n = 1 over F_2: B is trivial
-        return [[x] for x in codes]
-    size = q**n
-    place = [size ** (n - 1 - i) for i in range(n)]  # row i of a code is code // place[i] % size
-    code_of = {bytes(v): k for k, v in enumerate(itertools.product(range(q), repeat=n))}
-    # down[j][w]: the code of the matrix whose column j is the vector coded w, zero elsewhere
-    down = [_linear_table(q, [p * q ** (n - 1 - j) for p in place]) for j in range(n)]
+    size = q ** _dimension(n, action)
+    points = range(size)
+    parent = list(points)
 
-    def split(xs) -> list[list[int]]:
-        """The row codes of the codes xs, one list per row position."""
-        rows = []
-        for _ in range(n - 1):  # peel the last row off, n - 1 times
-            rows.append(list(map(mod, xs, repeat(size))))
-            xs = list(map(floordiv, xs, repeat(size)))
-        rows.append(xs)
-        rows.reverse()
-        return rows
-
-    def image(tables, rows) -> list[int]:
-        """Per point, the sum over positions i of tables[i] at its row code i."""
-        total = map(tables[0].__getitem__, rows[0])
-        for table, row in zip(tables[1:], rows[1:]):
-            total = map(add, total, map(table.__getitem__, row))
-        return list(total)
-
-    def through(c: FqMatrix, tables) -> list[list[int]]:
-        """Each of tables after v -> v c."""
-        times = _row_code_table(c, code_of)
-        return [list(map(table.__getitem__, times)) for table in tables]
-
-    if action == "bxb":
-        across = [[w * p for w in range(size)] for p in place]  # across[i][w]: the vector coded w as row i
-
-        def sides(xs):  # the row codes of the matrices xs and of their transposes
-            rows = split(xs)
-            return rows, split(image(down, rows))
-
-        def images(b, rows, cols):  # m -> m b, and m -> b m = T(T(m) b^T)
-            yield image(through(b, across), rows)
-            yield image(through(b.transpose(), down), cols)
-
-    else:
-        # the upper entries (on and above the diagonal, or above it for skew),
-        # read row-major, order a form, so its number is their base-q value
-        upper = [(i, j) for i in range(n) for j in range(i if action == "sym" else i + 1, n)]
-        weight = {entry: q**k for k, entry in enumerate(reversed(upper))}
-        # numbered[j][w]: the number of the upper entries of a column j coded w
-        numbered = [_linear_table(q, [weight.get((i, j), 0) for i in range(n)]) for j in range(n)]
-
-        def sides(xs):
-            return (split(xs),)
-
-        def images(b, rows):  # A -> b A b^T = T(T(A b^T) b^T)
-            tables = through(b.transpose(), down + numbered)
-            yield image(tables[n:], split(image(tables[:n], rows)))
-
-    parent = list(range(len(codes)))  # by point number; parent[x] <= x, and a root is its orbit's minimum
+    def images(generator, xs):
+        ys = xs
+        for w, s, delta in _generator_blocks(n, q, action, generator):
+            if xs is points:  # delta[x // w % s] over all points: each entry w times, the period w s repeated
+                deltas = delta if w == 1 else itertools.chain.from_iterable(map(repeat, delta, repeat(w)))
+                deltas = deltas if w * s == size else itertools.cycle(deltas)
+            else:
+                deltas = map(delta.__getitem__, map(mod, map(floordiv, xs, repeat(w)), repeat(s)))
+            ys = map(add, ys, deltas)
+        return ys
 
     def merge(xs, ys):
         for x, y in zip(xs, ys):
@@ -670,23 +727,14 @@ def _borel_orbit_codes(n: int, q: int, action: str) -> list[list[int]]:
             elif y > x:
                 parent[y] = x
 
-    def merge_images(group, xs):  # merge each point numbered in xs with its images under group
-        rows = sides([codes[x] for x in xs])
-        for b in group:
-            for ys in images(b, *rows):
-                merge(xs, ys)
-                del ys  # before the next image list is built
-
-    points = range(len(codes))
-    merge_images([b for b in gens if not b.is_diagonal()], points)
-    torus = [b for b in gens if b.is_diagonal()]
+    unipotent, torus = _simple_generators(n, q, action)
+    for generator in unipotent:
+        merge(points, images(generator, points))
     if torus:  # it permutes the U-orbits, so their roots suffice
-        merge_images(torus, [x for x in points if parent[x] == x])
-    orbits: dict[int, list[int]] = {}
-    for x, code in zip(points, codes):  # increasing, and parent[x] <= x already points at its root
-        parent[x] = root = parent[parent[x]]
-        orbits.setdefault(root, []).append(code)
-    return list(orbits.values())
+        roots = list(itertools.compress(points, map(eq, parent, points)))
+        for generator in torus:
+            merge(roots, images(generator, roots))
+    return parent
 
 
 def theta_an(m: FqMatrix, inv) -> FqMatrix:

@@ -10,8 +10,9 @@ involution parametrizing the orbit's closed-field class.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
-from operator import add, sub
+from operator import add, eq, sub
 from typing import NamedTuple
 
 from . import finite_field as ff
@@ -183,9 +184,10 @@ def twisted_orbit_census(n: int, q: int, form: str) -> SymOrbitReport:
         raise PreconditionError("congruence oracles need odd characteristic")
     if form not in ("sym", "skew"):
         raise PreconditionError("form must be 'sym' or 'skew'")
-    codes = ff._borel_orbit_codes(n, q, form)  # its guards run before the decoder is built
-    # only the representatives are read, so only they are decoded
-    witnesses = tuple(map(ff._decoder(n, q), [orbit[0] for orbit in codes]))
+    parent = ff._borel_parents(n, q, form)  # its guards run before the decoder is built
+    # the roots are the orbits' least points, in increasing order: only they are decoded
+    roots = itertools.compress(itertools.count(), map(eq, parent, itertools.count()))
+    witnesses = tuple(map(ff._decoder(n, q, form), roots))
     # the invariant is constant on orbits, so representatives suffice
     invariants = {rank_control(w) for w in witnesses}
     parametrizers = symmetric_rook_elements(n, fpf=(form == "skew"))

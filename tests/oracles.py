@@ -153,6 +153,10 @@ def twisted_action(b, m, inv):
     return b @ m @ ff.theta_an(b, inv)
 
 
+def is_diagonal(m):
+    return all(m.rows[i][j] == 0 for i in range(m.n) for j in range(m.n) if i != j)
+
+
 def is_upper_triangular(m):
     return all(m.rows[i][j] == 0 for i in range(m.n) for j in range(i))
 

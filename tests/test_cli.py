@@ -238,6 +238,7 @@ def _cli_stdout(argv, hashseed):
         ("special-weights", "--family", "DIII", "--n", "5"),
         ("renner", "--n", "4", "--symmetric", "--format", "dot"),
         ("weight-polytope", "--family", "A", "--n", "4", "--lambda", "1,0,0,1"),
+        ("census", "--form", "sym", "--n", "3", "--q", "5", "--format", "json"),
     ],
 )
 def test_stdout_bytes_independent_of_hash_seed(argv):

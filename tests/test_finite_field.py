@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     borel_size,
+    is_diagonal,
     is_skew,
     is_symmetric,
     is_upper_triangular,
@@ -129,6 +130,21 @@ def test_enumerators_reject_negative_n(enumerate_space):
     assert str(exc.value) == "n must be nonnegative, got -1"
 
 
+@pytest.mark.parametrize("n", [2.0, "2", None])
+def test_a_non_int_n_is_a_precondition_error(n):
+    # one check of n behind the enumerations, the orbit engine and the census
+    for call in (
+        lambda: list(ff.enumerate_matrices(n, 3)),
+        lambda: list(ff.enumerate_symmetric(n, 3)),
+        lambda: list(ff.enumerate_skew(n, 3)),
+        lambda: ff.borel_orbits(n, 3, "sym"),
+        lambda: ff.borel_orbits(n, 3, "bxb"),
+        lambda: ob.twisted_orbit_census(n, 3, "skew"),
+    ):
+        with pytest.raises(PreconditionError, match=f"n must be an int, got {n!r}"):
+            call()
+
+
 def borel(n, q):
     """The Borel subgroup: the invertible upper-triangular matrices of Mat_n(F_q)."""
     return tuple(b for b in ff.enumerate_matrices(n, q) if is_upper_triangular(b) and b.is_invertible())
@@ -199,7 +215,7 @@ def test_bruhat_factor_exhaustive(n, q):
         assert fac.product() == m
         assert is_upper_unitriangular(fac.u)
         assert is_upper_unitriangular(fac.v)
-        assert fac.t.is_diagonal() and fac.t.is_invertible()
+        assert is_diagonal(fac.t) and fac.t.is_invertible()
         assert fac.pattern_ok()
         rooks.add(fac.r)
     assert len(rooks) == len(enumerate_rook(n))
@@ -428,6 +444,24 @@ def test_borel_orbits_work_guard_message():
     )
     with pytest.raises(ResourceLimitError, match=r"3\^5050 points x 199 generators"):
         ff.borel_orbits(100, 3, "sym")
+    # over F_2 the torus is trivial: only the E_k,k+1(1) count, 4 on each side
+    with pytest.raises(ResourceLimitError, match="33554432 points x 8 generators = 268435456 applications"):
+        ff.borel_orbits(5, 2, "bxb")
+
+
+def test_guards_spell_out_q_to_the_64th_and_no_further():
+    # Mat_8(F_2) has 64 digits, the last size both guards still compute
+    with pytest.raises(ResourceLimitError) as exc:
+        list(ff.enumerate_matrices(8, 2))
+    assert str(exc.value) == "matrix space: 2^64 = 18446744073709551616 matrices exceed the limit 1000000"
+    with pytest.raises(ResourceLimitError) as exc:
+        ff.borel_orbits(8, 2, "bxb")
+    assert str(exc.value) == (
+        "Borel orbit work estimate 18446744073709551616 points x 14 generators = 258254417031933722624 "
+        "applications exceeds the limit 1000000"
+    )
+    with pytest.raises(ResourceLimitError, match=r"^symmetric space: 2\^66 matrices exceed"):
+        list(ff.enumerate_symmetric(11, 2))
 
 
 def test_borel_orbits_work_guard_admits_every_census_space():
@@ -439,14 +473,16 @@ def test_borel_orbits_work_guard_admits_every_census_space():
                     ff._check_orbit_work(n, q, form)
 
 
+def _admits(n, q, action):
+    try:
+        ff._check_orbit_work(n, q, action)
+    except ResourceLimitError:
+        return False
+    return True
+
+
 def _admits_some_action(n, q):
-    for action in ff.BOREL_ACTIONS:
-        try:
-            ff._check_orbit_work(n, q, action)
-        except ResourceLimitError:
-            continue
-        return True
-    return False
+    return any(_admits(n, q, action) for action in ff.BOREL_ACTIONS)
 
 
 # every (n, q) at which borel_orbits admits some action; the work grows with
@@ -458,23 +494,94 @@ ADMITTED_SPACES = [
 ]
 
 
+# every (n, q, action) at which borel_orbits runs
+ADMITTED = [(n, q, action) for n, q in ADMITTED_SPACES for action in ff.BOREL_ACTIONS if _admits(n, q, action)]
+
+
+def _stored(n, action):
+    """The entries a point's number reads, most significant digit first."""
+    first = {"bxb": lambda i: 0, "sym": lambda i: i, "skew": lambda i: i + 1}[action]
+    return [(i, j) for i in range(n) for j in range(first(i), n)]
+
+
+def _number(m, action):
+    q, n = m.q, m.n
+    return sum(m.rows[i][j] * q**k for k, (i, j) in enumerate(reversed(_stored(n, action))))
+
+
+def _point(n, q, action, x):
+    """The matrix numbered x: its stored digits, mirrored on a form."""
+    rows = [[0] * n for _ in range(n)]
+    for i, j in reversed(_stored(n, action)):
+        x, rows[i][j] = divmod(x, q)
+        if action != "bxb":
+            rows[j][i] = rows[i][j] if action == "sym" else -rows[i][j] % q
+    return ff.fq_matrix(q, rows)
+
+
+def _generator_matrix(n, q, generator):
+    """g = I + c E_ab of the generator (side, a, b, c)."""
+    side, a, b, c = generator
+    return ff.fq_matrix(q, [[int(i == j) + c * ((i, j) == (a, b)) for j in range(n)] for i in range(n)])
+
+
+def _act(n, q, action, generator):
+    """m -> g m, m g or g m g^T for the generator (side, a, b, c), g = I + c E_ab."""
+    side, g = generator[0], _generator_matrix(n, q, generator)
+    return {"left": lambda m: g @ m, "right": lambda m: m @ g, "congruence": lambda m: g @ m @ g.transpose()}[side]
+
+
+@pytest.mark.parametrize("n,q", [(n, q) for n in range(5) for q in ff.SUPPORTED_PRIMES])
+def test_simple_generators_are_the_diagonal_ones_and_the_e_k_k_plus_1(n, q):
+    def moved(b):  # the one entry where a Borel generator is not the identity
+        (entry,) = [(i, j) for i, row in enumerate(b.rows) for j, e in enumerate(row) if e != (i == j)]
+        return entry
+
+    unipotent = {b for b in ff.borel_generators(n, q) if moved(b)[1] == moved(b)[0] + 1}
+    diagonal = {b for b in ff.borel_generators(n, q) if moved(b)[1] == moved(b)[0]}
+    for action in ff.BOREL_ACTIONS:
+        for side in ("left", "right") if action == "bxb" else ("congruence",):
+            for expected, ours in zip((unipotent, diagonal), ff._simple_generators(n, q, action)):
+                ours = [g for g in ours if g[0] == side]
+                assert len(ours) == len(expected)  # no generator twice, and none outside the matrix
+                assert {_generator_matrix(n, q, g) for g in ours} == expected
+
+
 def test_admitted_rows_fit_one_chunk_of_the_packed_sum():
-    # a row table's packed sum has n terms, each adding at most (q - 1)^2 to
-    # a byte, so no byte carries while n <= _CHUNK[q] = 255 // (q - 1)^2
+    # byte t of a block's packed sum is the unreduced new digit t: its form's
+    # coefficients, each at most q - 1, times digits at most q - 1.  No byte
+    # may pass 255, or it would carry into the next
     assert {q for n, q in ADMITTED_SPACES} == set(ff.SUPPORTED_PRIMES)
-    assert all(n <= ff._CHUNK[q] for n, q in ADMITTED_SPACES)
+    worst = 0
+    for n, q, action in ADMITTED:
+        for generator in itertools.chain(*ff._simple_generators(n, q, action)):
+            forms = ff._generator_forms(n, q, action, generator)
+            assert all(0 < f < q for form in forms.values() for f in form.values())
+            worst = max([worst, q - 1] + [sum(form.values()) * (q - 1) for form in forms.values()])
+    assert worst <= 255
+    assert worst == 4 * 6  # (E A E^T)[k][k] = A[k][k] + 2 A[k][k+1] + A[k+1][k+1] over F_7
 
 
 @pytest.mark.parametrize("n,q", ADMITTED_SPACES)
 def test_row_code_table_matches_row_by_row_oracle(n, q):
-    vectors = list(itertools.product(range(q), repeat=n))  # in row-code order
-    code_of = {bytes(v): k for k, v in enumerate(vectors)}
-    digits = [q ** (n - 1 - k) for k in range(n)]
-    gens = ff._borel_generators(n, q)
-    for c in gens + [g.transpose() for g in gens] + [ff.identity_matrix(n, q)]:
-        columns = list(zip(*c.rows))
-        oracle = [sum(sum(map(mul, v, col)) % q * d for col, d in zip(columns, digits)) for v in vectors]
-        assert ff._row_code_table(c, code_of) == oracle
+    # a generator's tables are keyed by the codes of whole rows (a row pair,
+    # or one row).  Every table of every simple generator, on every value v:
+    # the point with that block v and every other digit 0 has no other block
+    # moved, so its image, numbered again, is itself plus delta[v]
+    rng = random.Random(f"{n}-{q}")
+    for action in [a for m, p, a in ADMITTED if (m, p) == (n, q)]:
+        size = q ** len(_stored(n, action))
+        for generator in itertools.chain(*ff._simple_generators(n, q, action)):
+            act = _act(n, q, action, generator)
+            blocks = ff._generator_blocks(n, q, action, generator)
+            for w, s, delta in blocks:
+                assert len(delta) == s and size % (w * s) == 0
+                for v in range(s):
+                    assert _number(act(_point(n, q, action, v * w)), action) == v * w + delta[v]
+            # and on whole points, where every block has its own value
+            for x in rng.sample(range(size), min(size, 64)):
+                image = x + sum(delta[x // w % s] for w, s, delta in blocks)
+                assert image == _number(act(_point(n, q, action, x)), action)
 
 
 def test_products_skip_validation_but_stay_reduced():

@@ -424,11 +424,13 @@ def test_census_witnesses_are_the_orbit_representatives(form, n, q):
 
 
 def test_census_work_guard_runs_before_the_decoder(monkeypatch):
-    # a decoder has q^n row vectors, so building it first would not fail fast
-    def no_decoder(n, q):
-        raise AssertionError("decoder built before the work guard")
+    # a decoder has q^n row vectors and a generator's tables up to q^(2n)
+    # entries, so building either first would not fail fast
+    def not_yet(*args):
+        raise AssertionError("built before the work guard")
 
-    monkeypatch.setattr(ff, "_decoder", no_decoder)
+    for name in ("_decoder", "_generator_blocks", "_linear_table", "_form_codes"):
+        monkeypatch.setattr(ff, name, not_yet)
     with pytest.raises(ResourceLimitError, match=r"3\^5050 points x 199 generators"):
         ob.twisted_orbit_census(100, 3, "sym")
 
