@@ -447,41 +447,54 @@ def bruhat_factor(m: FqMatrix) -> BorelFactorization:
 def orbit_enumerate(act, space, generators):
     """Partition a finite space into orbits of the group generated by generators.
 
-    act(g, x) -> x applies one generator.  Orbits are sorted tuples; the
-    partition is sorted by the orbit representatives (minimal elements), so
-    output is deterministic.  At most SPACE_GUARD points are held.
+    act(g, x) -> x applies one generator and must stay in the space.  The
+    sorted, distinct points are numbered, and _merge joins each to its image
+    under each generator.  The roots are the least points, so the orbits,
+    grouped by root, are sorted tuples in the order of their minimal
+    elements, and output is deterministic.  At most SPACE_GUARD points are held.
     """
     guard = SPACE_GUARD
-    points = list(space)
+    points = sorted(space)
     if len(points) > guard:
         raise ResourceLimitError(f"orbit space: {len(points)} points exceed the limit {guard}")
-    seen_orbit: set = set()
-    orbits = []
-    for start in points:
-        if start in seen_orbit:
-            continue
-        room = guard - len(seen_orbit)  # the points this orbit may still hold
-        orbit = {start}
-        add = orbit.add
-        frontier = [start]
-        while frontier:
-            nxt = []
-            append = nxt.append
-            for x in frontier:
-                for g in generators:
-                    y = act(g, x)
-                    if y not in orbit:
-                        add(y)
-                        append(y)
-                        if len(orbit) > room:
-                            raise ResourceLimitError(
-                                f"orbit enumeration: {guard - room + len(orbit)} points "
-                                f"exceed the limit {guard}"
-                            )
-            frontier = nxt
-        seen_orbit |= orbit
-        orbits.append(tuple(sorted(orbit)))
-    return tuple(sorted(orbits, key=lambda o: o[0]))
+    points = list(dict.fromkeys(points))  # distinct, in increasing order
+    index = dict(zip(points, itertools.count()))
+    parent = list(range(len(points)))
+    for g in generators:
+        images = list(map(index.get, map(act, repeat(g), points)))
+        if None in images:  # index.get, not index[...]: act may raise KeyError itself
+            x = points[images.index(None)]
+            raise PreconditionError(f"orbit enumeration: generator {g!r} maps {x!r} outside the space")
+        _merge(parent, itertools.count(), images)
+    return tuple(map(tuple, _groups(parent, points)))
+
+
+def _merge(parent: list[int], xs, ys):
+    """Join each x to its y in the union-find forest parent, by path halving.  The lesser
+    root becomes the parent, so a root, its own parent, is its tree's least number."""
+    for x, y in zip(xs, ys):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if y < x:
+            parent[x] = y
+        elif y > x:
+            parent[y] = x
+
+
+def _roots(parent: list[int]) -> list[int]:
+    """The roots of the forest, the least numbers of its trees, in increasing order."""
+    return list(itertools.compress(itertools.count(), map(eq, parent, itertools.count())))
+
+
+def _groups(parent: list[int], items) -> list[list]:
+    """items[x] grouped by the root of x, in the order of items, the groups in root order."""
+    groups: dict[int, list] = {}
+    for x, item in enumerate(items):  # parent[x] <= x already points at its root
+        parent[x] = root = parent[parent[x]]
+        groups.setdefault(root, []).append(item)
+    return list(groups.values())
 
 
 ORBIT_WORK_GUARD = 10**6
@@ -594,12 +607,7 @@ def borel_orbits(n: int, q: int, action: str) -> tuple[tuple[FqMatrix, ...], ...
 
 def _borel_orbit_codes(n: int, q: int, action: str) -> list[list[int]]:
     """The orbits of borel_orbits as increasing lists of codes, in its order."""
-    parent = _borel_parents(n, q, action)
-    orbits: dict[int, list[int]] = {}
-    for x, code in enumerate(_codes(n, q, action)):  # parent[x] <= x already points at its root
-        parent[x] = root = parent[parent[x]]
-        orbits.setdefault(root, []).append(code)
-    return list(orbits.values())
+    return _groups(_borel_parents(n, q, action), _codes(n, q, action))
 
 
 def _simple_generators(n: int, q: int, action: str) -> tuple[list, list]:
@@ -716,24 +724,13 @@ def _borel_parents(n: int, q: int, action: str) -> list[int]:
             ys = map(add, ys, deltas)
         return ys
 
-    def merge(xs, ys):
-        for x, y in zip(xs, ys):
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            while parent[y] != y:
-                parent[y] = y = parent[parent[y]]
-            if y < x:
-                parent[x] = y
-            elif y > x:
-                parent[y] = x
-
     unipotent, torus = _simple_generators(n, q, action)
     for generator in unipotent:
-        merge(points, images(generator, points))
+        _merge(parent, points, images(generator, points))
     if torus:  # it permutes the U-orbits, so their roots suffice
-        roots = list(itertools.compress(points, map(eq, parent, points)))
+        roots = _roots(parent)
         for generator in torus:
-            merge(roots, images(generator, roots))
+            _merge(parent, roots, images(generator, roots))
     return parent
 
 

@@ -10,9 +10,8 @@ involution parametrizing the orbit's closed-field class.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
-from operator import add, eq, sub
+from operator import add, sub
 from typing import NamedTuple
 
 from . import finite_field as ff
@@ -180,13 +179,12 @@ class SymOrbitReport(NamedTuple):
 
 def twisted_orbit_census(n: int, q: int, form: str) -> SymOrbitReport:
     """Exhaustive Borel-congruence census on Sym_n(F_q) or Skew_n(F_q)."""
-    if q == 2:
-        raise PreconditionError("congruence oracles need odd characteristic")
     if form not in ("sym", "skew"):
         raise PreconditionError("form must be 'sym' or 'skew'")
-    parent = ff._borel_parents(n, q, form)  # its guards run before the decoder is built
-    # the roots are the orbits' least points, in increasing order: only they are decoded
-    roots = itertools.compress(itertools.count(), map(eq, parent, itertools.count()))
+    if q == 2:
+        raise PreconditionError("congruence oracles need odd characteristic")
+    # the roots, the orbits' least points in increasing order, are all that is decoded
+    roots = ff._roots(ff._borel_parents(n, q, form))  # its guards run before the decoder is built
     witnesses = tuple(map(ff._decoder(n, q, form), roots))
     # the invariant is constant on orbits, so representatives suffice
     invariants = {rank_control(w) for w in witnesses}
@@ -210,6 +208,8 @@ def twisted_orbit_census(n: int, q: int, form: str) -> SymOrbitReport:
 def verify_borel_meets_closure_N(n: int, q: int, form: str) -> bool:
     """Every congruence class's rank control is witnessed by a torus-scaled
     symmetric rook element (an element of the monomial-matrix closure)."""
+    if form not in ("sym", "skew"):
+        raise PreconditionError("form must be 'sym' or 'skew'")
     if q == 2:
         raise PreconditionError("odd characteristic required")
     if n > 3:

@@ -153,7 +153,7 @@ def _partial_involutions(n: int) -> list[RookElement]:
 
     def rec(i: int, m: list[int]):
         if i == n:
-            found.append(RookElement(tuple(m)))
+            found.append(_rook(tuple(m)))
             return
         if m[i] != 0:
             rec(i + 1, m)

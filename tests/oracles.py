@@ -8,6 +8,8 @@ live with the tests, not in src/, where every start would compile them:
   monoid;
 * small F_q facts (the zero matrix, |B|, the twisted Borel action and the
   triangularity, symmetry and skew predicates);
+* the breadth-first orbit search, the oracle of the union-find of
+  finite_field.orbit_enumerate and borel_orbits;
 * the partial involution of a rank control, read cell by cell off the
   inclusion-exclusion array, the oracle of the step lookup in orbits;
 * Fraction matrices: Gauss-Jordan row reduction over Q (the oracle of the
@@ -35,7 +37,7 @@ from symmon import involution as iv
 from symmon import linalg
 from symmon import polytope as pt
 from symmon import root_weight as rw
-from symmon.errors import DegenerateRootError, InvariantViolationError, PreconditionError
+from symmon.errors import DegenerateRootError, InvariantViolationError, PreconditionError, ResourceLimitError
 from symmon.rook import RookElement, enumerate_rook, from_permutation
 
 # -- the type-A rook monoid ---------------------------------------------------
@@ -174,6 +176,46 @@ def is_skew(m):
     return all(m.rows[i][i] == 0 for i in range(n)) and all(
         m.rows[i][j] == -m.rows[j][i] % m.q for i in range(n) for j in range(n)
     )
+
+
+def orbit_bfs(act, space, generators):
+    """Partition a finite space into orbits of the group generated by generators.
+
+    act(g, x) -> x applies one generator.  Orbits are sorted tuples; the
+    partition is sorted by the orbit representatives (minimal elements), so
+    output is deterministic.  At most SPACE_GUARD points are held.
+    """
+    guard = ff.SPACE_GUARD
+    points = list(space)
+    if len(points) > guard:
+        raise ResourceLimitError(f"orbit space: {len(points)} points exceed the limit {guard}")
+    seen_orbit: set = set()
+    orbits = []
+    for start in points:
+        if start in seen_orbit:
+            continue
+        room = guard - len(seen_orbit)  # the points this orbit may still hold
+        orbit = {start}
+        add = orbit.add
+        frontier = [start]
+        while frontier:
+            nxt = []
+            append = nxt.append
+            for x in frontier:
+                for g in generators:
+                    y = act(g, x)
+                    if y not in orbit:
+                        add(y)
+                        append(y)
+                        if len(orbit) > room:
+                            raise ResourceLimitError(
+                                f"orbit enumeration: {guard - room + len(orbit)} points "
+                                f"exceed the limit {guard}"
+                            )
+            frontier = nxt
+        seen_orbit |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(sorted(orbits, key=lambda o: o[0]))
 
 
 def partial_involution_of_rank_control(rc):

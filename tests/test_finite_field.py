@@ -15,6 +15,7 @@ from oracles import (
     is_symmetric,
     is_upper_triangular,
     is_upper_unitriangular,
+    orbit_bfs,
     rook_rank,
     twisted_action,
 )
@@ -338,7 +339,8 @@ def test_factorization_cells_tile_the_matrix_space(n, q):
     assert total == q ** (n * n)
 
 
-def _bxb_orbits_oracle(n, q):
+def _bxb_action(n, q):
+    """(act, space, generators) of B x B on Mat_n(F_q), m -> b m c^-1."""
     gens = [(b, 0) for b in ff.borel_generators(n, q)] + [
         (b, 1) for b in ff.borel_generators(n, q)
     ]
@@ -347,12 +349,13 @@ def _bxb_orbits_oracle(n, q):
         b, side = g
         return b @ m if side == 0 else m @ b.inverse()
 
-    return ff.orbit_enumerate(act, tuple(ff.enumerate_matrices(n, q)), gens)
+    return act, tuple(ff.enumerate_matrices(n, q)), gens
 
 
-def _congruence_orbits_oracle(n, q, form):
+def _congruence_action(n, q, form):
+    """(act, space, generators) of B on Sym_n or Skew_n(F_q), a -> b a b^T."""
     space = tuple(ff.enumerate_symmetric(n, q) if form == "sym" else ff.enumerate_skew(n, q))
-    return ff.orbit_enumerate(lambda b, a: b @ a @ b.transpose(), space, ff.borel_generators(n, q))
+    return (lambda b, a: b @ a @ b.transpose()), space, ff.borel_generators(n, q)
 
 
 # every (action, n, q) with n <= 3 whose BFS oracle finishes in under about a
@@ -369,11 +372,10 @@ ORACLE_CASES = (
 
 @pytest.mark.parametrize("action,n,q", ORACLE_CASES)
 def test_borel_orbits_match_bfs_oracle(action, n, q):
-    if action == "bxb":
-        oracle = _bxb_orbits_oracle(n, q)
-    else:
-        oracle = _congruence_orbits_oracle(n, q, action)
+    act, space, gens = _bxb_action(n, q) if action == "bxb" else _congruence_action(n, q, action)
+    oracle = orbit_bfs(act, space, gens)
     assert ff.borel_orbits(n, q, action) == oracle
+    assert ff.orbit_enumerate(act, space, gens) == oracle
 
 
 def _rothe_diagram_size(r):
@@ -602,25 +604,51 @@ def test_orbit_enumerate_trivial_group_and_determinism(monkeypatch):
     space = tuple(ff.enumerate_matrices(1, 3))
     orbits = ff.orbit_enumerate(lambda g, x: x, space, [None])
     assert all(len(o) == 1 for o in orbits)
-    a = ff.orbit_enumerate(
-        lambda b, m: b @ m @ b.transpose(),
-        tuple(ff.enumerate_symmetric(2, 3)),
-        ff.borel_generators(2, 3),
-    )
+    congruence = tuple(ff.enumerate_symmetric(2, 3))
+    a = ff.orbit_enumerate(lambda b, m: b @ m @ b.transpose(), congruence, ff.borel_generators(2, 3))
     b = ff.orbit_enumerate(
         lambda b, m: b @ m @ b.transpose(),
-        tuple(reversed(tuple(ff.enumerate_symmetric(2, 3)))),
+        tuple(reversed(congruence)),
         tuple(reversed(ff.borel_generators(2, 3))),
     )
     assert a == b
-    monkeypatch.setattr(ff, "SPACE_GUARD", 1)  # read at call time
+    # the sorted, distinct points are numbered: repeats are one point, and a
+    # one-shot iterator of generators is read once
+    assert ff.orbit_enumerate(lambda g, x: x, [3, 1, 1, 2], [None]) == ((1,), (2,), (3,))
+    c = ff.orbit_enumerate(lambda b, m: b @ m @ b.transpose(), iter(congruence), iter(ff.borel_generators(2, 3)))
+    assert c == a
+    monkeypatch.setattr(ff, "SPACE_GUARD", 3)  # read at call time; the limit itself is admitted
+    assert ff.orbit_enumerate(lambda g, x: x, space, [None]) == orbits
+    monkeypatch.setattr(ff, "SPACE_GUARD", 1)
     with pytest.raises(ResourceLimitError) as exc:
         ff.orbit_enumerate(lambda g, x: x, space, [None])
     assert str(exc.value) == "orbit space: 3 points exceed the limit 1"
+    # an image outside the space is an error, whatever the guard
     monkeypatch.setattr(ff, "SPACE_GUARD", 5)
-    with pytest.raises(ResourceLimitError) as exc:
+    with pytest.raises(PreconditionError) as exc:
         ff.orbit_enumerate(lambda g, x: x + 1, [0], [None])
-    assert str(exc.value) == "orbit enumeration: 6 points exceed the limit 5"
+    assert str(exc.value) == "orbit enumeration: generator None maps 0 outside the space"
+
+
+def test_orbit_enumerate_names_the_first_image_outside_the_space():
+    # the first generator, in the order given, at its least point that leaves
+    with pytest.raises(PreconditionError) as exc:
+        ff.orbit_enumerate(lambda g, x: x + g, range(5), [0, 3, 2])
+    assert str(exc.value) == "orbit enumeration: generator 3 maps 2 outside the space"
+    # a KeyError of act itself is not taken for an image outside the space
+    with pytest.raises(KeyError, match="own"):
+        ff.orbit_enumerate(lambda g, x: {}["own"], range(3), [None])
+
+
+@pytest.mark.parametrize("generators", [[4], [4, 6], [5], [1, "flip"], [4, "flip"], [6, "flip"], []])
+def test_orbit_enumerate_matches_bfs_on_a_cyclic_group(generators):
+    def act(g, x):  # Z/12 shifts, and the flip x -> -x of the dihedral group
+        return -x % 12 if g == "flip" else (x + g) % 12
+
+    space = [7, 3, 11, 0, 5, 1, 9, 2, 8, 4, 10, 6, 3]
+    orbits = ff.orbit_enumerate(act, space, generators)
+    assert orbits == orbit_bfs(act, space, generators)
+    assert sorted(x for orbit in orbits for x in orbit) == list(range(12))
 
 
 def test_twisted_action_examples():

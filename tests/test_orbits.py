@@ -442,6 +442,23 @@ def test_census_rejects_even_characteristic():
         ob.twisted_orbit_census(2, 3, "hermitian")
 
 
+@pytest.mark.parametrize(
+    "form,message",
+    [("sym", "symmetric invariant count disagrees"), ("skew", "skew orbit count disagrees")],
+)
+def test_census_raises_when_the_parametrizers_disagree(monkeypatch, form, message):
+    # one parametrizer too many: each form checks its own count, and only its own
+    monkeypatch.setattr(ob, "symmetric_rook_elements", lambda n, fpf: rn.symmetric_rook_elements(n, fpf) + (None,))
+    with pytest.raises(InvariantViolationError, match=f"^{message} with parametrizers$"):
+        ob.twisted_orbit_census(2, 3, form)
+
+
+def test_census_checks_the_form_before_the_characteristic():
+    for q in (2, 3):
+        with pytest.raises(PreconditionError, match=r"^form must be 'sym' or 'skew'$"):
+            ob.twisted_orbit_census(2, q, "bogus")
+
+
 def test_census_serialization():
     report = ob.twisted_orbit_census(2, 3, "sym")
     data = json.loads(report.to_json_str())
@@ -458,6 +475,14 @@ def test_borel_meets_monomial_closure():
     assert ob.verify_borel_meets_closure_N(3, 3, "skew")
     with pytest.raises(PreconditionError):
         ob.verify_borel_meets_closure_N(2, 2, "sym")
+    with pytest.raises(PreconditionError, match=r"^guard: n <= 3$"):
+        ob.verify_borel_meets_closure_N(4, 3, "skew")
+
+
+def test_borel_meets_closure_rejects_an_unknown_form():
+    for q in (2, 3):
+        with pytest.raises(PreconditionError, match=r"^form must be 'sym' or 'skew'$"):
+            ob.verify_borel_meets_closure_N(2, q, "bogus")
 
 
 def test_twisted_equivariance_of_tau_at_invariant_level():

@@ -232,6 +232,9 @@ def test_symmetric_rook_elements_guard():
     eight = rn.symmetric_rook_elements(8)
     assert len(eight) == len(set(eight)) == 7193
     assert all(r.is_symmetric() for r in eight)
+    # the maps are built unvalidated; each is a partial permutation all the same
+    for n in range(9):
+        assert all(RookElement(r.map) == r for r in rn.symmetric_rook_elements(n))
     with pytest.raises(ResourceLimitError, match="symmetric_rook_elements guard is n <= 8"):
         rn.symmetric_rook_elements(9)
 
