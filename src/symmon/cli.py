@@ -229,6 +229,12 @@ def cmd_census(args) -> str:
     return "\n".join(lines) + "\n"
 
 
+def cmd_verify(args) -> tuple[bool, str]:
+    from . import verify
+
+    return verify.run_all()
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parse_args leaves it unchanged."""
@@ -286,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_census)
 
     p = sub.add_parser("verify", help="run the full acceptance checklist")
-    p.set_defaults(fn=None)
+    p.set_defaults(fn=cmd_verify)
 
     return parser
 
@@ -295,11 +301,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            from . import verify as verify_mod
-
-            ok = verify_mod.run_all(sys.stdout)
-            return 0 if ok else 1
         text = args.fn(args)
     except (PreconditionError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -307,6 +308,8 @@ def main(argv=None) -> int:
     except InvariantViolationError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 1
+    # a checking command returns (ok, text) and exits 1 when a check fails
+    ok, text = text if isinstance(text, tuple) else (True, text)
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -316,7 +319,7 @@ def main(argv=None) -> int:
             return 2
     else:
         sys.stdout.write(text)
-    return 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

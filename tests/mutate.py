@@ -50,6 +50,11 @@ EQUIVALENT = {
     # src/symmon/finite_field.py, the union-find
     "if y < x:": "< -> <=: y == x is a root, and the branch then sets parent[x] = x, which it is",
     "elif y > x:": "> -> >=: reached only with y >= x; y == x is a root, and parent[y] = x = y already",
+    # src/symmon/verify.py, the dot criterion's tables
+    "return tuple(sum(1 for t in range(i) if u[t] >= j) for i in range(1, n + 1) for j in range(1, n + 1))": (
+        "sum(1 ...) -> sum(2 ...) doubles every count; >= -> > counts thresholds j + 1, dropping j = 1 (i for "
+        "every permutation) and adding j = n + 1 (0 for every permutation): no comparison of two tables changes"
+    ),
 }
 
 SWAPS = {

@@ -164,6 +164,26 @@ def test_verify_command(capsys):
     assert all(line.startswith("[PASS]") for line in lines)
 
 
+def test_verify_writes_through_out(tmp_path, capsys):
+    target = tmp_path / "verify.txt"
+    code, out, _ = run(capsys, "--out", str(target), "verify")
+    assert code == 0 and out == ""
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == GOLDEN_STDOUT["verify"]
+
+
+def test_failing_verify_exits_1_with_its_fail_line_in_out(tmp_path, capsys, monkeypatch):
+    from symmon import orbits
+
+    monkeypatch.setattr(orbits, "verify_borel_meets_closure_N", lambda n, q, form: False)
+    target = tmp_path / "verify.txt"
+    code, out, _ = run(capsys, "--out", str(target), "verify")
+    assert code == 1 and out == ""
+    lines = target.read_text().splitlines()
+    assert len(lines) == 10
+    assert lines[8] == "[FAIL] criterion 9 orbit invariants meet monomial closure: (2,3,sym): False; (3,3,skew): False"
+    assert sum(line.startswith("[PASS]") for line in lines) == 9
+
+
 @pytest.mark.parametrize(
     "argv",
     [
