@@ -54,8 +54,10 @@ class InvolutionSpec(NamedTuple):
         return root_weight.root_system(family, rank)
 
     def apply_star(self, w: Weight) -> Weight:
-        d, _, image = _star_scaled(self, w)
-        return Weight(tuple(Fraction(y, d) for y in image))
+        if w.dim != self.ambient_dim:
+            raise PreconditionError("ambient dimension mismatch")
+        d, x = w.scaled_to_integers()
+        return Weight(tuple(Fraction(y, d) for y in star_vector(self, x)))
 
 
 def star_vector(inv: InvolutionSpec, x) -> tuple[int, ...]:
@@ -64,19 +66,11 @@ def star_vector(inv: InvolutionSpec, x) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, x)) for row in inv.theta_star)
 
 
-def _star_scaled(inv: InvolutionSpec, w: Weight) -> tuple[int, list[int], tuple[int, ...]]:
-    """(d, d w, theta*(d w)), the vectors in integers, d the common
-    denominator of w's coordinates."""
-    if w.dim != inv.ambient_dim:
+def _negated(inv: InvolutionSpec, x) -> bool:
+    """theta*(x) = -x for an integer vector x, such as d w for a weight w."""
+    if len(x) != inv.ambient_dim:
         raise PreconditionError("ambient dimension mismatch")
-    d, x = w.scaled_to_integers()
-    return d, x, star_vector(inv, x)
-
-
-def _negated(inv: InvolutionSpec, w: Weight) -> bool:
-    """theta*(w) = -w, tested on d w in integers."""
-    _, x, image = _star_scaled(inv, w)
-    return not any(map(add, x, image))
+    return not any(map(add, x, star_vector(inv, x)))
 
 
 def _root_data(family: str, params: tuple[int, ...]) -> tuple[str, int]:
@@ -247,7 +241,7 @@ def is_special(inv: InvolutionSpec, lam: Weight, rs: RootSystem | None = None) -
     rs = rs or inv.root_system()
     if not rs.is_dominant(lam):
         raise PreconditionError("is_special requires a dominant weight")
-    return _negated(inv, lam)
+    return _negated(inv, lam.scaled_to_integers()[1])
 
 
 def spherical_generators(inv: InvolutionSpec, rs: RootSystem | None = None) -> tuple[Weight, ...]:
@@ -331,9 +325,14 @@ def check_weight_set_stability(rs: RootSystem, inv: InvolutionSpec, lam: Weight)
     -theta* fixes that part, because it fixes lambda and preserves the span
     and its complement.  So a weight and its image have the same W-fixed
     part, and their labels determine the rest.
+
+    lambda is scaled to an integer vector d lambda once: its coroot pairings
+    give the dominance test and the labels, and its theta* image the special
+    test.
     """
-    if not rs.is_dominant(lam):
+    d, x, pairings = rs.pairings(lam)
+    if any(p < 0 or p % d for p in pairings):
         raise PreconditionError("stability check requires a dominant weight")
-    if not _negated(inv, lam):
+    if not _negated(inv, x):
         raise NotSpecialError("weight is not special for this involution")
-    return root_weight.weight_set_is_stable(rs, lam, _neg_star_on_labels(rs, inv))
+    return root_weight.weight_set_is_stable(rs, [p // d for p in pairings], _neg_star_on_labels(rs, inv))

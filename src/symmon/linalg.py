@@ -17,6 +17,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import PreconditionError
+
 Vec = tuple[Fraction, ...]
 
 
@@ -26,7 +28,7 @@ def vec(entries: Iterable) -> Vec:
 
 def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
     if len(x) != len(y):
-        raise ValueError("dimension mismatch")
+        raise PreconditionError("dimension mismatch")
     return sum((a * b for a, b in zip(x, y)), Fraction(0))
 
 

@@ -120,16 +120,18 @@ class RootSystem(NamedTuple):
         """The W-invariant bilinear form (standard dot product in our coordinates)."""
         return linalg.dot(mu.coords, nu.coords)
 
+    def pairings(self, mu: Weight) -> tuple[int, list[int], list[int]]:
+        """(d, x, p): x = d * mu in integers (Weight.scaled_to_integers) and
+        its coroot pairings p_j = <x, alpha_j^vee>, so the labels of mu are p / d."""
+        if len(mu.coords) != self.ambient_dim:
+            raise PreconditionError("weight and root system differ in ambient dimension")
+        d, x = mu.scaled_to_integers()
+        return d, x, [sum(map(mul, coroot, x)) for coroot in self.coroots]
+
     def labels(self, mu: Weight) -> tuple:
         """The Dynkin labels (<mu, alpha_j^vee>)_j: exact, and int where integral."""
-        if len(mu.coords) != self.ambient_dim:
-            raise ValueError("weight and root system differ in ambient dimension")
-        d, scaled = mu.scaled_to_integers()
-        out = []
-        for coroot in self.coroots:
-            x = sum(map(mul, coroot, scaled))
-            out.append(Fraction(x, d) if x % d else x // d)
-        return tuple(out)
+        d, _, pairings = self.pairings(mu)
+        return tuple([Fraction(p, d) if p % d else p // d for p in pairings])
 
     def is_dominant(self, mu: Weight) -> bool:
         """Dominant abstract weight: all Dynkin labels are nonnegative integers."""
@@ -272,12 +274,13 @@ def _to_weights(denom: int, scaled) -> tuple[Weight, ...]:
 # bit is set exactly when nu_i >= 0, and x ^ top (top: every lane's top bit,
 # the code of 0) holds nu_i mod 2^k, which struct (int.from_bytes past 64
 # bits) reads as signed lanes.  With <v> = sum_j v_j 2^(k j), the ints
-# x - c <Cartan row i>, x - <beta> and sum_j nu_j <column j of M> + top are
-# the codes of nu - c (row i), nu - beta and M nu.  k is fixed before
-# enumerating, from a bound on every label reached: for nu in W.mu,
-# nu_i = <mu, beta^vee> for a coroot beta^vee with coefficients of at most 2
-# in A-D, so |nu_i| <= 2 sum_j |mu_j|, and on Pi(lam),
-# |nu_i| <= <lam, theta^vee> <= 2 sum_j lam_j (theta^vee the highest coroot).
+# x - c <Cartan row i> and x - <beta> are the codes of nu - c (row i) and
+# nu - beta.  k is fixed before enumerating, from a bound on every label
+# reached: for nu in W.mu, nu_i = <mu, beta^vee> for a coroot beta^vee with
+# coefficients of at most 2 in A-D, so |nu_i| <= 2 sum_j |mu_j|, and on
+# Pi(lam), |nu_i| <= <lam, theta^vee> <= 2 sum_j lam_j (theta^vee the highest
+# coroot).  A code that also carries M nu (_LabelCode) needs s times that
+# bound, s the largest absolute row sum of M.
 _LANE_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 
@@ -285,38 +288,58 @@ def _plain(vector, k: int) -> int:
     return sum(v << (k * j) for j, v in enumerate(vector))
 
 
+def _with_image(nu, matrix) -> tuple[int, ...]:
+    """nu followed by M nu."""
+    return (*nu, *(sum(map(mul, row, nu)) for row in matrix))
+
+
 class _LabelCode:
-    """Packed Dynkin label vectors of one root system, k bits a lane."""
+    """Packed Dynkin label vectors of one root system, k bits a lane.
 
-    __slots__ = ("k", "top", "size", "unpack", "rows", "before")
+    With a rank x rank integer matrix M (empty for none), the code of nu is
+    that of (nu, M nu): row i is the code of (row i, M row i), so subtracting
+    it reflects nu and maps its image along, since M s_i nu = M nu - nu_i M
+    row i.  unpack, labels and the masks read the lanes of nu alone; their
+    bits are those of x mod 2^(r k), right even where the lanes of M nu are
+    not."""
 
-    def __init__(self, rs: RootSystem, k: int):
-        tops = [_plain([1 << (k - 1)] * i, k) for i in range(rs.rank + 1)]
-        self.k, self.top, self.size = k, tops.pop(), rs.rank * k // 8
+    __slots__ = ("k", "top", "dominant", "size", "unpack", "rows", "before", "matrix")
+
+    def __init__(self, rs: RootSystem, k: int, matrix: tuple[tuple[int, ...], ...]):
+        r = rs.rank
+        lanes = r + len(matrix)  # nu, then M nu
+        tops = [_plain([1 << (k - 1)] * i, k) for i in range(lanes + 1)]
+        self.k, self.top, self.size, self.matrix = k, tops[-1], lanes * k // 8, matrix
         if k <= 64:
-            self.unpack = struct.Struct(f"<{rs.rank}{_LANE_FORMATS[k]}").unpack
+            lane = struct.Struct(f"<{r}{_LANE_FORMATS[k]}")
+            # unpack_from reads nu's lanes off the longer buffer of (nu, M nu); unpack is faster
+            self.unpack = lane.unpack_from if matrix else lane.unpack
         else:  # lanes wider than struct reads: one int.from_bytes per lane
             w = k // 8
             self.unpack = lambda b: tuple(
-                int.from_bytes(b[i : i + w], "little", signed=True) for i in range(0, len(b), w)
+                int.from_bytes(b[i : i + w], "little", signed=True) for i in range(0, r * w, w)
             )
-        self.rows = tuple(_plain(row, k) for row in rs.cartan)  # <Cartan row i>
-        self.before = tuple(tops)  # the top bits of the lanes before lane i
+        self.rows = tuple(_plain(_with_image(row, matrix), k) for row in rs.cartan)  # <Cartan row i>
+        self.before = tuple(tops[:r])  # the top bits of the lanes before lane i
+        self.dominant = tops[r]  # the top bits of nu's lanes: all set exactly when nu is dominant
+
+    def encode(self, nu) -> int:
+        return _plain(_with_image(nu, self.matrix), self.k) + self.top
 
     def labels(self, x: int) -> tuple[int, ...]:
         return self.unpack((x ^ self.top).to_bytes(self.size, "little"))
 
 
-# one code per root system and lane width
+# one code per root system, lane width and matrix
 _lane_code = functools.lru_cache(maxsize=None)(_LabelCode)
 
 
-def _label_code(rs: RootSystem, bound: int) -> _LabelCode:
+def _label_code(rs: RootSystem, bound: int, matrix=()) -> _LabelCode:
     """The code with the narrowest lanes that hold every label within +-bound."""
     k = 8
     while bound >= 1 << (k - 1):
         k *= 2
-    return _lane_code(rs, k)
+    return _lane_code(rs, k, matrix)
 
 
 def _dominant(code: _LabelCode, x: int) -> int:
@@ -396,7 +419,7 @@ def _scaled_orbit(rs: RootSystem, mu: Weight) -> tuple[int, list[tuple[int, ...]
     """(D, points): the W-orbit of mu as the integer vectors D * nu, unsorted."""
     s, labels = _scaled_labels(rs, mu)
     code = _label_code(rs, 2 * sum(map(abs, labels)))
-    dom = _dominant(code, _plain(labels, code.k) + code.top)
+    dom = _dominant(code, code.encode(labels))
     size = _orbit_size(rs, code.labels(dom))
     if size > ORBIT_GUARD:
         raise ResourceLimitError(f"Weyl orbit: {size} points exceed the limit {ORBIT_GUARD}")
@@ -419,7 +442,7 @@ def _positive_root_data(rs: RootSystem) -> tuple[tuple[tuple[int, ...], tuple[in
     det, adj = _cartan_adjugate(rs)
     code = _label_code(rs, 2 * max(sum(map(abs, row)) for row in rs.cartan))
     codes: list = []
-    for dom in {_dominant(code, _plain(row, code.k) + code.top) for row in rs.cartan}:
+    for dom in {_dominant(code, code.encode(row)) for row in rs.cartan}:
         _extend_by_orbit(code, dom, codes)
     columns = list(zip(*adj))
     simples = _simple_roots(rs.family, rs.rank)
@@ -443,64 +466,67 @@ def positive_root_vectors(rs: RootSystem) -> frozenset[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _positive_root_codes(rs: RootSystem, k: int) -> tuple[int, ...]:
-    return tuple(_plain(labels, k) for _, labels in _positive_root_data(rs))
+def _positive_root_codes(rs: RootSystem, k: int, matrix=()) -> tuple[int, ...]:
+    return tuple(_plain(_with_image(labels, matrix), k) for _, labels in _positive_root_data(rs))
 
 
-def _dominant_codes_below(rs: RootSystem, lam: Weight, spread: int = 1):
-    """(labels, code, found): lam's Dynkin labels, and the codes of the
-    dominant weights below lam, whose lanes also hold spread times any label
-    of Pi(lam).
+def _dominant_codes_below(rs: RootSystem, labels, matrix=()) -> tuple[_LabelCode, set[int]]:
+    """(code, found): the codes of the dominant weights below the dominant
+    weight lam with these Dynkin labels, built with the integer matrix M as in
+    _LabelCode, so that each carries M nu.
 
     BFS downward by positive roots; any two comparable dominant weights are
     joined by a chain of dominant weights differing by single positive roots,
     so the closure is complete.
     """
-    s, labels = _scaled_labels(rs, lam)
-    if s != 1 or min(labels) < 0:
+    if not all(type(c) is int and c >= 0 for c in labels):
         raise PreconditionError("dominant_weights_below requires a dominant weight")
     bound = 2 * sum(labels)
-    # a step mu - beta leaves the bound by at most a root's label, 2 in A-D
-    code = _label_code(rs, max(bound + 2, spread * bound))
-    steps, top = _positive_root_codes(rs, code.k), code.top
-    found = {_plain(labels, code.k) + top}
+    # a step mu - beta leaves the bound by at most a root's label, 2 in A-D,
+    # and only for a step that the dominance test then drops
+    spread = max([1, *(sum(map(abs, row)) for row in matrix)])
+    code = _label_code(rs, max(bound + 2, spread * bound), matrix)
+    steps, dominant = _positive_root_codes(rs, code.k, matrix), code.dominant
+    found = {code.encode(labels)}
     frontier = list(found)
     while frontier:
         nxt = []
         for x in frontier:
             for step in steps:
                 y = x - step
-                if y & top == top and y not in found:
+                if y & dominant == dominant and y not in found:
                     found.add(y)
                     nxt.append(y)
         frontier = nxt
-    return labels, code, found
+    return code, found
 
 
 def dominant_weights_below(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
     """All dominant weights mu <= lam with mu in lam + root lattice, sorted."""
-    labels, code, found = _dominant_codes_below(rs, lam)
+    labels = rs.labels(lam)
+    code, found = _dominant_codes_below(rs, labels)
     return _to_weights(*_ambient(rs, lam, 1, labels, code, found))
 
 
-def _weight_set_codes(rs: RootSystem, lam: Weight, spread: int = 1):
-    """(labels, code, points): as _dominant_codes_below, with the weight set
-    Pi(lam) as codes, unsorted.  Pi(lam) is the disjoint union of the W-orbits
-    of the dominant weights below lam, so its size is known before any orbit
-    is built, and no point repeats."""
-    labels, code, dominants = _dominant_codes_below(rs, lam, spread)
+def _weight_set_codes(rs: RootSystem, labels, matrix=()) -> tuple[_LabelCode, list[int]]:
+    """(code, points): as _dominant_codes_below, with the weight set Pi(lam)
+    as codes, unsorted.  Pi(lam) is the disjoint union of the W-orbits of the
+    dominant weights below lam, so its size is known before any orbit is
+    built, and no point repeats."""
+    code, dominants = _dominant_codes_below(rs, labels, matrix)
     size = sum(_orbit_size(rs, code.labels(x)) for x in dominants)
     if size > ORBIT_GUARD:
         raise ResourceLimitError(f"weight set: {size} points exceed the limit {ORBIT_GUARD}")
     points: list = []
     for x in dominants:
         _extend_by_orbit(code, x, points)
-    return labels, code, points
+    return code, points
 
 
 def scaled_weight_set(rs: RootSystem, lam: Weight) -> tuple[int, list[tuple[int, ...]]]:
     """(D, points): the weight set Pi(lam) as the integer vectors D * mu, unsorted."""
-    labels, code, points = _weight_set_codes(rs, lam)
+    labels = rs.labels(lam)
+    code, points = _weight_set_codes(rs, labels)
     return _ambient(rs, lam, 1, labels, code, points)
 
 
@@ -512,16 +538,22 @@ def weight_set(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
     return _to_weights(*scaled_weight_set(rs, lam))
 
 
-def weight_set_is_stable(rs: RootSystem, lam: Weight, matrix) -> bool:
+def weight_set_is_stable(rs: RootSystem, labels, matrix) -> bool:
     """True iff the integer rank x rank matrix, acting on Dynkin label
-    vectors, maps the weight set Pi(lam) onto itself."""
+    vectors, maps the weight set Pi(lam) onto itself, for lam the dominant
+    weight with these Dynkin labels.
+
+    One walk over Pi(lam): each point's code carries its image in its high
+    lanes (_LabelCode), so the matrix maps Pi(lam) onto itself exactly when
+    the low halves and the high halves of the codes are the same set."""
+    if len(labels) != rs.rank:
+        raise PreconditionError("need one Dynkin label per simple root")
     if len(matrix) != rs.rank or any(len(row) != rs.rank for row in matrix):
         raise PreconditionError("need a rank x rank matrix on Dynkin labels")
-    _, code, points = _weight_set_codes(rs, lam, max(1, *(sum(map(abs, row)) for row in matrix)))
-    columns = [_plain(col, code.k) for col in zip(*matrix)]
-    top, size, unpack = code.top, code.size, code.unpack
-    images = {sum(map(mul, unpack((x ^ top).to_bytes(size, "little")), columns)) + top for x in points}
-    return images == set(points)
+    code, points = _weight_set_codes(rs, labels, tuple(map(tuple, matrix)))
+    shift = rs.rank * code.k
+    low = (1 << shift) - 1
+    return set(map(low.__and__, points)) == set(map(shift.__rrshift__, points))
 
 
 def chi(rs: RootSystem) -> Weight:

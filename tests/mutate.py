@@ -50,6 +50,15 @@ EQUIVALENT = {
     # src/symmon/finite_field.py, the union-find
     "if y < x:": "< -> <=: y == x is a root, and the branch then sets parent[x] = x, which it is",
     "elif y > x:": "> -> >=: reached only with y >= x; y == x is a root, and parent[y] = x = y already",
+    # src/symmon/root_weight.py, the label codes
+    "if k <= 64:": (
+        "<= -> <: at k = 64 the int.from_bytes branch reads the same signed 8-byte lanes as struct's 'q'; "
+        "64 -> 65: k is a power of two"
+    ),
+    "code = _label_code(rs, max(bound + 2, spread * bound), matrix)": (
+        "2 -> 3: the two maxima differ only where bound + 3 is the larger, and there they pick the same lanes, "
+        "since bound = 2 sum(labels) and every lane limit 2^(k-1) are even"
+    ),
     # src/symmon/verify.py, the dot criterion's tables
     "return tuple(sum(1 for t in range(i) if u[t] >= j) for i in range(1, n + 1) for j in range(1, n + 1))": (
         "sum(1 ...) -> sum(2 ...) doubles every count; >= -> > counts thresholds j + 1, dropping j = 1 (i for "

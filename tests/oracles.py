@@ -23,6 +23,9 @@ live with the tests, not in src/, where every start would compile them:
   from Fraction weights;
 * the Fraction pairing <mu, alpha>, the dominance order and the Weyl orbit
   a weight polytope is the hull of;
+* the two-pass weight-set stability test (the weight set first, then every
+  point unpacked and mapped), the oracle of the one-pass
+  root_weight.weight_set_is_stable;
 * the restricted-root layer (Phi_0 and Phi_1, the restricted simple roots and
   their cone), the oracle for deriving spherical weights from theta*.
 """
@@ -30,7 +33,7 @@ live with the tests, not in src/, where every start would compile them:
 import functools
 import itertools
 from fractions import Fraction
-from operator import sub
+from operator import mul, sub
 
 from symmon import finite_field as ff
 from symmon import involution as iv
@@ -379,6 +382,21 @@ def fraction_neg_star_on_labels(rs, inv):
     -theta* omega_j."""
     columns = [rs.labels(-inv.apply_star(om)) for om in fraction_fundamental_weights(rs)]
     return tuple(zip(*columns))
+
+
+def two_pass_weight_set_is_stable(rs, labels, matrix):
+    """root_weight.weight_set_is_stable in two passes: Pi(lam) as plain label
+    codes, then every point unpacked again and mapped by the matrix, as the
+    sum of its labels times the packed columns."""
+    bound = 2 * sum(labels)
+    code = rw._label_code(rs, max(bound + 2, max(1, *(sum(map(abs, row)) for row in matrix)) * bound))
+    below, dominants = rw._dominant_codes_below(rs, labels)
+    points = []
+    for x in dominants:
+        rw._extend_by_orbit(code, code.encode(below.labels(x)), points)
+    columns = [rw._plain(col, code.k) for col in zip(*matrix)]
+    images = {sum(map(mul, code.labels(x), columns)) + code.top for x in points}
+    return images == set(points)
 
 
 def pairing(rs, mu, alpha):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from operator import mul
 
@@ -15,6 +16,7 @@ from oracles import (
     theta_an_star,
     twisted_weight,
     twisted_weight_in_support,
+    two_pass_weight_set_is_stable,
 )
 
 from symmon import involution as iv
@@ -116,6 +118,9 @@ def test_is_special_examples():
     assert iv.is_special(aii, fw[1], a3)
     with pytest.raises(PreconditionError):
         iv.is_special(ai, -fw[0], a3)
+    # theta* = -1 negates omega_1 / 2, whose label 1/2 is not an integer
+    with pytest.raises(PreconditionError, match="^is_special requires a dominant weight$"):
+        iv.is_special(ai, fw[0].scale(Fraction(1, 2)), a3)
 
 
 def test_is_special_additive():
@@ -228,6 +233,49 @@ def test_weight_set_stability_matches_ambient_oracle():
             assert iv.check_weight_set_stability(rs, spec, lam) is _stability_oracle(rs, spec, lam) is True
             checked += 1
     assert checked == 82
+
+
+def test_weight_set_stability_rejects_in_order():
+    """The weight's dimension first, then dominance, then the involution's
+    dimension, then specialness: each case fails the named test and every
+    later one."""
+    a2, a3 = rw.root_system("A", 2), rw.root_system("A", 3)
+    aii = iv.involution_spec("AII", 2)
+    fw2, fw3 = rw.fundamental_weights(a2), rw.fundamental_weights(a3)
+    dimension = "weight and root system differ in ambient dimension"
+    dominant = "stability check requires a dominant weight"
+    cases = [
+        (a3, aii, -fw2[0], PreconditionError, dimension),
+        (a3, aii, -fw3[0], PreconditionError, dominant),
+        (a3, aii, fw3[0].scale(Fraction(1, 2)), PreconditionError, dominant),  # a label of 1/2
+        (a2, aii, -fw2[0], PreconditionError, dominant),
+        (a2, aii, fw2[0], PreconditionError, "ambient dimension mismatch"),
+        (a3, aii, fw3[0], NotSpecialError, "weight is not special for this involution"),
+    ]
+    for rs, inv, lam, error, message in cases:
+        with pytest.raises(PreconditionError) as exc:
+            iv.check_weight_set_stability(rs, inv, lam)
+        assert type(exc.value) is error and str(exc.value) == message
+    assert iv.check_weight_set_stability(a3, aii, fw3[1]) is True
+
+
+def test_weight_set_is_stable_matches_two_pass_oracle():
+    """The one-pass kernel against the two-pass oracle on every spherical
+    generator of catalog(4), under -theta* (stable) and under a seeded random
+    {-1, 0, 1} matrix (mostly not)."""
+    rng = random.Random(1)
+    outcomes = {True: 0, False: 0}
+    for spec in iv.catalog(4):
+        rs = spec.root_system()
+        star = iv._neg_star_on_labels(rs, spec)
+        for lam in iv.spherical_generators(spec, rs):
+            labels = rs.labels(lam)
+            assert rw.weight_set_is_stable(rs, labels, star) is two_pass_weight_set_is_stable(rs, labels, star) is True
+            matrix = tuple(tuple(rng.choice((-1, 0, 1)) for _ in labels) for _ in labels)
+            stable = rw.weight_set_is_stable(rs, labels, matrix)
+            assert stable is two_pass_weight_set_is_stable(rs, labels, matrix), (spec, lam, matrix)
+            outcomes[stable] += 1
+    assert outcomes == {True: 4, False: 78}
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 from oracles import identity_mat, independent_rows, mat, mat_inv, mat_mul, mat_vec, nullspace, rank, solve
 
 from symmon import linalg
+from symmon.errors import PreconditionError
 
 
 def test_solve_and_inverse():
@@ -18,6 +19,13 @@ def test_solve_and_inverse():
     assert mat_vec(a, x) == (Fraction(3), Fraction(2))
     with pytest.raises(ValueError):
         mat_inv(mat([[1, 2], [2, 4]]))
+
+
+def test_dot_of_different_lengths_is_a_precondition_error():
+    for x, y in (((1, 2), (1, 2, 3)), ((), (1,))):
+        with pytest.raises(PreconditionError, match="^dimension mismatch$"):
+            linalg.dot(linalg.vec(x), linalg.vec(y))
+    assert linalg.dot(linalg.vec((1, 2)), linalg.vec((3, Fraction(1, 2)))) == 4
 
 
 def test_solve_inconsistent_and_underdetermined():

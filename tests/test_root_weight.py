@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,6 +18,7 @@ from oracles import (
     pairing,
     rank as fraction_rank,
     simple_root_coefficients,
+    two_pass_weight_set_is_stable,
     zero_vec,
 )
 
@@ -321,6 +323,22 @@ def test_weight_set_requires_dominant():
     a2 = rw.root_system("A", 2)
     with pytest.raises(PreconditionError):
         rw.weight_set(a2, -rw.fundamental_weights(a2)[0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rs, mu: rs.labels(mu),
+        lambda rs, mu: rs.is_dominant(mu),
+        lambda rs, mu: rw.weyl_orbit(rs, mu),
+        lambda rs, mu: rw.weight_set(rs, mu),
+        lambda rs, mu: rw.dominant_weights_below(rs, mu),
+    ],
+    ids=["labels", "is_dominant", "weyl_orbit", "weight_set", "dominant_weights_below"],
+)
+def test_weights_of_another_dimension_are_a_precondition_error(call):
+    with pytest.raises(PreconditionError, match="^weight and root system differ in ambient dimension$"):
+        call(rw.root_system("A", 2), weight((1, 0)))
 
 
 def test_weight_set_invariants():
@@ -648,40 +666,74 @@ def test_non_integral_weyl_orbits_match_reflect_oracle(fam, rank, coords):
     assert rw.weyl_orbit(rs, mu) == _weyl_orbit_oracle(rs, mu)
 
 
-def _label_map_oracle(rs, lam, matrix):
+def _label_map_oracle(rs, labels, matrix):
     """weight_set_is_stable through Weights: the label vectors of Pi(lam),
     mapped by matrix."""
-    pi = {rs.labels(mu) for mu in _weight_set_oracle(rs, lam)}
+    pi = {rs.labels(mu) for mu in _weight_set_oracle(rs, rw.from_fundamental(rs, labels))}
     return {tuple(sum(a * b for a, b in zip(row, nu)) for row in matrix) for nu in pi} == pi
 
 
-@pytest.mark.parametrize(
-    "fam,rank,labels,matrix,stable",
-    [
-        ("B", 2, (1, 0), ((2, 0), (0, 2)), False),
-        ("B", 2, (1, 0), ((0, 1), (1, 0)), False),  # not a diagram symmetry of B_2
-        ("B", 2, (1, 0), ((1, 0), (0, 1)), True),
-        ("B", 2, (1, 0), ((-1, 0), (0, -1)), True),  # -1 is in W(B_2)
-        ("A", 2, (1, 0), ((0, 1), (1, 0)), False),  # Pi(omega_1) onto Pi(omega_2)
-        ("A", 2, (1, 1), ((0, 1), (1, 0)), True),
-        ("A", 1, (3,), ((100,),), False),  # images far outside Pi(lam)
-        ("A", 1, (3,), ((-1,),), True),
-        ("C", 3, (0, 1, 0), ((1, 0, 0), (0, 1, 0), (0, 0, 0)), False),
-    ],
-)
+STABILITY_CASES = [
+    ("B", 2, (1, 0), ((2, 0), (0, 2)), False),
+    ("B", 2, (1, 0), ((0, 1), (1, 0)), False),  # not a diagram symmetry of B_2
+    ("B", 2, (1, 0), ((1, 0), (0, 1)), True),
+    ("B", 2, (1, 0), ((-1, 0), (0, -1)), True),  # -1 is in W(B_2)
+    ("A", 2, (1, 0), ((0, 1), (1, 0)), False),  # Pi(omega_1) onto Pi(omega_2)
+    ("A", 2, (1, 1), ((0, 1), (1, 0)), True),
+    ("A", 1, (3,), ((100,),), False),  # images far outside Pi(lam)
+    ("A", 1, (3,), ((-1,),), True),
+    ("C", 3, (0, 1, 0), ((1, 0, 0), (0, 1, 0), (0, 0, 0)), False),
+    # the labels fit 8-bit lanes and their images need 16
+    ("A", 1, (1,), ((257,),), False),  # 257 = 1 mod 2^8
+    ("B", 2, (0, 22), ((-1, 0), (2, 1)), True),  # s_1 on labels
+    ("B", 2, (0, 22), ((1, 0), (2, 1)), False),
+    ("C", 2, (22, 0), ((1, 2), (-1, -1)), True),  # s_2 s_1 on labels
+    # the label bound 2 * 62 + 2 = 126 fits 8-bit lanes, 2 * 63 + 2 = 128 does not
+    ("A", 1, (62,), ((-1,),), True),
+    ("A", 1, (63,), ((-1,),), True),
+    # image lanes wider than 64 bits, which struct does not read
+    ("A", 1, (1,), ((2**70,),), False),
+    ("A", 1, (1,), ((2**64 + 1,),), False),  # 2^64 + 1 = 1 mod 2^64
+    ("B", 2, (1, 0), ((1, 2**70), (0, 1)), False),
+    ("C", 2, (1, 1), ((-(2**65), 0), (0, -1)), False),
+]
+# the lane width of each case above
+STABILITY_LANES = [8, 8, 8, 8, 8, 8, 16, 8, 8, 16, 16, 16, 16, 8, 16, 128, 128, 128, 128]
+
+
+@pytest.mark.parametrize("fam,rank,labels,matrix,stable", STABILITY_CASES)
 def test_weight_set_is_stable(fam, rank, labels, matrix, stable):
     rs = rw.root_system(fam, rank)
-    lam = rw.from_fundamental(rs, labels)
-    assert rw.weight_set_is_stable(rs, lam, matrix) is stable
-    assert _label_map_oracle(rs, lam, matrix) is stable
+    assert rw.weight_set_is_stable(rs, labels, matrix) is stable
+    assert two_pass_weight_set_is_stable(rs, labels, matrix) is stable
+    assert _label_map_oracle(rs, labels, matrix) is stable
+
+
+@pytest.mark.parametrize("case,k", zip(STABILITY_CASES, STABILITY_LANES))
+def test_weight_set_codes_carry_their_images(case, k):
+    fam, rank, labels, matrix, _ = case
+    rs = rw.root_system(fam, rank)
+    code, points = rw._weight_set_codes(rs, labels, matrix)
+    assert code.k == k
+    # the low lanes hold Pi(lam), each point once, and the lanes above them its image
+    low = (1 << rank * k) - 1
+    pi = [code.labels(x & low) for x in points]
+    assert sorted(pi) == sorted(rs.labels(mu) for mu in rw.weight_set(rs, rw.from_fundamental(rs, labels)))
+    images = [code.labels(x >> rank * k) for x in points]
+    assert images == [tuple(sum(map(mul, row, nu)) for row in matrix) for nu in pi]
 
 
 def test_weight_set_is_stable_rejects_bad_input():
     b2 = rw.root_system("B", 2)
+    with pytest.raises(PreconditionError, match="^need one Dynkin label per simple root$"):
+        rw.weight_set_is_stable(b2, (1, 0, 0), ((1, 0), (0, 1)))
     with pytest.raises(PreconditionError, match="^need a rank x rank matrix on Dynkin labels$"):
-        rw.weight_set_is_stable(b2, rw.from_fundamental(b2, (1, 0)), ((1, 0, 0), (0, 1, 0)))
-    with pytest.raises(PreconditionError, match="^dominant_weights_below requires a dominant weight$"):
-        rw.weight_set_is_stable(b2, rw.from_fundamental(b2, (-1, 0)), ((1, 0), (0, 1)))
+        rw.weight_set_is_stable(b2, (1, 0), ((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(PreconditionError, match="^need a rank x rank matrix on Dynkin labels$"):
+        rw.weight_set_is_stable(b2, (1, 0), ((1, 0),))
+    for labels in ((-1, 0), (0, -1), (frac(1, 2), 0), (1.0, 0)):
+        with pytest.raises(PreconditionError, match="^dominant_weights_below requires a dominant weight$"):
+            rw.weight_set_is_stable(b2, labels, ((1, 0), (0, 1)))
 
 
 @pytest.mark.parametrize("fam,rank", ALL_ROOT_SYSTEMS)
