@@ -151,9 +151,9 @@ def cmd_rook_monoid(args) -> str:
     else:
         elements = rn.enumerate_rook(n)
     if args.format == "dot":
-        return rn.poset_to_dot(elements, rn.bruhat_leq) + "\n"
+        return rn.poset_to_dot(elements) + "\n"
     if args.format == "json":
-        return rn.poset_to_json(elements, rn.bruhat_leq) + "\n"
+        return rn.poset_to_json(elements) + "\n"
     return "\n".join(r.diagram() for r in elements) + "\n"
 
 

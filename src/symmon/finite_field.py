@@ -246,9 +246,6 @@ class FqMatrix(tuple):
         t = self._transpose
         return _reduced(self.q, tuple(zip(*self.rows))) if t is None else t
 
-    def __neg__(self) -> "FqMatrix":
-        return _reduced(self.q, tuple(tuple(-e % self.q for e in row) for row in self.rows))
-
     def rank(self) -> int:
         return len(row_reduce([list(r) for r in self.rows], self.q)[1])
 
@@ -735,24 +732,8 @@ def _borel_parents(n: int, q: int, action: str) -> list[int]:
 
 
 def theta_an(m: FqMatrix, inv) -> FqMatrix:
-    """Apply the monoid antiinvolution of a catalog involution with a matrix
-    realization: transpose for AI, -J m^T J for AII."""
-    if inv.theta0 == "transpose":
-        return m.transpose()
-    if inv.theta0 == "symplectic":
-        j = symplectic_j(m.n, m.q)
-        return -(j @ m.transpose() @ j)
-    raise UnsupportedFamilyError(f"family {inv.family} has no matrix realization")
-
-
-def symplectic_j(n: int, q: int) -> FqMatrix:
-    """The block-diagonal matrix diag(J_2, ..., J_2) with J_2 = [[0,1],[-1,0]]."""
-    if n % 2:
-        raise PreconditionError("symplectic J needs even size")
-    rows = [[0] * n for _ in range(n)]
-    for b in range(0, n, 2):
-        rows[b][b + 1] = 1
-        rows[b + 1][b] = q - 1
-    return FqMatrix(q, tuple(tuple(r) for r in rows))
-
-
+    """The monoid antiinvolution m -> m^T of AI, the one catalog involution
+    that `symmon verify` realizes over F_q (AII's -J m^T J is a test oracle)."""
+    if inv.theta0 != "transpose":
+        raise UnsupportedFamilyError(f"theta_an realizes AI only, not {inv.family}")
+    return m.transpose()

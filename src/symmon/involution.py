@@ -288,7 +288,7 @@ def spherical_generators(inv: InvolutionSpec, rs: RootSystem | None = None) -> t
     raise UnsupportedFamilyError(f"unknown family {fam!r}")
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=root_weight.MATRIX_CACHE_SIZE)
 def _neg_star_on_labels(rs: RootSystem, inv: InvolutionSpec) -> tuple[tuple[int, ...], ...]:
     """-theta* on Dynkin label vectors: the rank x rank integer matrix whose
     column j is the labels of -theta* omega_j, that is

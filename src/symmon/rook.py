@@ -198,12 +198,12 @@ def _bruhat_up_sets(elems: list[RookElement]) -> list[int]:
     ]
 
 
-def hasse_edges(elements, leq) -> list[tuple]:
-    """Covering pairs (x, y) of a finite poset, in the order of the elements.
+def hasse_edges(elements) -> list[tuple]:
+    """Covering pairs (x, y) of the Bruhat order on rook elements of one
+    size, in the order of the elements.
 
-    Each element's strict up-set is a bitmask: for bruhat_leq it comes from
-    the southwest-rank thresholds (_bruhat_up_sets), for any other leq from
-    one call per ordered pair.  The covers of x are then up[x] minus
+    Each element's strict up-set is a bitmask from the southwest-rank
+    thresholds (_bruhat_up_sets).  The covers of x are then up[x] minus
     everything above a member of up[x].  The work is bounded by
     HASSE_WORK_GUARD comparisons.
     """
@@ -214,13 +214,7 @@ def hasse_edges(elements, leq) -> list[tuple]:
             f"Hasse diagram work estimate {n}^2 = {n * n} order comparisons "
             f"exceeds the limit {HASSE_WORK_GUARD}"
         )
-    if leq is bruhat_leq:
-        up = _bruhat_up_sets(elems)
-    else:
-        up = [
-            sum(1 << j for j, y in enumerate(elems) if j != i and leq(x, y))
-            for i, x in enumerate(elems)
-        ]
+    up = _bruhat_up_sets(elems)
     edges = []
     for i, x in enumerate(elems):
         above = reduce(or_, _members(up[i], up), 0)
@@ -237,23 +231,24 @@ def _members(mask: int, items: list):
     return itertools.compress(items, bin(mask)[:1:-1].encode().translate(_BINARY_DIGIT))
 
 
-def poset_to_dot(elements, leq) -> str:
-    """Hasse diagram of a poset over rook elements as DOT source."""
+def poset_to_dot(elements) -> str:
+    """Hasse diagram of the Bruhat order on rook elements as DOT source."""
     elems = sorted(elements)
     lines = ["digraph poset {", "  rankdir=BT;"]
     index = {x: i for i, x in enumerate(elems)}
     for x in elems:
         lines.append(f'  n{index[x]} [label="{x.diagram()}"];')
-    for x, y in sorted(hasse_edges(elems, leq), key=lambda e: (e[0], e[1])):
+    for x, y in sorted(hasse_edges(elems), key=lambda e: (e[0], e[1])):
         lines.append(f"  n{index[x]} -> n{index[y]};")
     lines.append("}")
     return "\n".join(lines)
 
 
-def poset_to_json(elements, leq) -> str:
-    """Edge list {"nodes": [...], "edges": [[lo, hi], ...]} of the Hasse diagram."""
+def poset_to_json(elements) -> str:
+    """Edge list {"nodes": [...], "edges": [[lo, hi], ...]} of the Bruhat
+    order's Hasse diagram on rook elements."""
     elems = sorted(elements)
-    edges = sorted(hasse_edges(elems, leq), key=lambda e: (e[0], e[1]))
+    edges = sorted(hasse_edges(elems), key=lambda e: (e[0], e[1]))
     nodes = [x.diagram() for x in elems]
     label = dict(zip(elems, nodes))
     return json.dumps({"nodes": nodes, "edges": [[label[x], label[y]] for x, y in edges]})

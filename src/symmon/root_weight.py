@@ -46,6 +46,9 @@ from .errors import (
 
 ORBIT_GUARD = 10**6
 RANK_GUARD = 6
+# the entries a cache keyed on a caller's label matrix keeps; a default
+# `symmon verify` run fills at most 50
+MATRIX_CACHE_SIZE = 128
 
 
 class Weight(NamedTuple):
@@ -331,7 +334,7 @@ class _LabelCode:
 
 
 # one code per root system, lane width and matrix
-_lane_code = functools.lru_cache(maxsize=None)(_LabelCode)
+_lane_code = functools.lru_cache(maxsize=MATRIX_CACHE_SIZE)(_LabelCode)
 
 
 def _label_code(rs: RootSystem, bound: int, matrix=()) -> _LabelCode:
@@ -465,7 +468,7 @@ def positive_root_vectors(rs: RootSystem) -> frozenset[tuple[int, ...]]:
     return frozenset(vector for vector, _ in _positive_root_data(rs))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=MATRIX_CACHE_SIZE)
 def _positive_root_codes(rs: RootSystem, k: int, matrix=()) -> tuple[int, ...]:
     return tuple(_plain(_with_image(labels, matrix), k) for _, labels in _positive_root_data(rs))
 

@@ -6,8 +6,9 @@ live with the tests, not in src/, where every start would compile them:
 * the type-A rook-monoid helpers (the rank, products, idempotents, Green's
   relations, the cross-section lattice), the oracles for views of the Renner
   monoid;
-* small F_q facts (the zero matrix, |B|, the twisted Borel action and the
-  triangularity, symmetry and skew predicates);
+* small F_q facts (the zero matrix, |B|, the twisted Borel action, the
+  triangularity, symmetry and skew predicates, negation and AII's
+  antiinvolution -J m^T J);
 * the breadth-first orbit search, the oracle of the union-find of
   finite_field.orbit_enumerate and borel_orbits;
 * the partial involution of a rank control, read cell by cell off the
@@ -156,6 +157,29 @@ def borel_size(n, q):
 def twisted_action(b, m, inv):
     """b * m = b . m . theta_an(b); for AI this is b m b^T."""
     return b @ m @ ff.theta_an(b, inv)
+
+
+def negate(m):
+    """-m, entrywise mod q."""
+    return ff.FqMatrix(m.q, tuple(tuple(-e % m.q for e in row) for row in m.rows))
+
+
+def symplectic_j(n, q):
+    """The block-diagonal matrix diag(J_2, ..., J_2) with J_2 = [[0,1],[-1,0]]."""
+    if n % 2:
+        raise PreconditionError("symplectic J needs even size")
+    rows = [[0] * n for _ in range(n)]
+    for b in range(0, n, 2):
+        rows[b][b + 1] = 1
+        rows[b + 1][b] = q - 1
+    return ff.FqMatrix(q, tuple(tuple(r) for r in rows))
+
+
+def symplectic_theta_an(m):
+    """The monoid antiinvolution of AII, -J m^T J, which no command needs
+    (finite_field.theta_an realizes AI only)."""
+    j = symplectic_j(m.n, m.q)
+    return negate(j @ m.transpose() @ j)
 
 
 def is_diagonal(m):

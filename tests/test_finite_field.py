@@ -15,8 +15,11 @@ from oracles import (
     is_symmetric,
     is_upper_triangular,
     is_upper_unitriangular,
+    negate,
     orbit_bfs,
     rook_rank,
+    symplectic_j,
+    symplectic_theta_an,
     twisted_action,
 )
 
@@ -74,7 +77,7 @@ def test_matrix_basics():
     assert m.transpose().rows == ((1, 1), (2, 2))
     g = ff.fq_matrix(3, [[1, 1], [0, 1]])
     assert g.inverse() @ g == i2
-    assert (-i2).rows == ((2, 0), (0, 2))
+    assert negate(i2).rows == ((2, 0), (0, 2))
     assert is_skew(ff.fq_matrix(3, [[0, 1], [2, 0]]))
     assert is_symmetric(ff.fq_matrix(3, [[1, 2], [2, 0]]))
     with pytest.raises(PreconditionError):
@@ -590,7 +593,7 @@ def test_products_skip_validation_but_stay_reduced():
     for q in (2, 3, 5, 7):
         a = ff.fq_matrix(q, [[1, 2, 3], [4, 5, 6], [0, 1, 6]])
         b = ff.fq_matrix(q, [[q - 1, 0, 1], [2, 2, 2], [3, 0, 5]])
-        for m in (a @ b, b @ a, a @ a @ b, a.transpose(), -a, -b.transpose()):
+        for m in (a @ b, b @ a, a @ a @ b, a.transpose(), b.transpose() @ a):
             assert m == FqMatrix(q, m.rows)
             assert all(0 <= e < q for row in m.rows for e in row)
         for g in ff.borel_generators(3, q):
@@ -689,15 +692,28 @@ def test_twisted_action_is_group_action_exhaustive():
 
 
 def test_theta_an_antiinvolution_aii():
-    aii = iv.involution_spec("AII", 2)
+    """The oracle's -J m^T J is an antiinvolution, and its unit-fixed
+    group m theta_an(m) = 1 is Sp_2(F_3), of order 24."""
     mats = [
         ff.fq_matrix(3, [[1, 2, 0, 1], [0, 1, 1, 0], [2, 0, 1, 1], [0, 0, 0, 1]]),
         ff.fq_matrix(3, [[0, 1, 0, 0], [0, 0, 2, 0], [1, 0, 0, 0], [0, 1, 0, 2]]),
     ]
     for m in mats:
-        assert ff.theta_an(ff.theta_an(m, aii), aii) == m
+        assert symplectic_theta_an(symplectic_theta_an(m)) == m
         for m2 in mats:
-            assert ff.theta_an(m @ m2, aii) == ff.theta_an(m2, aii) @ ff.theta_an(m, aii)
+            assert symplectic_theta_an(m @ m2) == symplectic_theta_an(m2) @ symplectic_theta_an(m)
+    one = ff.identity_matrix(2, 3)
+    assert sum(1 for m in ff.enumerate_matrices(2, 3) if m @ symplectic_theta_an(m) == one) == 24
+    assert negate(symplectic_j(2, 3)) == symplectic_j(2, 3).inverse()
+    with pytest.raises(PreconditionError, match="symplectic J needs even size"):
+        symplectic_j(3, 3)
+
+
+def test_theta_an_realizes_ai_only():
+    for family, params in (("AII", (2,)), ("AIII", (1, 3))):
+        spec = iv.involution_spec(family, *params)
+        with pytest.raises(UnsupportedFamilyError, match=f"theta_an realizes AI only, not {family}"):
+            ff.theta_an(ff.identity_matrix(spec.ambient_dim, 3), spec)
 
 
 def test_tau_compatibility_with_fixed_subgroup():
@@ -879,9 +895,9 @@ def test_post_init_runs_once_per_validated_matrix(monkeypatch):
         assert calls == [m]
     a = ff.fq_matrix(7, [[1, 2, 3], [0, 4, 5], [0, 0, 6]])
     calls.clear()
-    products = [a @ a, a.inverse(), a.inverse() @ a, a.transpose(), -a, ff.bruhat_factor(a).product()]
+    products = [a @ a, a.inverse(), a.inverse() @ a, a.transpose(), ff.bruhat_factor(a).product()]
     products += list(ff.enumerate_matrices(1, 7))
-    assert calls == [] and len(products) == 13
+    assert calls == [] and len(products) == 12
 
 
 def _naive_product(a, b):

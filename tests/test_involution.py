@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from operator import mul
@@ -13,6 +14,7 @@ from oracles import (
     mat_mul,
     phi_decomposition,
     restricted_simple_roots,
+    symplectic_theta_an,
     theta_an_star,
     twisted_weight,
     twisted_weight_in_support,
@@ -22,6 +24,7 @@ from oracles import (
 from symmon import involution as iv
 from symmon import linalg
 from symmon import root_weight as rw
+from symmon import verify
 from symmon.errors import NotSpecialError, PreconditionError, UnsupportedFamilyError
 from symmon.involution import InvolutionSpec
 
@@ -221,6 +224,49 @@ def test_integer_root_datum_builds_no_fraction(monkeypatch):
     assert all(cached.cache_info().currsize == len({rs for _, rs in specs}) == 23 for cached in datum)
 
 
+def _sweep_label_matrices():
+    """weight_set_is_stable on A_3 under 3 * MATRIX_CACHE_SIZE random {-1, 0, 1} matrices."""
+    a3, rng = rw.root_system("A", 3), random.Random(3)
+    for _ in range(3 * rw.MATRIX_CACHE_SIZE):
+        matrix = tuple(tuple(rng.choice((-1, 0, 1)) for _ in range(3)) for _ in range(3))
+        rw.weight_set_is_stable(a3, (1, 0, 1), matrix)
+
+
+def _sweep_signed_permutations():
+    """-theta* on labels for each of the 384 signed permutations of B_4's
+    coordinates, every one an isometry that maps roots to roots."""
+    b4 = rw.root_system("B", 4)
+    signed = itertools.product(itertools.permutations(range(4)), itertools.product((1, -1), repeat=4))
+    for k, (perm, signs) in enumerate(signed):
+        theta = tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(4)) for i in range(4))
+        iv._neg_star_on_labels(b4, InvolutionSpec("B4", (k,), theta))
+
+
+MATRIX_KEYED_CACHES = {
+    "_lane_code": (rw._lane_code, _sweep_label_matrices),
+    "_positive_root_codes": (rw._positive_root_codes, _sweep_label_matrices),
+    "_neg_star_on_labels": (iv._neg_star_on_labels, _sweep_signed_permutations),
+}
+
+
+@pytest.mark.parametrize("name", MATRIX_KEYED_CACHES)
+def test_matrix_keyed_cache_stays_within_its_bound(name):
+    cached, sweep = MATRIX_KEYED_CACHES[name]
+    cached.cache_clear()
+    sweep()
+    info = cached.cache_info()
+    assert info.misses > rw.MATRIX_CACHE_SIZE == info.maxsize >= info.currsize
+
+
+def test_default_verify_run_evicts_no_matrix_keyed_entry():
+    for cached, _ in MATRIX_KEYED_CACHES.values():
+        cached.cache_clear()
+    assert verify.run_all()[0]
+    for cached, _ in MATRIX_KEYED_CACHES.values():
+        info = cached.cache_info()
+        assert 0 < info.currsize == info.misses < info.maxsize
+
+
 def test_weight_set_stability_matches_ambient_oracle():
     checked = 0
     for spec in iv.catalog(4):
@@ -329,16 +375,15 @@ def test_in_restricted_cone():
 
 
 def test_theta0_matches_theta_star_on_diagonal_tori():
-    import itertools
-
     from symmon import finite_field as ff
 
-    for spec in (iv.involution_spec("AI", 3), iv.involution_spec("AII", 2)):
+    ai3, aii2 = iv.involution_spec("AI", 3), iv.involution_spec("AII", 2)
+    for spec, theta_an in ((ai3, lambda m: ff.theta_an(m, ai3)), (aii2, symplectic_theta_an)):
         dim = spec.ambient_dim
         q = 3
         for diag in itertools.product((1, 2), repeat=dim):
             t = ff.fq_matrix(q, [[diag[i] if i == j else 0 for j in range(dim)] for i in range(dim)])
-            theta_t = ff.theta_an(t, spec).inverse()
+            theta_t = theta_an(t).inverse()
             assert is_diagonal(theta_t)
             for i in range(dim):
                 expected = 1

@@ -1,18 +1,22 @@
 """Package-wide properties: the record types are plain tuples of their
 fields (no dataclass, whose generated methods cost about a millisecond per
 class on every start), the package namespace and the CLI import a module
-only when it is used, and every top-level definition in src/ is reached from
-the CLI, `symmon verify` or the benchmark, every method of a class included
-(what only tests use lives in tests/oracles.py)."""
+only when it is used, and every def in src/, nested ones and methods
+included, runs in a fresh interpreter that traces the pinned CLI commands
+(`symmon verify` among them) and one pass of each benchmark workload, unless
+UNRUN names it: held by the benchmark's tracer, public API, or protocol."""
 
 import ast
 import dataclasses
+import functools
 import importlib
+import inspect
+import json
 import os
 import pkgutil
-import re
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -112,10 +116,13 @@ def test_fields_are_read_only():
                 setattr(x, name, None)
 
 
-def _fresh(code: str) -> str:
-    """stdout of a fresh interpreter that runs code with this src/ first on its path."""
+def _fresh(code: str, *args: str) -> str:
+    """stdout of a fresh interpreter that runs code, with args as sys.argv[1:]
+    and this src/ first on its path."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
     return proc.stdout
 
 
@@ -154,134 +161,110 @@ def test_package_names_resolve_on_first_use():
 
 # -- dead-code guard -----------------------------------------------------------
 
-PERFBENCH = SRC.parents[1] / "perfbench"
-ENTRY_MODULES = ("__init__", "cli", "verify")
-IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+ROOT = SRC.parents[1]
+
+# The pinned commands (argv[1]) and one pass of each benchmark workload
+# (argv[2], argv[3]) in a fresh interpreter under a profile hook, so that no
+# cache warmed by an earlier test hides a call; prints (file, qualname, line)
+# of every code object of the package that ran.
+TRACE = """
+import contextlib, importlib.util, io, json, os, sys
+
+ran = set()
+sys.setprofile(lambda frame, event, arg: event == "call" and ran.add(frame.f_code))
+import symmon
+from symmon.cli import main
+
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv.split()) == 0, argv
+spec = importlib.util.spec_from_file_location("perfbench_workloads", sys.argv[2])
+workloads = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = workloads  # dataclasses resolve their module through sys.modules
+spec.loader.exec_module(workloads)
+for name in json.loads(sys.argv[3]):
+    for job in workloads.build(name, 1):
+        job.check(job.run())
+sys.setprofile(None)
+package = os.path.dirname(symmon.__file__)
+print(json.dumps([
+    (os.path.basename(c.co_filename), c.co_qualname, c.co_firstlineno)
+    for c in ran if os.path.dirname(c.co_filename) == package
+]))
+"""
 
 
-def _docstrings(tree) -> set[int]:
-    return {
-        id(node.body[0].value)
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.body
-        and isinstance(node.body[0], ast.Expr)
-        and isinstance(node.body[0].value, ast.Constant)
-    }
+@functools.cache
+def _ran() -> frozenset[tuple[str, int]]:
+    """(module.qualname, first line) of every def that TRACE saw run."""
+    from test_cli import GOLDEN_STDOUT
+
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    commands, perfbench = json.dumps(sorted(GOLDEN_STDOUT)), str(ROOT / "perfbench" / "workloads.py")
+    out = _fresh(TRACE, commands, perfbench, json.dumps(workloads))
+    return frozenset((f"{Path(file).stem}.{qualname}", line) for file, qualname, line in json.loads(out))
 
 
-def _used(nodes, docstrings=frozenset(), strings=True) -> set[str]:
-    """The identifiers the nodes use: names, attributes, imported names, and,
-    with strings, the words of string constants other than docstrings
-    (perfbench's tracer names what it wraps in strings, and symmon's lazy
-    table its exports)."""
-    out = set()
-    for node in (n for top in nodes for n in ast.walk(top)):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.alias):
-            out.add(node.name.rpartition(".")[2])
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
-            out.update(IDENTIFIER.findall(node.value))
-    return out
+def _defs(code, path: Path):
+    """(module.qualname, first line, "file:line qualname") of every def
+    compiled into code: functions, methods and nested functions, not
+    lambdas, comprehensions or class bodies."""
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            if const.co_flags & inspect.CO_NEWLOCALS and const.co_name.isidentifier():
+                line, qualname = const.co_firstlineno, const.co_qualname
+                yield f"{path.stem}.{qualname}", line, f"{path.name}:{line} {qualname}"
+            yield from _defs(const, path)
 
 
-def _definitions(src: Path):
-    """(roots, definitions): the identifiers used by the entry modules and by
-    every module-level statement that defines nothing, and each top-level
-    definition of src as (label, name, the nodes it uses, docstrings).  Each
-    method of a top-level class is a definition of its own; the class itself
-    uses its bases, decorators and other class-level statements.  Imports use
-    no name.  Only the roots count the words of their strings: a definition's
-    strings are messages and formats, and an error message that names a
-    function does not reach it."""
-    roots, definitions = set(), []
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        docs = _docstrings(tree)
-        if path.stem in ENTRY_MODULES:
-            roots |= _used([tree], docs)
-        for stmt in tree.body:
-            if isinstance(stmt, ast.ClassDef):
-                methods = [s for s in stmt.body if isinstance(s, ast.FunctionDef)]
-                rest = [s for s in stmt.body if not isinstance(s, ast.FunctionDef)]
-                uses = stmt.bases + stmt.keywords + stmt.decorator_list + rest
-                definitions.append((f"{path.name}: {stmt.name}", stmt.name, uses, docs))
-                for m in methods:
-                    definitions.append((f"{path.name}: {stmt.name}.{m.name}", m.name, [m], docs))
-            elif isinstance(stmt, ast.FunctionDef):
-                definitions.append((f"{path.name}: {stmt.name}", stmt.name, [stmt], docs))
-            elif isinstance(stmt, ast.Assign) and all(isinstance(t, ast.Name) for t in stmt.targets):
-                for t in stmt.targets:
-                    definitions.append((f"{path.name}: {t.id}", t.id, [stmt.value], docs))
-            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                roots |= _used([stmt], docs)
-    return roots, definitions
+def _compiled_defs(path: Path) -> list:
+    return list(_defs(compile(path.read_text(), str(path), "exec"), path))
 
 
-def _unreached(src: Path, perfbench: Path) -> list[str]:
-    """The definitions of src that no name reaches from the entry modules,
-    module-level statements and the identifiers of perfbench/*.py, closing
-    over the names each reached definition uses.  Names match by their last
-    component, whatever module they come from, so the closure errs towards
-    keeping code; dunder names run by protocol and always count as reached."""
-    reached, definitions = _definitions(src)
-    for path in sorted(perfbench.glob("*.py")):
-        reached |= _used([ast.parse(path.read_text())])
-    pending = list(definitions)
-    grew = True
-    while grew:
-        grew = False
-        for entry in list(pending):
-            _, name, nodes, docs = entry
-            if name in reached or name.startswith("__"):
-                reached |= _used(nodes, docs, strings=False)
-                pending.remove(entry)
-                grew = True
-    return [label for label, *_ in pending]
+DEFS = [d for path in sorted(SRC.glob("*.py")) for d in _compiled_defs(path)]
+
+HELD = "held by perfbench/tracer.py"
+PUBLIC = "public API"
+PROTOCOL = "protocol"
+# what no pinned command, verify or workload pass runs, each with its reason
+UNRUN = {
+    # the tracer wraps these names but never calls them, and the rest is
+    # called only by them; they leave with ROADMAP item 4
+    "linalg.dot": HELD,
+    "root_weight.reflect": HELD,
+    "root_weight.weyl_orbit": HELD,
+    "root_weight.dominant_weights_below": HELD,
+    "involution.InvolutionSpec.apply_star": HELD,
+    "polytope.hull": HELD,
+    "root_weight.RootSystem.form": f"{HELD}: reflect's form",
+    "root_weight.Weight.__sub__": f"{HELD}: reflect's difference",
+    "linalg.vec_sub": f"{HELD}: Weight.__sub__'s difference",
+    "linalg.rank": f"{HELD}: hull's rank test",
+    "polytope._int_hyperplane": f"{HELD}: hull's facet search",
+    "polytope._AffineFrame.lift_halfspace": f"{HELD}: hull's facets",
+    "root_weight.Weight.__neg__": f"{PUBLIC}: -w",
+    "root_weight.Weight.__rmul__": f"{PUBLIC}: c * w",
+    "polytope._int_halfspace": f"{PUBLIC}: reads the rows of a RationalPolytope built by its constructor",
+    "_record.no_tuple_arithmetic": f"{PROTOCOL}: the + and * that records refuse",
+    "finite_field.FqMatrix.__getnewargs__": f"{PROTOCOL}: pickle and copy",
+    "finite_field.FqMatrix.__getstate__": f"{PROTOCOL}: pickle and copy",
+}
 
 
 def test_every_src_definition_is_reached_from_the_cli_verify_or_perfbench():
-    assert _unreached(SRC, PERFBENCH) == []
+    ran = _ran()
+    assert [where for name, line, where in DEFS if (name, line) not in ran and name not in UNRUN] == []
+
+
+def test_every_unrun_entry_names_a_def_that_does_not_run():
+    ran = {name for name, _ in _ran()}
+    defined = {name for name, *_ in DEFS}
+    assert [name for name in UNRUN if name not in defined or name in ran] == []
+    assert all(reason.startswith((HELD, PUBLIC, PROTOCOL)) for reason in UNRUN.values())
 
 
 def test_dead_code_guard_sees_unused_methods(tmp_path):
-    src, perfbench = tmp_path / "src", tmp_path / "perfbench"
-    src.mkdir()
-    perfbench.mkdir()
-    (src / "cli.py").write_text("from .shapes import Square\n\nprint(Square(2).area())\n")
-    (src / "shapes.py").write_text(
-        "class Square:\n"
-        "    def __init__(self, side):\n"
-        "        self.side = side\n"
-        "    def area(self):\n"
-        "        return self.side * self.side\n"
-        "    def perimeter(self):\n"
-        "        return 4 * self.side\n"
-    )
-    assert _unreached(src, perfbench) == ["shapes.py: Square.perimeter"]
-    (perfbench / "workloads.py").write_text("print(Square(3).perimeter())\n")
-    assert _unreached(src, perfbench) == []
-
-
-def test_dead_code_guard_reads_no_names_from_messages(tmp_path):
-    src, perfbench = tmp_path / "src", tmp_path / "perfbench"
-    src.mkdir()
-    perfbench.mkdir()
-    (src / "cli.py").write_text("from .shapes import area\n\nprint(area(2))\n")
-    (src / "shapes.py").write_text(
-        "def area(side):\n"
-        "    if side < 0:\n"
-        "        raise ValueError('area and perimeter need a nonnegative side')\n"
-        "    return side * side\n"
-        "\n"
-        "\n"
-        "def perimeter(side):\n"
-        "    return 4 * side\n"
-    )
-    assert _unreached(src, perfbench) == ["shapes.py: perimeter"]
-    # the words of an entry module's strings still count: a lazy export table names its exports
-    (src / "cli.py").write_text("from .shapes import area\n\nEXPORTS = {'perimeter': 'shapes'}\nprint(area(2))\n")
-    assert _unreached(src, perfbench) == []
+    path = tmp_path / "shapes.py"
+    path.write_text("class Square:\n    def area(self):\n        def side():\n            return 2\n\n\nf = lambda: 0\n")
+    found = [where for *_, where in _compiled_defs(path)]
+    assert found == ["shapes.py:2 Square.area", "shapes.py:3 Square.area.<locals>.side"]
