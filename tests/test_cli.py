@@ -55,6 +55,23 @@ def test_special_weights_needs_params(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--family", "AI"), "AI needs --n"),
+        (("--family", "aii", "--p", "1", "--q", "2"), "AII needs --n"),
+        (("--family", "CI"), "CI needs --n"),
+        (("--family", "DIII", "--q", "3"), "DIII needs --n"),
+        (("--family", "AIII", "--n", "4"), "AIII needs --p and --q"),
+        (("--family", "bdi", "--p", "2"), "BDI needs --p and --q"),
+        (("--family", "CII", "--q", "3"), "CII needs --p and --q"),
+        (("--family", "ex", "--n", "3"), "unknown involution family 'ex'"),
+    ],
+)
+def test_special_weights_family_errors(capsys, argv, message):
+    assert run(capsys, "special-weights", *argv) == (2, "", f"error: {message}\n")
+
+
 def test_census_csv_and_json(capsys):
     code, out, _ = run(capsys, "census", "--form", "skew", "--n", "3", "--q", "3", "--format", "csv")
     assert code == 0
@@ -369,6 +386,14 @@ GOLDEN_STDOUT = {
     "special-weights --family BDI --p 2 --q 5": "46ff163ba227e1197e4db1665584d908458c140f9091c8fbec967756b840e524",
     "special-weights --family BDI --p 3 --q 3": "4752583746afe79fe2a52a56366e93ca4f2befaee26adf556d412966d75e5b25",
     "special-weights --family CII --p 1 --q 3": "87af09e14088c6460c07e2ae5e0041dcaea5bc0434db12f922fb26b2c7200b0e",
+    "special-weights --family AI --n 4": "8eaeab6603dd6264a73bf92b949915dd0e580936909c7556c4843d2d16f36972",
+    "special-weights --family CI --n 3": "70fcd21724427da9d79d4ce768d839290d0d92604dcdd351a4a3ba0b5d1949b1",
+    "special-weights --family DIII --n 4": "9ee671e1a60c1a14224004cce6d0027087ec5559ec7c4eecc24cf8edfe57a899",
+    "special-weights --family AIII --p 2 --q 2": "c53c19622354576662c7a7ebee1672c3f0aa5db714e323537fd867e524abe4dc",
+    "special-weights --family BDI --p 1 --q 6": "1c8b1206d0e2b630449b417e0e125d63af3aefe9dd9bb7d45bf5cb6d9f31b1c4",
+    "special-weights --family BDI --p 2 --q 3": "734c7f772c91a890f3a271668088f0021ac95507288470c37fdd7af67bedc58e",
+    "special-weights --family BDI --p 2 --q 4": "855f93de7f031e9a9054d18c201db69893846ef80cb3d3f10932cf7f696f53fb",
+    "special-weights --family BDI --p 1 --q 5": "d0c657cb9af82ae8052577c88ce99ad3270d5e0725221656460b8f0440187832",
 }
 
 

@@ -45,6 +45,40 @@ def test_construction_rejects_degenerate_params():
         iv.involution_spec("EX", 4)
 
 
+FAMILY_ERRORS = {
+    "AI": (("AI", 1), PreconditionError, "AI needs n >= 2"),
+    "AII": (("aii", 1), PreconditionError, "AII needs n >= 2 (rank l = n - 1 must be positive)"),
+    "AIII": (("AIII", 3, 2), PreconditionError, "AIII needs 1 <= p <= q"),
+    "CI": (("CI", 0), PreconditionError, "CI needs n >= 1"),
+    "DIII": (("DIII", 1), PreconditionError, "DIII needs n >= 2"),
+    "BDI": (("BDI", 1, 1), PreconditionError, "BDI needs 1 <= p <= q and p + q >= 3"),
+    "CII": (("CII", 0, 2), PreconditionError, "CII needs 1 <= p <= q"),
+    "arity-1": (("AI", 2, 3), PreconditionError, "AI takes 1 parameter(s), got 2"),
+    "arity-2": (("BDI", 3), PreconditionError, "BDI takes 2 parameter(s), got 1"),
+    "unknown": (("ex", 4), UnsupportedFamilyError, "unknown family 'EX'"),
+}
+
+
+@pytest.mark.parametrize("case", FAMILY_ERRORS)
+def test_involution_spec_errors_are_pinned(case):
+    args, error, message = FAMILY_ERRORS[case]
+    with pytest.raises(PreconditionError) as exc:
+        iv.involution_spec(*args)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_unknown_family_is_unsupported_at_every_reader():
+    spec = InvolutionSpec("EX", (4,), ((1, 0), (0, 1)))
+    for call in (
+        spec.root_system,
+        lambda: iv.spherical_generators(spec),
+        lambda: iv.spherical_generators(spec, rw.root_system("A", 1)),
+    ):
+        with pytest.raises(UnsupportedFamilyError) as exc:
+            call()
+        assert str(exc.value) == "unknown family 'EX'"
+
+
 def test_theta_star_is_involution_and_permutes_roots():
     for spec in iv.catalog(5):
         rs = spec.root_system()
