@@ -21,19 +21,24 @@ if TYPE_CHECKING:
     from .involution import InvolutionSpec
 
 
+# the special-weights parameter flags: every name in involution.PARAM_NAMES
+_FAMILY_FLAGS = ("n", "p", "q")
+
+
 def _family_spec(args) -> InvolutionSpec:
     from . import involution as iv
 
     fam = args.family.upper()
-    if fam in ("AI", "AII", "CI", "DIII"):
-        if args.n is None:
-            raise PreconditionError(f"{fam} needs --n")
-        return iv.involution_spec(fam, args.n)
-    if fam in ("AIII", "BDI", "CII"):
-        if args.p is None or args.q is None:
-            raise PreconditionError(f"{fam} needs --p and --q")
-        return iv.involution_spec(fam, args.p, args.q)
-    raise PreconditionError(f"unknown involution family {args.family!r}")
+    if fam not in iv.PARAM_NAMES:
+        raise PreconditionError(f"unknown involution family {args.family!r}")
+    names = iv.PARAM_NAMES[fam]
+    flags = " and ".join(f"--{name}" for name in names)
+    if any(getattr(args, name) is None for name in names):
+        raise PreconditionError(f"{fam} needs {flags}")
+    extra = [f"--{name}" for name in _FAMILY_FLAGS if name not in names and getattr(args, name) is not None]
+    if extra:
+        raise PreconditionError(f"{fam} takes {flags}, not {' or '.join(extra)}")
+    return iv.involution_spec(fam, *(getattr(args, name) for name in names))
 
 
 def _fundamental_label(rs, lam) -> str:
@@ -254,9 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("special-weights", help="Table of special weights for an involution family (CSV)")
     p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
+    for name in _FAMILY_FLAGS:
+        p.add_argument(f"--{name}", type=int)
     p.set_defaults(fn=cmd_special_weights)
 
     p = sub.add_parser("weight-polytope", help="exact hull of a Weyl orbit")

@@ -734,6 +734,6 @@ def _borel_parents(n: int, q: int, action: str) -> list[int]:
 def theta_an(m: FqMatrix, inv) -> FqMatrix:
     """The monoid antiinvolution m -> m^T of AI, the one catalog involution
     that `symmon verify` realizes over F_q (AII's -J m^T J is a test oracle)."""
-    if inv.theta0 != "transpose":
+    if inv.family != "AI":
         raise UnsupportedFamilyError(f"theta_an realizes AI only, not {inv.family}")
     return m.transpose()

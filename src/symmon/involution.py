@@ -1,10 +1,12 @@
 """Classical involutions on the character lattice of a maximal torus.
 
-Each catalog entry ships an explicit integer matrix theta_star acting on the
-ambient epsilon-coordinates, chosen relative to a maximally split torus so
-that the catalog's spherical generators come out special.  The matrices are
-gated by checkable invariants (involutive, permutes the roots, preserves the
-form, positivity of the split system) rather than by the derivation.
+Each catalog family is one rule, which gives its root system, an explicit
+integer matrix theta_star acting on the ambient epsilon-coordinates, and its
+spherical generators as Dynkin label vectors.  The matrices are chosen
+relative to a maximally split torus so that the generators come out special,
+and are gated by checkable invariants (involutive, permutes the roots,
+preserves the form, positivity of the split system) rather than by the
+derivation.
 
 Families and parameters (p <= q everywhere):
 
@@ -36,12 +38,11 @@ from .root_weight import RootSystem, Weight
 
 class InvolutionSpec(NamedTuple):
     """A classical symmetric pair: theta* as an integer matrix on the ambient
-    weight coordinates, plus an optional matrix-group realization tag."""
+    weight coordinates."""
 
     family: str
     params: tuple[int, ...]
     theta_star: tuple[tuple[int, ...], ...]
-    theta0: str | None = None  # "transpose" (AI) or "symplectic" (AII)
 
     __add__ = __mul__ = __rmul__ = no_tuple_arithmetic
 
@@ -50,8 +51,8 @@ class InvolutionSpec(NamedTuple):
         return len(self.theta_star)
 
     def root_system(self) -> RootSystem:
-        family, rank = _root_data(self.family, self.params)
-        return root_weight.root_system(family, rank)
+        letter, rank, _, _ = _family_row(self.family, self.params)
+        return root_weight.root_system(letter, rank)
 
     def apply_star(self, w: Weight) -> Weight:
         if w.dim != self.ambient_dim:
@@ -73,153 +74,147 @@ def _negated(inv: InvolutionSpec, x) -> bool:
     return not any(map(add, x, star_vector(inv, x)))
 
 
-def _root_data(family: str, params: tuple[int, ...]) -> tuple[str, int]:
-    if family == "AI":
-        (n,) = params
-        return "A", n - 1
-    if family == "AII":
-        (n,) = params
-        return "A", 2 * n - 1
-    if family == "AIII":
-        p, q = params
-        return "A", p + q - 1
-    if family == "CI":
-        (n,) = params
-        return "C", n
-    if family == "DIII":
-        (n,) = params
-        return "D", n
-    if family == "BDI":
-        p, q = params
-        n = p + q
-        return ("B", n // 2) if n % 2 else ("D", n // 2)
-    if family == "CII":
-        p, q = params
-        return "C", p + q
-    raise UnsupportedFamilyError(f"unknown family {family!r}")
+# -- the catalog: one rule per family ------------------------------------------
+#
+# A rule takes the family's parameters, rejects degenerate ones, and returns
+# the row (root family letter, rank, theta*, generators): the root system,
+# theta* as a signed permutation of the ambient coordinates, and the Dynkin
+# labels of the spherical generators, in order.
+
+# the parameter names of each family, in the order its rule takes them
+PARAM_NAMES: dict[str, tuple[str, ...]] = {}
+_RULES = {}
 
 
-def _sign_matrix(dim: int, signs) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(signs[i] if i == j else 0 for j in range(dim)) for i in range(dim)
-    )
+def _family(name: str, *params: str):
+    """Register the decorated rule as the family's, with its parameter names."""
+
+    def register(rule):
+        PARAM_NAMES[name], _RULES[name] = params, rule
+        return rule
+
+    return register
+
+
+@functools.lru_cache
+def _family_row(family: str, params: tuple[int, ...]):
+    """The row of a family at the given parameters; the last 128 are kept."""
+    if family not in _RULES:
+        raise UnsupportedFamilyError(f"unknown family {family!r}")
+    count = len(PARAM_NAMES[family])
+    if len(params) != count:
+        raise PreconditionError(f"{family} takes {count} parameter(s), got {len(params)}")
+    return _RULES[family](*params)
+
+
+def _signed_permutation(signs, perm=None) -> tuple[tuple[int, ...], ...]:
+    """The matrix sending e_i to signs[i] e_perm[i] (perm the identity by default)."""
+    perm = perm or range(len(signs))
+    return tuple(tuple(s if i == j else 0 for i, s in zip(perm, signs)) for j in range(len(signs)))
 
 
 def _pair_swap_negate(dim: int) -> tuple[tuple[int, ...], ...]:
     """e_{2i-1} <-> -e_{2i} on consecutive pairs; a trailing odd coordinate is fixed."""
-    rows = [[0] * dim for _ in range(dim)]
-    for b in range(0, dim - 1, 2):
-        rows[b][b + 1] = -1
-        rows[b + 1][b] = -1
-    if dim % 2:
-        rows[dim - 1][dim - 1] = 1
-    return tuple(tuple(r) for r in rows)
+    perm = [min(i ^ 1, dim - 1) for i in range(dim)]
+    return _signed_permutation([1 if i == j else -1 for i, j in enumerate(perm)], perm)
+
+
+def _labels(rank: int, *terms: tuple[int, int]) -> tuple[int, ...]:
+    """The Dynkin labels of the sum of c omega_i over the terms (i, c), i from 1."""
+    labels = [0] * rank
+    for i, c in terms:
+        labels[i - 1] += c
+    return tuple(labels)
+
+
+def _doubled(rank: int, count: int) -> tuple[tuple[int, ...], ...]:
+    """2 omega_1, ..., 2 omega_count."""
+    return tuple(_labels(rank, (i, 2)) for i in range(1, count + 1))
+
+
+@_family("AI", "n")
+def _ai(n):
+    if n < 2:
+        raise PreconditionError("AI needs n >= 2")
+    return "A", n - 1, _signed_permutation([-1] * n), _doubled(n - 1, n - 1)
+
+
+@_family("AII", "n")
+def _aii(n):
+    if n < 2:
+        raise PreconditionError("AII needs n >= 2 (rank l = n - 1 must be positive)")
+    rank = 2 * n - 1
+    return "A", rank, _pair_swap_negate(2 * n), tuple(_labels(rank, (i, 1)) for i in range(2, rank, 2))
+
+
+@_family("AIII", "p", "q")
+def _aiii(p, q):
+    if p < 1 or q < p:
+        raise PreconditionError("AIII needs 1 <= p <= q")
+    n = p + q
+    # e_i <-> e_{n+1-i} for the first and last p coordinates
+    theta = _signed_permutation([1] * n, [n - 1 - i if i < p or i >= q else i for i in range(n)])
+    return "A", n - 1, theta, tuple(_labels(n - 1, (i, 1), (n - i, 1)) for i in range(1, p + 1))
+
+
+@_family("CI", "n")
+def _ci(n):
+    if n < 1:
+        raise PreconditionError("CI needs n >= 1")
+    return "C", n, _signed_permutation([-1] * n), _doubled(n, n)
+
+
+@_family("DIII", "n")
+def _diii(n):
+    if n < 2:
+        raise PreconditionError("DIII needs n >= 2")
+    evens = tuple(_labels(n, (i, 1)) for i in range(2, n - 1, 2))
+    last = _labels(n, (n, 2)) if n % 2 == 0 else _labels(n, (n - 1, 1), (n, 1))
+    return "D", n, _pair_swap_negate(n), evens + (last,)
+
+
+@_family("BDI", "p", "q")
+def _bdi(p, q):
+    n = p + q
+    if p < 1 or q < p or n < 3:
+        raise PreconditionError("BDI needs 1 <= p <= q and p + q >= 3")
+    k = n // 2
+    theta, gens = _signed_permutation([-1] * p + [1] * (k - p)), _doubled(k, p)
+    if n % 2 and p == k - 1:
+        # the last generator 2(omega_{k-1} + omega_k) forces theta* = -1
+        theta, gens = _signed_permutation([-1] * k), gens[:-1] + (_labels(k, (k - 1, 2), (k, 2)),)
+    elif n % 2 == 0 and p == k - 1:
+        # negate the first k-2 coordinates and swap the fork pair
+        theta = _signed_permutation([-1] * (k - 2) + [1, 1], [*range(k - 2), k - 1, k - 2])
+    elif n % 2 == 0 and p == k:
+        gens = gens[:-1] + (_labels(k, (k, 4)),)
+    return ("B" if n % 2 else "D"), k, theta, gens
+
+
+@_family("CII", "p", "q")
+def _cii(p, q):
+    if p < 1 or q < p:
+        raise PreconditionError("CII needs 1 <= p <= q")
+    n = p + q
+    return "C", n, _signed_permutation([-1] * (2 * p) + [1] * (n - 2 * p)), _doubled(n, 2 * p)
 
 
 def involution_spec(family: str, *params: int) -> InvolutionSpec:
     """Build a catalog involution; degenerate parameters are rejected."""
     family = family.upper()
-    if family == "AI":
-        _expect_params(family, params, 1)
-        (n,) = params
-        if n < 2:
-            raise PreconditionError("AI needs n >= 2")
-        return InvolutionSpec(family, params, _sign_matrix(n, [-1] * n), "transpose")
-    if family == "AII":
-        _expect_params(family, params, 1)
-        (n,) = params
-        if n < 2:
-            raise PreconditionError("AII needs n >= 2 (rank l = n - 1 must be positive)")
-        return InvolutionSpec(family, params, _pair_swap_negate(2 * n), "symplectic")
-    if family == "AIII":
-        _expect_params(family, params, 2)
-        p, q = params
-        n = p + q
-        if p < 1 or q < p:
-            raise PreconditionError("AIII needs 1 <= p <= q")
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            target = n - 1 - i if (i < p or i >= n - p) else i
-            rows[target][i] = 1
-        return InvolutionSpec(family, params, tuple(tuple(r) for r in rows))
-    if family == "CI":
-        _expect_params(family, params, 1)
-        (n,) = params
-        if n < 1:
-            raise PreconditionError("CI needs n >= 1")
-        return InvolutionSpec(family, params, _sign_matrix(n, [-1] * n))
-    if family == "DIII":
-        _expect_params(family, params, 1)
-        (n,) = params
-        if n < 2:
-            raise PreconditionError("DIII needs n >= 2")
-        return InvolutionSpec(family, params, _pair_swap_negate(n))
-    if family == "BDI":
-        _expect_params(family, params, 2)
-        p, q = params
-        n = p + q
-        if p < 1 or q < p or n < 3:
-            raise PreconditionError("BDI needs 1 <= p <= q and p + q >= 3")
-        k = n // 2
-        if n % 2:
-            # odd n: the p = k-1 and p = k generator rows force theta* = -1
-            if p >= k - 1:
-                mat = _sign_matrix(k, [-1] * k)
-            else:
-                mat = _sign_matrix(k, [-1] * p + [1] * (k - p))
-        else:
-            if p == k:
-                mat = _sign_matrix(k, [-1] * k)
-            elif p == k - 1:
-                # negate the first k-2 coordinates and swap the fork pair
-                rows = [[0] * k for _ in range(k)]
-                for i in range(k - 2):
-                    rows[i][i] = -1
-                rows[k - 2][k - 1] = 1
-                rows[k - 1][k - 2] = 1
-                mat = tuple(tuple(r) for r in rows)
-            else:
-                mat = _sign_matrix(k, [-1] * p + [1] * (k - p))
-        return InvolutionSpec(family, params, mat)
-    if family == "CII":
-        _expect_params(family, params, 2)
-        p, q = params
-        n = p + q
-        if p < 1 or q < p:
-            raise PreconditionError("CII needs 1 <= p <= q")
-        mat = _sign_matrix(n, [-1] * (2 * p) + [1] * (n - 2 * p))
-        return InvolutionSpec(family, params, mat)
-    raise UnsupportedFamilyError(f"unknown family {family!r}")
-
-
-def _expect_params(family: str, params, count: int):
-    if len(params) != count:
-        raise PreconditionError(f"{family} takes {count} parameter(s), got {len(params)}")
+    return InvolutionSpec(family, params, _family_row(family, params)[2])
 
 
 def catalog(max_rank: int) -> list[InvolutionSpec]:
     """Every catalog involution whose root system has rank <= max_rank."""
-    specs = []
-    for n in range(2, max_rank + 2):
-        specs.append(involution_spec("AI", n))
-    for n in range(2, max_rank // 2 + 2):
-        if 2 * n - 1 <= max_rank:
-            specs.append(involution_spec("AII", n))
-    for n in range(2, max_rank + 2):
-        for p in range(1, n // 2 + 1):
-            specs.append(involution_spec("AIII", p, n - p))
-    for n in range(1, max_rank + 1):
-        specs.append(involution_spec("CI", n))
-    for n in range(2, max_rank + 1):
-        specs.append(involution_spec("DIII", n))
-    for n in range(3, 2 * max_rank + 2):
-        if n // 2 > max_rank:
-            continue
-        for p in range(1, n // 2 + 1):
-            specs.append(involution_spec("BDI", p, n - p))
-    for n in range(2, max_rank + 1):
-        for p in range(1, n // 2 + 1):
-            specs.append(involution_spec("CII", p, n - p))
+    r = max_rank
+    specs = [involution_spec("AI", n) for n in range(2, r + 2)]
+    specs += [involution_spec("AII", n) for n in range(2, (r + 3) // 2)]
+    specs += [involution_spec("AIII", p, n - p) for n in range(2, r + 2) for p in range(1, n // 2 + 1)]
+    specs += [involution_spec("CI", n) for n in range(1, r + 1)]
+    specs += [involution_spec("DIII", n) for n in range(2, r + 1)]
+    specs += [involution_spec("BDI", p, n - p) for n in range(3, 2 * r + 2) for p in range(1, n // 2 + 1)]
+    specs += [involution_spec("CII", p, n - p) for n in range(2, r + 1) for p in range(1, n // 2 + 1)]
     return specs
 
 
@@ -245,47 +240,10 @@ def is_special(inv: InvolutionSpec, lam: Weight, rs: RootSystem | None = None) -
 
 
 def spherical_generators(inv: InvolutionSpec, rs: RootSystem | None = None) -> tuple[Weight, ...]:
-    """The catalog generators of the spherical-weight semigroup, in
-    fundamental-weight coordinates."""
+    """The catalog generators of the spherical-weight semigroup: the weights
+    of the Dynkin labels in the family's row, in order."""
     rs = rs or inv.root_system()
-    omega = root_weight.fundamental_weights(rs)
-    fam, params = inv.family, inv.params
-    if fam == "AI":
-        return tuple(om.scale(2) for om in omega)
-    if fam == "AII":
-        (n,) = params
-        return tuple(omega[i - 1] for i in range(2, 2 * n - 1, 2))
-    if fam == "AIII":
-        p, q = params
-        n = p + q
-        return tuple(omega[i - 1] + omega[n - i - 1] for i in range(1, p + 1))
-    if fam == "CI":
-        return tuple(om.scale(2) for om in omega)
-    if fam == "DIII":
-        (n,) = params
-        evens = [omega[i - 1] for i in range(2, n - 1, 2)]
-        if n % 2 == 0:
-            return tuple(evens + [omega[n - 1].scale(2)])
-        return tuple(evens + [omega[n - 2] + omega[n - 1]])
-    if fam == "BDI":
-        p, q = params
-        n = p + q
-        k = n // 2
-        if n % 2:
-            if p < k - 1:
-                return tuple(omega[i].scale(2) for i in range(p))
-            if p == k - 1:
-                head = [omega[i].scale(2) for i in range(k - 2)]
-                return tuple(head + [(omega[k - 2] + omega[k - 1]).scale(2)])
-            return tuple(omega[i].scale(2) for i in range(k))
-        if p < k:
-            return tuple(omega[i].scale(2) for i in range(p))
-        head = [omega[i].scale(2) for i in range(k - 1)]
-        return tuple(head + [omega[k - 1].scale(4)])
-    if fam == "CII":
-        p, q = params
-        return tuple(omega[i].scale(2) for i in range(2 * p))
-    raise UnsupportedFamilyError(f"unknown family {fam!r}")
+    return tuple(root_weight.from_fundamental(rs, labels) for labels in _family_row(inv.family, inv.params)[3])
 
 
 @functools.lru_cache(maxsize=root_weight.MATRIX_CACHE_SIZE)

@@ -40,11 +40,6 @@ def vec_sub(x: Vec, y: Vec) -> Vec:
     return tuple(a - b for a, b in zip(x, y))
 
 
-def vec_scale(c, x: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * a for a in x)
-
-
 def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free row echelon form of an integer matrix (Bareiss): returns
     (rows, pivot columns, sign of the row swaps).

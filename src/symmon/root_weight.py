@@ -69,11 +69,9 @@ class Weight(NamedTuple):
     def __neg__(self) -> "Weight":
         return Weight(tuple(-c for c in self.coords))
 
-    def scale(self, c) -> "Weight":
-        return Weight(linalg.vec_scale(c, self.coords))
-
     def __rmul__(self, c) -> "Weight":
-        return self.scale(c)
+        c = Fraction(c)
+        return Weight(tuple(c * a for a in self.coords))
 
     @property
     def dim(self) -> int:
@@ -193,7 +191,7 @@ def reflect(rs: RootSystem, alpha: Weight, mu: Weight) -> Weight:
     if nn == 0:
         raise DegenerateRootError("cannot reflect at a zero-norm vector")
     c = 2 * rs.form(mu, alpha) / nn
-    return mu - alpha.scale(c)
+    return mu - c * alpha
 
 
 @functools.lru_cache(maxsize=None)

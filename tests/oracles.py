@@ -28,7 +28,10 @@ live with the tests, not in src/, where every start would compile them:
   point unpacked and mapped), the oracle of the one-pass
   root_weight.weight_set_is_stable;
 * the restricted-root layer (Phi_0 and Phi_1, the restricted simple roots and
-  their cone), the oracle for deriving spherical weights from theta*.
+  their cone), the oracle for deriving spherical weights from theta*;
+* the involution catalog as the three if-chains that the per-family rows of
+  involution replaced: the root data, theta* and the spherical generators as
+  sums of fundamental weights.
 """
 
 import functools
@@ -373,7 +376,7 @@ def combination(rs, coeffs, vectors):
     """sum_k coeffs[k] * vectors[k]."""
     w = rw.Weight(zero_vec(rs.ambient_dim))
     for c, v in zip(coeffs, vectors):
-        w = w + v.scale(c)
+        w = w + c * v
     return w
 
 
@@ -499,7 +502,7 @@ def restricted_simple_roots(rs, inv):
         else:
             seen[diff] = a
             fresh.append(a)
-    restricted = tuple((a - inv.apply_star(a)).scale(Fraction(1, 2)) for a in fresh)
+    restricted = tuple(Fraction(1, 2) * (a - inv.apply_star(a)) for a in fresh)
     return phi0, phi1, delta0, tuple(fresh + repeats), restricted, len(restricted)
 
 
@@ -516,7 +519,7 @@ def twisted_weight(inv, chi):
 def in_restricted_cone(rs, inv, w):
     """Membership of w in the nonnegative rational cone over the doubled
     restricted simple roots {2 alpha-bar_i}."""
-    gens = [g.scale(2) for g in restricted_simple_roots(rs, inv)[4]]
+    gens = [2 * g for g in restricted_simple_roots(rs, inv)[4]]
     if not gens:
         return not any(w.coords)
     rows = mat([g.coords for g in gens])
@@ -530,4 +533,128 @@ def twisted_weight_in_support(rs, inv, lam, mu):
     """Companion predicate of twisted_weight: the twisted weight of mu must be
     of the form 2(lambda - sum n_i alpha-bar_i) with n_i >= 0, i.e.
     2 lambda - (mu - theta* mu) lies in the cone over {2 alpha-bar_i}."""
-    return in_restricted_cone(rs, inv, lam.scale(2) - twisted_weight(inv, mu))
+    return in_restricted_cone(rs, inv, 2 * lam - twisted_weight(inv, mu))
+
+
+# -- the involution catalog as if-chains --------------------------------------
+
+
+def catalog_root_data(family, params):
+    """(root family letter, rank) of a catalog family."""
+    if family == "AI":
+        (n,) = params
+        return "A", n - 1
+    if family == "AII":
+        (n,) = params
+        return "A", 2 * n - 1
+    if family == "AIII":
+        p, q = params
+        return "A", p + q - 1
+    if family == "CI":
+        (n,) = params
+        return "C", n
+    if family == "DIII":
+        (n,) = params
+        return "D", n
+    if family == "BDI":
+        p, q = params
+        n = p + q
+        return ("B", n // 2) if n % 2 else ("D", n // 2)
+    if family == "CII":
+        p, q = params
+        return "C", p + q
+    raise ValueError(family)
+
+
+def _sign_matrix(dim, signs):
+    return tuple(tuple(signs[i] if i == j else 0 for j in range(dim)) for i in range(dim))
+
+
+def _pair_swap_negate(dim):
+    rows = [[0] * dim for _ in range(dim)]
+    for b in range(0, dim - 1, 2):
+        rows[b][b + 1] = -1
+        rows[b + 1][b] = -1
+    if dim % 2:
+        rows[dim - 1][dim - 1] = 1
+    return tuple(tuple(r) for r in rows)
+
+
+def catalog_theta_star(family, params):
+    """theta* of a catalog family with valid parameters, entry by entry."""
+    if family in ("AI", "CI"):
+        (n,) = params
+        return _sign_matrix(n, [-1] * n)
+    if family == "AII":
+        (n,) = params
+        return _pair_swap_negate(2 * n)
+    if family == "DIII":
+        (n,) = params
+        return _pair_swap_negate(n)
+    p, q = params
+    n = p + q
+    if family == "AIII":
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[n - 1 - i if (i < p or i >= n - p) else i][i] = 1
+        return tuple(tuple(r) for r in rows)
+    if family == "CII":
+        return _sign_matrix(n, [-1] * (2 * p) + [1] * (n - 2 * p))
+    if family != "BDI":
+        raise ValueError(family)
+    k = n // 2
+    if n % 2:
+        if p >= k - 1:
+            return _sign_matrix(k, [-1] * k)
+        return _sign_matrix(k, [-1] * p + [1] * (k - p))
+    if p == k:
+        return _sign_matrix(k, [-1] * k)
+    if p == k - 1:
+        rows = [[0] * k for _ in range(k)]
+        for i in range(k - 2):
+            rows[i][i] = -1
+        rows[k - 2][k - 1] = 1
+        rows[k - 1][k - 2] = 1
+        return tuple(tuple(r) for r in rows)
+    return _sign_matrix(k, [-1] * p + [1] * (k - p))
+
+
+def catalog_spherical_generators(inv, rs):
+    """The spherical generators of a catalog involution as sums of the
+    fundamental weights omega of rs."""
+    omega = rw.fundamental_weights(rs)
+    fam, params = inv.family, inv.params
+    if fam in ("AI", "CI"):
+        return tuple(2 * om for om in omega)
+    if fam == "AII":
+        (n,) = params
+        return tuple(omega[i - 1] for i in range(2, 2 * n - 1, 2))
+    if fam == "AIII":
+        p, q = params
+        n = p + q
+        return tuple(omega[i - 1] + omega[n - i - 1] for i in range(1, p + 1))
+    if fam == "DIII":
+        (n,) = params
+        evens = [omega[i - 1] for i in range(2, n - 1, 2)]
+        if n % 2 == 0:
+            return tuple(evens + [2 * omega[n - 1]])
+        return tuple(evens + [omega[n - 2] + omega[n - 1]])
+    if fam == "BDI":
+        p, q = params
+        n = p + q
+        k = n // 2
+        if n % 2:
+            if p < k - 1:
+                return tuple(2 * omega[i] for i in range(p))
+            if p == k - 1:
+                head = [2 * omega[i] for i in range(k - 2)]
+                return tuple(head + [2 * (omega[k - 2] + omega[k - 1])])
+            return tuple(2 * omega[i] for i in range(k))
+        if p < k:
+            return tuple(2 * omega[i] for i in range(p))
+        head = [2 * omega[i] for i in range(k - 1)]
+        return tuple(head + [4 * omega[k - 1]])
+    if fam == "CII":
+        p, q = params
+        return tuple(2 * omega[i] for i in range(2 * p))
+    raise ValueError(fam)

@@ -72,6 +72,18 @@ def test_special_weights_family_errors(capsys, argv, message):
     assert run(capsys, "special-weights", *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--family", "AI", "--n", "2", "--p", "5"), "AI takes --n, not --p"),
+        (("--family", "ci", "--n", "2", "--p", "1", "--q", "3"), "CI takes --n, not --p or --q"),
+        (("--family", "BDI", "--p", "2", "--q", "3", "--n", "5"), "BDI takes --p and --q, not --n"),
+    ],
+)
+def test_special_weights_rejects_parameters_the_family_does_not_take(capsys, argv, message):
+    assert run(capsys, "special-weights", *argv) == (2, "", f"error: {message}\n")
+
+
 def test_census_csv_and_json(capsys):
     code, out, _ = run(capsys, "census", "--form", "skew", "--n", "3", "--q", "3", "--format", "csv")
     assert code == 0

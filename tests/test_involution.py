@@ -6,6 +6,9 @@ from operator import mul
 import pytest
 from oracles import (
     all_roots,
+    catalog_root_data,
+    catalog_spherical_generators,
+    catalog_theta_star,
     fraction_neg_star_on_labels,
     identity_mat,
     in_restricted_cone,
@@ -79,6 +82,34 @@ def test_unknown_family_is_unsupported_at_every_reader():
         assert str(exc.value) == "unknown family 'EX'"
 
 
+def test_family_rows_match_the_if_chain_oracles():
+    specs = iv.catalog(rw.RANK_GUARD)
+    assert len(specs) == 81
+    for spec in specs:
+        rs = spec.root_system()
+        assert (rs.family, rs.rank) == catalog_root_data(spec.family, spec.params), spec
+        assert spec.theta_star == catalog_theta_star(spec.family, spec.params), spec
+        assert iv.spherical_generators(spec, rs) == catalog_spherical_generators(spec, rs), spec
+
+
+@pytest.mark.parametrize("max_rank", range(1, rw.RANK_GUARD + 1))
+def test_catalog_is_every_entry_up_to_its_rank(max_rank):
+    """catalog(r) against every valid parameter tuple in a box that holds
+    all of rank <= r (the largest parameter is BDI's q <= 2r), by the rank
+    in each family's row."""
+    expected = set()
+    for family, names in iv.PARAM_NAMES.items():
+        for params in itertools.product(range(2 * max_rank + 2), repeat=len(names)):
+            try:
+                rank = iv._family_row(family, params)[1]
+            except PreconditionError:
+                continue
+            if rank <= max_rank:
+                expected.add(iv.involution_spec(family, *params))
+    specs = iv.catalog(max_rank)
+    assert len(specs) == len(expected) and set(specs) == expected
+
+
 def test_theta_star_is_involution_and_permutes_roots():
     for spec in iv.catalog(5):
         rs = spec.root_system()
@@ -147,7 +178,7 @@ def test_is_special_examples():
     a3 = rw.root_system("A", 3)
     ai = iv.involution_spec("AI", 4)
     fw = rw.fundamental_weights(a3)
-    assert iv.is_special(ai, fw[0].scale(2), a3)
+    assert iv.is_special(ai, 2 * fw[0], a3)
     for w in fw:
         assert iv.is_special(ai, w, a3)
     aii = iv.involution_spec("AII", 2)
@@ -157,14 +188,14 @@ def test_is_special_examples():
         iv.is_special(ai, -fw[0], a3)
     # theta* = -1 negates omega_1 / 2, whose label 1/2 is not an integer
     with pytest.raises(PreconditionError, match="^is_special requires a dominant weight$"):
-        iv.is_special(ai, fw[0].scale(Fraction(1, 2)), a3)
+        iv.is_special(ai, Fraction(1, 2) * fw[0], a3)
 
 
 def test_is_special_additive():
     a3 = rw.root_system("A", 3)
     aii = iv.involution_spec("AII", 2)
     fw = rw.fundamental_weights(a3)
-    specials = [w for w in list(fw) + [fw[1].scale(2), fw[1].scale(3)] if iv.is_special(aii, w, a3)]
+    specials = [w for w in list(fw) + [2 * fw[1], 3 * fw[1]] if iv.is_special(aii, w, a3)]
     for lam in specials:
         for mu in specials:
             assert iv.is_special(aii, lam + mu, a3)
@@ -187,17 +218,17 @@ def test_spherical_generators_examples():
     a3 = rw.root_system("A", 3)
     fw = rw.fundamental_weights(a3)
     assert iv.spherical_generators(iv.involution_spec("AI", 4)) == (
-        fw[0].scale(2), fw[1].scale(2), fw[2].scale(2),
+        2 * fw[0], 2 * fw[1], 2 * fw[2],
     )
     assert iv.spherical_generators(iv.involution_spec("AII", 2)) == (fw[1],)
     c2 = rw.root_system("C", 2)
     fw2 = rw.fundamental_weights(c2)
     assert iv.spherical_generators(iv.involution_spec("CII", 1, 1)) == (
-        fw2[0].scale(2), fw2[1].scale(2),
+        2 * fw2[0], 2 * fw2[1],
     )
     # AIII(p, q): omega_i + omega_{n-i} for i = 1..p
     gens = iv.spherical_generators(iv.involution_spec("AIII", 2, 2))
-    assert gens == (fw[0] + fw[2], fw[1].scale(2))
+    assert gens == (fw[0] + fw[2], 2 * fw[1])
 
 
 def test_every_catalog_generator_is_special():
@@ -211,7 +242,7 @@ def test_every_catalog_generator_is_special():
 def test_weight_set_stability():
     a2 = rw.root_system("A", 2)
     ai3 = iv.involution_spec("AI", 3)
-    assert iv.check_weight_set_stability(a2, ai3, rw.fundamental_weights(a2)[0].scale(2))
+    assert iv.check_weight_set_stability(a2, ai3, 2 * rw.fundamental_weights(a2)[0])
     a3 = rw.root_system("A", 3)
     aii = iv.involution_spec("AII", 2)
     fw = rw.fundamental_weights(a3)
@@ -327,7 +358,7 @@ def test_weight_set_stability_rejects_in_order():
     cases = [
         (a3, aii, -fw2[0], PreconditionError, dimension),
         (a3, aii, -fw3[0], PreconditionError, dominant),
-        (a3, aii, fw3[0].scale(Fraction(1, 2)), PreconditionError, dominant),  # a label of 1/2
+        (a3, aii, Fraction(1, 2) * fw3[0], PreconditionError, dominant),  # a label of 1/2
         (a2, aii, -fw2[0], PreconditionError, dominant),
         (a2, aii, fw2[0], PreconditionError, "ambient dimension mismatch"),
         (a3, aii, fw3[0], NotSpecialError, "weight is not special for this involution"),
@@ -381,8 +412,8 @@ def test_twisted_weight():
     fixed = a3.simple_roots[0]  # alpha_1 is theta*-fixed for AII
     assert twisted_weight(aii, fixed) == rw.weight([0, 0, 0, 0])
     ai = iv.involution_spec("AI", 4)
-    lam = rw.fundamental_weights(a3)[1].scale(2)
-    assert twisted_weight(ai, lam) == lam.scale(2)
+    lam = 2 * rw.fundamental_weights(a3)[1]
+    assert twisted_weight(ai, lam) == 2 * lam
 
 
 def test_twisted_weight_support_shape():
@@ -402,7 +433,7 @@ def test_twisted_weight_support_shape():
 def test_in_restricted_cone():
     a3 = rw.root_system("A", 3)
     aii = iv.involution_spec("AII", 2)
-    twice = restricted_simple_roots(a3, aii)[4][0].scale(2)
+    twice = 2 * restricted_simple_roots(a3, aii)[4][0]
     assert in_restricted_cone(a3, aii, twice)
     assert in_restricted_cone(a3, aii, rw.weight([0, 0, 0, 0]))
     assert not in_restricted_cone(a3, aii, -twice)
@@ -446,10 +477,10 @@ def test_integer_star_kernel_matches_fraction_oracle():
     for spec in iv.catalog(4):
         rs = spec.root_system()
         fw = rw.fundamental_weights(rs)
-        sample = list(all_roots(rs)) + list(fw) + [om.scale(2) for om in fw]
+        sample = list(all_roots(rs)) + list(fw) + [2 * om for om in fw]
         sample += list(iv.spherical_generators(spec, rs))
         if rs.family == "A":  # chi and the extended weights are non-integral
-            sample += [rw.chi(rs), rw.chi(rs) + fw[0].scale(Fraction(1, 3))]
+            sample += [rw.chi(rs), rw.chi(rs) + Fraction(1, 3) * fw[0]]
         for w in sample:
             image = spec.apply_star(w)
             assert image == _apply_star_oracle(spec, w), (spec, w)
@@ -473,7 +504,7 @@ def test_integer_star_kernel_negative_cases():
     with pytest.raises(NotSpecialError):
         iv.check_weight_set_stability(a3, aii, omega_1)
     # mismatched ambient dimensions, at every entry to the kernel
-    ai4, lam = iv.involution_spec("AI", 4), rw.fundamental_weights(a2)[0].scale(2)
+    ai4, lam = iv.involution_spec("AI", 4), 2 * rw.fundamental_weights(a2)[0]
     for call in (
         lambda: ai4.apply_star(lam),
         lambda: iv.is_special(ai4, lam, a2),

@@ -549,22 +549,21 @@ def _probe_points(p):
     """(inside, outside) sample points of p: the vertices, the centroid, facet
     centroids and midpoints inside; the vertices and facet centroids pushed
     away from the centroid by 1/k, and points pushed off the span by 1/k, outside."""
-    verts = [v.coords for v in p.vertices]
-    centroid = linalg.vec_scale(Fraction(1, len(verts)), [sum(c) for c in zip(*verts)])
+    verts = list(p.vertices)
+    zero = rw.Weight((Fraction(0),) * verts[0].dim)
+    centroid = Fraction(1, len(verts)) * sum(verts, zero)
     on_facets = []
     for nrm, off in p.facets:
-        tight = [v for v in verts if linalg.dot(nrm, v) == off]
-        on_facets.append(linalg.vec_scale(Fraction(1, len(tight)), [sum(c) for c in zip(*tight)]))
-    inside = verts + [centroid] + on_facets + [
-        linalg.vec_scale(Fraction(1, 2), linalg.vec_add(a, b)) for a, b in zip(verts, verts[1:])
-    ]
+        tight = [v for v in verts if linalg.dot(nrm, v.coords) == off]
+        on_facets.append(Fraction(1, len(tight)) * sum(tight, zero))
+    inside = verts + [centroid] + on_facets + [Fraction(1, 2) * (a + b) for a, b in zip(verts, verts[1:])]
     outside = []
     for k in (1, 2, 7, 1000):
         for x in verts + on_facets:
-            outside.append(linalg.vec_add(x, linalg.vec_scale(Fraction(1, k), linalg.vec_sub(x, centroid))))
+            outside.append(x + Fraction(1, k) * (x - centroid))
         for nu, _ in p.span:
-            outside.append(linalg.vec_add(centroid, linalg.vec_scale(Fraction(1, k), nu)))
-    return [rw.Weight(x) for x in inside], [rw.Weight(x) for x in outside]
+            outside.append(centroid + Fraction(1, k) * rw.Weight(nu))
+    return inside, outside
 
 
 def _probe_polytopes():
@@ -629,7 +628,7 @@ def test_contains_cache_is_invisible():
     assert pt.contains(fresh, x) and fresh.__dict__["_int_rows"] == cached.__dict__["_int_rows"]
     for clone in (pickle.loads(pickle.dumps(cached)), copy.copy(cached), copy.deepcopy(cached)):
         assert clone == cached and hash(clone) == hash(cached)
-        assert pt.contains(clone, x) and not pt.contains(clone, x.scale(2))
+        assert pt.contains(clone, x) and not pt.contains(clone, 2 * x)
     # the other weight-side records round-trip too
     b3, ai2 = rw.root_system("B", 3), iv.involution_spec("AI", 2)
     records = (x, weight([]), b3, ai2, iv.involution_spec("CI", 2))

@@ -23,7 +23,7 @@ FIELDS = {
     "RookElement": ("map",),
     "Weight": ("coords",),
     "RootSystem": ("family", "rank", "ambient_dim", "simple_roots", "cartan", "coroots"),
-    "InvolutionSpec": ("family", "params", "theta_star", "theta0"),
+    "InvolutionSpec": ("family", "params", "theta_star"),
     "BorelFactorization": ("u", "t", "r", "v"),
     "RankControl": ("rho",),
     "SymOrbitReport": (
@@ -86,9 +86,9 @@ REPRS = {
         "RootSystem(family='B', rank=2, ambient_dim=2, simple_roots=((1, -1), (0, 1)), cartan=((2, -2), (-1, 2)), coroots=((1, -1), (0, 2)))",
     ],
     "InvolutionSpec": [
-        "InvolutionSpec(family='AI', params=(2,), theta_star=((-1, 0), (0, -1)), theta0='transpose')",
-        "InvolutionSpec(family='CI', params=(2,), theta_star=((-1, 0), (0, -1)), theta0=None)",
-        "InvolutionSpec(family='AII', params=(2,), theta_star=((0, -1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, -1), (0, 0, -1, 0)), theta0='symplectic')",
+        "InvolutionSpec(family='AI', params=(2,), theta_star=((-1, 0), (0, -1)))",
+        "InvolutionSpec(family='CI', params=(2,), theta_star=((-1, 0), (0, -1)))",
+        "InvolutionSpec(family='AII', params=(2,), theta_star=((0, -1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, -1), (0, 0, -1, 0)))",
     ],
     "BorelFactorization": [
         "BorelFactorization(u=[1,0; 0,1] (mod 3), t=[1,0; 0,1] (mod 3), r=RookElement(map=(2, 1)), v=[1,2; 0,1] (mod 3))",

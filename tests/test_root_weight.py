@@ -111,7 +111,7 @@ def _from_fundamental_oracle(rs, coeffs):
     """The formula from_fundamental replaced: a chain of Fraction vector sums."""
     w = weight([0] * rs.ambient_dim)
     for c, omega in zip(coeffs, rw.fundamental_weights(rs)):
-        w = w + omega.scale(c)
+        w = w + c * omega
     return w
 
 
@@ -135,9 +135,9 @@ def test_from_fundamental_matches_fraction_sums():
 
 def test_fundamental_weight_examples():
     a1 = rw.root_system("A", 1)
-    assert rw.fundamental_weights(a1)[0] == a1.simple_roots[0].scale(frac(1, 2))
+    assert rw.fundamental_weights(a1)[0] == frac(1, 2) * a1.simple_roots[0]
     a2 = rw.root_system("A", 2)
-    expected = (a2.simple_roots[0].scale(2) + a2.simple_roots[1]).scale(frac(1, 3))
+    expected = frac(1, 3) * (2 * a2.simple_roots[0] + a2.simple_roots[1])
     assert rw.fundamental_weights(a2)[0] == expected
     # omega_1 = chi_1 - (1/n)(chi_1 + ... + chi_n) in epsilon-coordinates
     for n in (3, 4, 5):
@@ -287,7 +287,7 @@ def _weight_set_box_oracle(rs, lam):
         mu = lam
         for c, alpha in zip(combo, rs.simple_roots):
             if c:
-                mu = mu - alpha.scale(c)
+                mu = mu - c * alpha
         plus, _ = _dominant_representative(rs, mu)
         if _below_oracle(rs, plus, lam):
             out.add(mu)
@@ -296,7 +296,7 @@ def _weight_set_box_oracle(rs, lam):
 
 def test_weight_set_examples_and_oracle():
     a1 = rw.root_system("A", 1)
-    two_w1 = rw.fundamental_weights(a1)[0].scale(2)
+    two_w1 = 2 * rw.fundamental_weights(a1)[0]
     assert rw.weight_set(a1, two_w1) == (
         weight([-1, 1]),
         weight([0, 0]),
@@ -313,7 +313,7 @@ def test_weight_set_examples_and_oracle():
     for rs, lam in (
         (a1, two_w1),
         (a3, fw[0] + fw[2]),
-        (rw.root_system("B", 2), rw.fundamental_weights(rw.root_system("B", 2))[0].scale(2)),
+        (rw.root_system("B", 2), 2 * rw.fundamental_weights(rw.root_system("B", 2))[0]),
         (rw.root_system("C", 2), rw.fundamental_weights(rw.root_system("C", 2))[1]),
     ):
         assert rw.weight_set(rs, lam) == _weight_set_box_oracle(rs, lam)
@@ -512,7 +512,7 @@ def test_integer_datum_matches_pairings(fam, rank):
             assert rs.cartan[i][j] == int(pairing(rs, a, b))
     fw = rw.fundamental_weights(rs)
     sample = list(rs.simple_roots) + list(all_roots(rs)) + list(fw)
-    sample += [sum(fw, Weight(zero_vec(rs.ambient_dim))), fw[0].scale(frac(1, 2)), fw[-1] - rs.simple_roots[0]]
+    sample += [sum(fw, Weight(zero_vec(rs.ambient_dim))), frac(1, 2) * fw[0], fw[-1] - rs.simple_roots[0]]
     if fam == "A":
         sample += [rw.chi(rs), rw.chi(rs) + fw[0]]
     for mu in sample:
@@ -647,7 +647,7 @@ def test_orbits_past_sixty_four_bit_lanes(fam, labels):
     rs = rw.root_system(fam, len(labels))
     lam = rw.from_fundamental(rs, labels)
     assert rw.weyl_orbit(rs, lam) == _weyl_orbit_oracle(rs, lam)
-    assert rw.weyl_orbit(rs, lam.scale(frac(1, 3))) == _weyl_orbit_oracle(rs, lam.scale(frac(1, 3)))
+    assert rw.weyl_orbit(rs, frac(1, 3) * lam) == _weyl_orbit_oracle(rs, frac(1, 3) * lam)
 
 
 @pytest.mark.parametrize(
